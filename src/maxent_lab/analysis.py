@@ -24,7 +24,6 @@ from .lattice import (
     _reach_step,
 )
 from .priors import IntegerPrior
-from .simulate import HypercompressionResult, RecurrenceResult
 from .solver import MaxEntSolution
 from .sumdist import central_series
 
@@ -233,10 +232,6 @@ class GameReport:
     """Aggregated coding-game results for one problem instance."""
 
     codelengths: tuple[CodelengthRecord, ...] = ()
-    gap_series: tuple[GapRecord, ...] = ()
-    minimax: MinimaxReport | None = None
-    recurrence: RecurrenceResult | None = None
-    hypercompression: tuple[HypercompressionResult, ...] = ()
     skipped_sizes: tuple[int, ...] = ()
 
 

@@ -23,7 +23,7 @@ from .lattice import (
     SampleSpace,
     _dense_shape,
 )
-from .sumdist import SumTableProvider, resolve_measure
+from .sumdist import SumTableProvider, resolve_measure, step_weights
 
 
 @dataclass
@@ -104,10 +104,12 @@ def _freq_layer_float(space, constraint, n, weights, bounds):
 
 
 def _freq_layer_rational(space, constraint, n, weights, bounds):
-    table = {(0, (0,) * constraint.dim): Fraction(1)}
+    """Integer form of ``_freq_layer_float``: ``weights`` are the integer step
+    numerators, so both masses come back as numerators over D**n."""
+    table = {(0, (0,) * constraint.dim): 1}
     for u, w, (lo, hi) in zip(constraint.units, weights, bounds):
         if lo > hi:
-            return Fraction(0), Fraction(0)
+            return 0, 0
         new: dict = {}
         for (used, ut), mass in table.items():
             for nu in range(lo, min(hi, n - used) + 1):
@@ -117,8 +119,8 @@ def _freq_layer_rational(space, constraint, n, weights, bounds):
                 add = mass * coef
                 new[key] = add if prev is None else prev + add
         table = new
-    total = Fraction(0)
-    on_target = Fraction(0)
+    total = 0
+    on_target = 0
     center = constraint.center_units(n)
     for (used, ut), mass in table.items():
         if used != n:
@@ -133,14 +135,16 @@ def _freq_event(space, constraint, event, n, weights, mode):
     bounds = _count_bounds(n, event.reference, event.epsilon)
     free = [(0, n)] * space.size
     layer = _freq_layer_rational if mode == "rational" else _freq_layer_float
-    box_total, box_center = layer(space, constraint, n, weights, bounds)
-    all_total, all_center = layer(space, constraint, n, weights, free)
-    prob_event = all_total - box_total
-    prob_joint = all_center - box_center
+    steps, unit = step_weights(weights, mode)
+    box_total, box_center = layer(space, constraint, n, steps, bounds)
+    all_total, all_center = layer(space, constraint, n, steps, free)
+    scale = unit ** n
+    prob_event = (all_total - box_total) * scale
+    prob_joint = (all_center - box_center) * scale
     if mode == "float":
         prob_event = max(prob_event, 0.0)
         prob_joint = max(prob_joint, 0.0)
-    return prob_event, prob_joint, all_center
+    return prob_event, prob_joint, all_center * scale
 
 
 def _dict_step(table: dict, cells, cell_budget: int) -> dict:
@@ -160,19 +164,16 @@ def _dict_step(table: dict, cells, cell_budget: int) -> dict:
 
 def _box_event(space, constraint, event: BoxEvent, n, weights, mode, cell_budget):
     geometry = LatticeGeometry.from_values(event.statistic, allow_constant=True)
+    steps, unit = step_weights(weights, mode)
     cells = []
-    for ut, us, w in zip(constraint.units, geometry.units, weights):
+    for ut, us, w in zip(constraint.units, geometry.units, steps):
         cells.append((ut + us, w))
-    zero = Fraction(0) if mode == "rational" else 0.0
-    one = Fraction(1) if mode == "rational" else 1.0
-    table = {(0,) * (constraint.dim + geometry.dim): one}
+    table = {(0,) * (constraint.dim + geometry.dim): 1}
     for _ in range(n):
         table = _dict_step(table, cells, cell_budget)
     center = constraint.center_units(n)
     k = constraint.dim
-    prob_event = zero
-    prob_joint = zero
-    prob_constraint = zero
+    prob_event = prob_joint = prob_constraint = 0
     for state, mass in table.items():
         ut, us = state[:k], state[k:]
         averages = [
@@ -189,25 +190,25 @@ def _box_event(space, constraint, event: BoxEvent, n, weights, mode, cell_budget
                 prob_joint += mass
         if at_center:
             prob_constraint += mass
-    return prob_event, prob_joint, prob_constraint
+    scale = unit ** n
+    return prob_event * scale, prob_joint * scale, prob_constraint * scale
 
 
 def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights,
                   mode, cell_budget):
     ij = space.index(event.j)
     ijp = space.index(event.jprime)
-    zero = Fraction(0) if mode == "rational" else 0.0
-    one = Fraction(1) if mode == "rational" else 1.0
+    steps, unit = step_weights(weights, mode)
     # state: T-units, count_j, count_jprime, bigram count, last-symbol-is-jprime
     start = (0,) * constraint.dim + (0, 0, 0, 0)
-    table = {start: one}
+    table = {start: 1}
     k = constraint.dim
     for _ in range(n):
         new: dict = {}
         for state, mass in table.items():
             ut, cj, cjp, cbig, last = state[:k], state[k], state[k + 1], \
                 state[k + 2], state[k + 3]
-            for idx, (u, w) in enumerate(zip(constraint.units, weights)):
+            for idx, (u, w) in enumerate(zip(constraint.units, steps)):
                 key = (
                     tuple(a + b for a, b in zip(ut, u))
                     + (cj + (idx == ij), cjp + (idx == ijp),
@@ -222,9 +223,7 @@ def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights,
             )
         table = new
     center = constraint.center_units(n)
-    prob_event = zero
-    prob_joint = zero
-    prob_constraint = zero
+    prob_event = prob_joint = prob_constraint = 0
     for state, mass in table.items():
         ut, cj, cjp, cbig, last = state[:k], state[k], state[k + 1], \
             state[k + 2], state[k + 3]
@@ -239,7 +238,8 @@ def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights,
                 prob_joint += mass
         if at_center:
             prob_constraint += mass
-    return prob_event, prob_joint, prob_constraint
+    scale = unit ** n
+    return prob_event * scale, prob_joint * scale, prob_constraint * scale
 
 
 def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
@@ -351,6 +351,6 @@ def conditional_marginal(space: SampleSpace, constraint: ConstraintSpec,
                     tuple(a + b for a, b in zip(units, constraint.units[idx])),
                     weight * weights[idx], depth + 1)
 
-    descend((), (0,) * constraint.dim, Fraction(1) if mode == "rational" else 1.0, 0)
+    descend((), (0,) * constraint.dim, 1, 0)
     return ConditionalMarginal(m=m, n=n, measure_id=provider.measure_id,
                                mode=mode, masses=masses)

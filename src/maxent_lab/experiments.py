@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,7 +71,6 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
     durations: dict = field(default_factory=dict)
     seeds: dict = field(default_factory=dict)
-    threads_cap: int | None = None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -83,7 +81,6 @@ class RunManifest:
                 "outputs": self.outputs,
                 "durations_seconds": self.durations,
                 "seeds": self.seeds,
-                "threads_cap": self.threads_cap,
             },
             indent=2, sort_keys=True,
         ) + "\n"
@@ -154,11 +151,13 @@ def _run_concentrate(ctx, block, path):
 def _run_condlimit(ctx, block, path):
     space, constraint, solution = ctx["space"], ctx["constraint"], ctx["solution"]
     m = block["m"]
+    # one provider serves every size of the block: its tables only grow
+    provider = SumTableProvider(space, constraint, measure="q", mode=ctx["mode"])
     rows = []
     for n in block["n_list"]:
         try:
-            marg = conditional_marginal(space, constraint, m, n,
-                                        measure="q", mode=ctx["mode"])
+            marg = conditional_marginal(space, constraint, m, n, measure="q",
+                                        mode=ctx["mode"], provider=provider)
             rows.append((m, n, marg.tv_to_product(ctx["solution"].pmf)))
         except (ValidationError, MaxentLabError):
             rows.append((m, n, None))
@@ -291,19 +290,16 @@ _RUNNERS = {
 def run_config(source, output_dir, mode: str | None = None) -> RunManifest:
     """Execute every experiment block and write CSVs, summary, and manifest.
 
-    Experiments run serially in declaration order; the MAXENT_LAB_THREADS cap
-    is recorded and trivially honored.
+    Experiments run serially in declaration order.
     """
     config = source if isinstance(source, ExperimentConfig) else load_config(source)
     mode = mode or config.mode
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     canonical = json.dumps(config.raw, sort_keys=True).encode()
-    threads = os.environ.get("MAXENT_LAB_THREADS")
     manifest = RunManifest(
         config_hash=hashlib.sha256(canonical).hexdigest(),
         version=__version__, mode=mode,
-        threads_cap=int(threads) if threads else None,
     )
     space, constraint = config.problem.build()
     solution = solve_maxent(space, constraint)

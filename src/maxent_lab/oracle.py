@@ -114,7 +114,9 @@ def enumerate_oracle(space: SampleSpace, constraint: ConstraintSpec, n: int,
                     num * numerators[idx])
 
     descend(0, (0,) * dim, 1)
-    assert total_all == denom ** n
+    # every sequence enumerated once: (sum of numerators)**n, which is
+    # denom**n for a normalized measure
+    assert total_all == sum(numerators) ** n
 
     total_mass = Fraction(total_c, denom ** n)
     conditional = {s: Fraction(v, total_c) for s, v in members.items()} \

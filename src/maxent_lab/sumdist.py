@@ -2,13 +2,18 @@
 
 Tables are indexed by unit coordinates: the scaled sum after n steps equals
 n * offset + span * units, coordinatewise. Two arithmetic backends exist: a
-dense float64 table (large n) and an exact map of Fractions (identity checks,
-small n). Dense tables self-normalize because every step convolves probability
-masses, so no log-domain rescaling is needed at the sizes this package allows.
+dense float64 table (large n) and an exact sparse map (identity checks, small
+n). The exact map holds plain integer numerators: each rational step weight is
+written a_i / D over D = lcm of the weight denominators, the DP adds and
+multiplies the a_i, and a table after n steps carries the single denominator
+D**n, applied as a Fraction only when a mass is read out. Dense tables
+self-normalize because every step convolves probability masses, so no
+log-domain rescaling is needed at the sizes this package allows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,31 +38,50 @@ def resolve_measure(space: SampleSpace, measure, mode: str):
     ``(tag, weights)`` pair with exact rationals in rational mode.
     """
     if measure == "q":
-        if mode == "rational":
-            return "q", list(space.prior_fractions)
-        return "q", [float(w) for w in space.prior_fractions]
-    if isinstance(measure, MaxEntSolution):
+        measure_id, weights = "q", space.prior_fractions
+    elif isinstance(measure, MaxEntSolution):
         if mode == "rational":
             raise ValidationError("the projection has irrational masses; "
                                   "rational mode needs a rational measure")
-        return measure.measure_id, [float(p) for p in measure.pmf]
-    if isinstance(measure, tuple) and len(measure) == 2:
+        measure_id, weights = measure.measure_id, measure.pmf
+    elif isinstance(measure, tuple) and len(measure) == 2:
         tag, weights = measure
         weights = list(weights)
         if len(weights) != space.size:
             raise ValidationError("measure weights must match the outcome count")
-        if mode == "rational":
-            return str(tag), [as_fraction(w) for w in weights]
-        return str(tag), [float(w) for w in weights]
-    raise ValidationError(f"cannot interpret measure {measure!r}")
+        measure_id = str(tag)
+    else:
+        raise ValidationError(f"cannot interpret measure {measure!r}")
+    if mode == "rational":
+        return measure_id, [as_fraction(w) for w in weights]
+    return measure_id, [float(w) for w in weights]
 
 
-def _one_step_cells(constraint: ConstraintSpec, weights):
+def step_weights(weights, mode: str):
+    """Per-step DP weights and the unit u with weights[i] == steps[i] * u.
+
+    In rational mode the steps are the integer numerators a_i over
+    D = lcm(denominators) and u = Fraction(1, D), so a DP adds and multiplies
+    plain ints and a value after n steps reads out exactly as value * u**n.
+    Float weights pass through with u = 1.0, which leaves float results bit
+    for bit unchanged.
+    """
+    if mode == "rational":
+        denom = math.lcm(*(w.denominator for w in weights))
+        return ([w.numerator * (denom // w.denominator) for w in weights],
+                Fraction(1, denom))
+    return weights, 1.0
+
+
+def _one_step_cells(constraint: ConstraintSpec, weights, mode: str):
+    """Distinct unit cells of one step with their summed step weights, and
+    the step unit (see ``step_weights``)."""
+    steps, unit = step_weights(weights, mode)
     agg: dict = {}
-    for u, w in zip(constraint.units, weights):
+    for u, w in zip(constraint.units, steps):
         prev = agg.get(u)
         agg[u] = w if prev is None else prev + w
-    return sorted(agg.items())
+    return sorted(agg.items()), unit
 
 
 def _dense_step(table: np.ndarray, shape_new, cells) -> np.ndarray:
@@ -85,7 +109,12 @@ def _sparse_step(table: dict, cells, cell_budget: int) -> dict:
 
 @dataclass
 class SumDistribution:
-    """Distribution of the n-step unit-sum vector under one product measure."""
+    """Distribution of the n-step unit-sum vector under one product measure.
+
+    A sparse table stores values whose masses are value * scale: integer
+    numerators with scale Fraction(1, D**n) in rational mode, floats with
+    scale 1.0 otherwise.
+    """
 
     n: int
     measure_id: str
@@ -93,6 +122,7 @@ class SumDistribution:
     constraint: ConstraintSpec
     dense: np.ndarray | None = None
     sparse: dict | None = None
+    scale: object = 1.0
 
     def mass_units(self, units):
         units = tuple(units)
@@ -101,24 +131,23 @@ class SumDistribution:
                 if uj < 0 or uj >= s:
                     return 0.0
             return float(self.dense[units])
-        zero = Fraction(0) if self.mode == "rational" else 0.0
-        return self.sparse.get(units, zero)
+        return self.sparse.get(units, 0) * self.scale
 
     def mass_at_target(self):
         """Mass of the cell where the n-sample average equals the target;
         zero when that cell is off the lattice."""
         center = self.constraint.center_units(self.n)
         if center is None:
-            return Fraction(0) if self.mode == "rational" else 0.0
+            return 0 * self.scale
         return self.mass_units(center)
 
     def total(self):
         if self.dense is not None:
             return float(self.dense.sum())
-        return sum(self.sparse.values())
+        return sum(self.sparse.values()) * self.scale
 
-    def items(self):
-        """Support cells with nonzero mass."""
+    def _stored(self):
+        """Support cells with their stored (unscaled) nonzero values."""
         if self.dense is not None:
             for idx in np.argwhere(self.dense > 0.0):
                 yield tuple(int(i) for i in idx), float(self.dense[tuple(idx)])
@@ -127,8 +156,13 @@ class SumDistribution:
                 if m != 0:
                     yield u, m
 
+    def items(self):
+        """Support cells with nonzero mass."""
+        for u, m in self._stored():
+            yield u, m * self.scale
 
-def _advance(sd: SumDistribution, cells, cell_budget: int) -> SumDistribution:
+
+def _advance(sd: SumDistribution, cells, unit, cell_budget: int) -> SumDistribution:
     n = sd.n + 1
     if sd.dense is not None:
         shape = _dense_shape(n, sd.constraint.unit_max)
@@ -137,7 +171,8 @@ def _advance(sd: SumDistribution, cells, cell_budget: int) -> SumDistribution:
                                dense=_dense_step(sd.dense, shape, cells))
     return SumDistribution(n=n, measure_id=sd.measure_id, mode=sd.mode,
                            constraint=sd.constraint,
-                           sparse=_sparse_step(sd.sparse, cells, cell_budget))
+                           sparse=_sparse_step(sd.sparse, cells, cell_budget),
+                           scale=sd.scale * unit)
 
 
 def _initial(constraint: ConstraintSpec, measure_id: str, mode: str,
@@ -146,10 +181,9 @@ def _initial(constraint: ConstraintSpec, measure_id: str, mode: str,
         table = np.ones((1,) * constraint.dim)
         return SumDistribution(n=0, measure_id=measure_id, mode=mode,
                                constraint=constraint, dense=table)
-    one = Fraction(1) if mode == "rational" else 1.0
     return SumDistribution(n=0, measure_id=measure_id, mode=mode,
                            constraint=constraint,
-                           sparse={(0,) * constraint.dim: one})
+                           sparse={(0,) * constraint.dim: 1}, scale=Fraction(1))
 
 
 def sum_distribution(space: SampleSpace, constraint: ConstraintSpec, n: int,
@@ -159,14 +193,14 @@ def sum_distribution(space: SampleSpace, constraint: ConstraintSpec, n: int,
     if n < 0:
         raise ValidationError("n must be >= 0")
     measure_id, weights = resolve_measure(space, measure, mode)
-    cells = _one_step_cells(constraint, weights)
+    cells, unit = _one_step_cells(constraint, weights, mode)
     use_dense = mode == "float"
     if use_dense:
         _check_budget(_dense_shape(n, constraint.unit_max), cell_budget,
                       f"sum distribution at n={n}")
     sd = _initial(constraint, measure_id, mode, use_dense)
     for _ in range(n):
-        sd = _advance(sd, cells, cell_budget)
+        sd = _advance(sd, cells, unit, cell_budget)
     return sd
 
 
@@ -176,13 +210,15 @@ def convolve(a: SumDistribution, b: SumDistribution) -> SumDistribution:
             or a.mode != b.mode:
         raise ValidationError("can only convolve tables of one statistic and measure")
     out: dict = {}
-    for u1, m1 in a.items():
-        for u2, m2 in b.items():
+    cells_b = list(b._stored())
+    for u1, m1 in a._stored():
+        for u2, m2 in cells_b:
             key = tuple(x + y for x, y in zip(u1, u2))
             prev = out.get(key)
             out[key] = m1 * m2 if prev is None else prev + m1 * m2
     return SumDistribution(n=a.n + b.n, measure_id=a.measure_id, mode=a.mode,
-                           constraint=a.constraint, sparse=out)
+                           constraint=a.constraint, sparse=out,
+                           scale=a.scale * b.scale)
 
 
 def constraint_prob(space: SampleSpace, constraint: ConstraintSpec, n: int,
@@ -207,7 +243,7 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     size. Entry 0 is the empty-sum mass 1.
     """
     measure_id, weights = resolve_measure(space, measure, mode)
-    cells = _one_step_cells(constraint, weights)
+    cells, unit = _one_step_cells(constraint, weights, mode)
     use_dense = mode == "float"
     if use_dense:
         _check_budget(_dense_shape(n_max, constraint.unit_max), cell_budget,
@@ -215,7 +251,7 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     sd = _initial(constraint, measure_id, mode, use_dense)
     out = [sd.mass_at_target()]
     for _ in range(n_max):
-        sd = _advance(sd, cells, cell_budget)
+        sd = _advance(sd, cells, unit, cell_budget)
         out.append(sd.mass_at_target())
     return out
 
@@ -235,7 +271,7 @@ class SumTableProvider:
         self.mode = mode
         self.cell_budget = cell_budget
         self.measure_id, self.weights = resolve_measure(space, measure, mode)
-        self._cells = _one_step_cells(constraint, self.weights)
+        self._cells, self._unit = _one_step_cells(constraint, self.weights, mode)
         self._tables = [_initial(constraint, self.measure_id, mode, mode == "float")]
         self._cells_used = 1
 
@@ -243,7 +279,8 @@ class SumTableProvider:
         if m < 0:
             raise ValidationError("suffix size must be >= 0")
         while len(self._tables) <= m:
-            nxt = _advance(self._tables[-1], self._cells, self.cell_budget)
+            nxt = _advance(self._tables[-1], self._cells, self._unit,
+                           self.cell_budget)
             self._cells_used += int(nxt.dense.size) if nxt.dense is not None \
                 else len(nxt.sparse)
             if self._cells_used > self.cell_budget:
