@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import representative_sequence
+from .concentration import LocalClt, representative_sequence
 from .errors import EnumerationInfeasibleError, ValidationError
 from .lattice import (
     DEFAULT_CELL_BUDGET,
@@ -152,8 +152,7 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
         raise ValidationError("n_list must hold sizes >= 1")
     n_max = n_list[-1]
     k = constraint.dim
-    det = float(np.linalg.det(solution.covariance))
-    spans = math.prod(float(h) for h in constraint.spans_original)
+    clt = LocalClt(constraint, solution)
     central_p = central_series(space, constraint, n_max, measure=solution,
                                mode="float", cell_budget=cell_budget)
     central_q = central_series(space, constraint, n_max, measure="q",
@@ -168,14 +167,13 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
                                       residual_direct=None,
                                       residual_identity=None))
             continue
-        c_n = n ** (k / 2.0) * p_c
-        d_n = p_c * math.sqrt((2.0 * math.pi * n) ** k * det) / spans
+        c_n, d_n = clt.constants(n, p_c)
         rep = representative_sequence(space, constraint, n, cell_budget)
         counts = np.bincount(np.array(rep), minlength=space.size)
         len_proj = -float(counts @ logp)
         len_cond = -float(counts @ logq) + math.log2(float(central_q[n]))
         penalty = (k / 2.0) * math.log2(2.0 * math.pi * n) \
-            + 0.5 * math.log2(det) - math.log2(spans)
+            + 0.5 * math.log2(clt.det_sigma) - math.log2(clt.spans)
         out.append(ResidualRecord(
             n=n, feasible=True, c_n=c_n, d_n=d_n,
             residual_direct=len_proj - len_cond - penalty,

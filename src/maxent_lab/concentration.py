@@ -28,11 +28,31 @@ from .solver import MaxEntSolution
 from .sumdist import central_series
 
 
+class LocalClt:
+    """Local-CLT scale of a solved constraint: the dimension k, det Sigma and
+    the span product prod(h_j) in original units, with c_n, d_n and their
+    limit."""
+
+    def __init__(self, constraint: ConstraintSpec, solution: MaxEntSolution):
+        self.k = constraint.dim
+        self.det_sigma = float(np.linalg.det(solution.covariance))
+        self.spans = math.prod(float(h) for h in constraint.spans_original)
+
+    @property
+    def limit(self) -> float:
+        return self.spans / math.sqrt((2.0 * math.pi) ** self.k * self.det_sigma)
+
+    def constants(self, n: int, p_c: float) -> tuple[float, float]:
+        """(c_n, d_n) for the constraint probability ``p_c`` at size n."""
+        c_n = n ** (self.k / 2.0) * p_c
+        d_n = p_c * math.sqrt((2.0 * math.pi * n) ** self.k * self.det_sigma) \
+            / self.spans
+        return c_n, d_n
+
+
 def clt_limit(constraint: ConstraintSpec, solution: MaxEntSolution) -> float:
     """Limit of c_n: spans (original units) over sqrt((2 pi)^k det Sigma)."""
-    spans = math.prod(float(h) for h in constraint.spans_original)
-    det = float(np.linalg.det(solution.covariance))
-    return spans / math.sqrt((2.0 * math.pi) ** constraint.dim * det)
+    return LocalClt(constraint, solution).limit
 
 
 @dataclass
@@ -78,9 +98,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
     if not n_list or n_list[0] < 1:
         raise ValidationError("n_list must hold sizes >= 1")
     k = constraint.dim
-    det = float(np.linalg.det(solution.covariance))
-    limit = clt_limit(constraint, solution)
-    spans = math.prod(float(h) for h in constraint.spans_original)
+    clt = LocalClt(constraint, solution)
     centrals = central_series(space, constraint, n_list[-1], measure=solution,
                               mode="float", cell_budget=cell_budget)
     records = []
@@ -92,8 +110,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                 n=n, feasible=False, prob_constraint=0.0, c_n=None, d_n=None,
                 events=(), tv=None))
             continue
-        c_n = n ** (k / 2.0) * p_c
-        d_n = p_c * math.sqrt((2.0 * math.pi * n) ** k * det) / spans
+        c_n, d_n = clt.constants(n, p_c)
         checks = []
         for event in events:
             under_q = conditional_event_prob(space, constraint, event, n,
@@ -124,7 +141,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
         records.append(ConcentrationRecord(
             n=n, feasible=True, prob_constraint=p_c, c_n=c_n, d_n=d_n,
             events=tuple(checks), tv=tv))
-    return ConcentrationReport(limit_value=limit, det_sigma=det,
+    return ConcentrationReport(limit_value=clt.limit, det_sigma=clt.det_sigma,
                                records=tuple(records))
 
 

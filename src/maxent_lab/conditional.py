@@ -224,13 +224,16 @@ def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights,
         table = new
     center = constraint.center_units(n)
     prob_event = prob_joint = prob_constraint = 0
+    decided: dict = {}  # the event depends on the counts only
     for state, mass in table.items():
-        ut, cj, cjp, cbig, last = state[:k], state[k], state[k + 1], \
-            state[k + 2], state[k + 3]
-        denom = cjp - last
-        holds = denom > 0 and abs(
-            Fraction(cj, n) - Fraction(cbig, denom)
-        ) > event.epsilon
+        ut, counts = state[:k], state[k:]
+        holds = decided.get(counts)
+        if holds is None:
+            cj, cjp, cbig, last = counts
+            denom = cjp - last
+            holds = decided[counts] = denom > 0 and abs(
+                Fraction(cj, n) - Fraction(cbig, denom)
+            ) > event.epsilon
         at_center = center is not None and ut == center
         if holds:
             prob_event += mass

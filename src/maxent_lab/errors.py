@@ -29,6 +29,11 @@ class SingularCovarianceError(MaxentLabError):
     because coordinates are affinely dependent."""
 
 
+class InternalCheckError(MaxentLabError):
+    """An internal consistency check failed, such as the solver's entropy
+    cross-check: the computed result is wrong, so it is not returned."""
+
+
 class ConvergenceError(MaxentLabError):
     """The dual Newton iteration did not reach tolerance."""
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateCoordinateError,
+    InternalCheckError,
     LatticeBlowupError,
     TargetOutsideHullError,
     ValidationError,
@@ -149,12 +150,89 @@ class LatticeGeometry:
                    spans=tuple(spans), units=units)
 
 
+def _pivot(rows: list, cost: list, basis: list, r: int, col: int) -> None:
+    """Make ``col`` basic in row r: scale row r to a unit pivot and clear the
+    column from every other row, the cost row included."""
+    pivot = rows[r][col]
+    rows[r] = [a / pivot for a in rows[r]]
+    for row in rows + [cost]:
+        if row is not rows[r] and row[col] != 0:
+            f = row[col]
+            row[:] = [a - f * b for a, b in zip(row, rows[r])]
+    basis[r] = col
+
+
+def _bland(rows: list, cost: list, basis: list, n: int) -> None:
+    """Pivot until no column < n has a positive reduced cost. Bland's rule
+    (lowest entering index, lowest leaving basis index on ratio ties) cannot
+    cycle, so this terminates on degenerate problems too."""
+    while True:
+        col = next((j for j in range(n) if cost[j] > 0), None)
+        if col is None:
+            return
+        leave = None
+        for i, row in enumerate(rows):
+            if row[col] > 0:
+                ratio = row[-1] / row[col]
+                if leave is None or ratio < best or \
+                        (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            raise InternalCheckError("unbounded LP")  # every LP here is bounded
+        _pivot(rows, cost, basis, leave, col)
+
+
+def _lp_max(a_eq, b_eq, c) -> Fraction | None:
+    """Exact optimum of max c.x subject to a_eq x = b_eq, x >= 0, or None when
+    the constraints are infeasible; the problem must be bounded.
+
+    Two-phase dense-tableau simplex over Fractions with Bland's rule (Bland
+    1977). Each tableau row is [a_1 .. a_n, artificial_1 .. artificial_m, b];
+    a cost row holds reduced costs and, in its last entry, minus the objective.
+    """
+    m, n = len(a_eq), len(c)
+    rows = []
+    for i, (a, b) in enumerate(zip(a_eq, b_eq)):
+        sign = -1 if b < 0 else 1
+        rows.append([sign * Fraction(x) for x in a]
+                    + [Fraction(int(r == i)) for r in range(m)]
+                    + [sign * Fraction(b)])
+    basis = list(range(n, n + m))
+    # phase 1: maximize minus the sum of the artificials
+    cost = [sum(col) for col in zip(*rows)]
+    cost[n:n + m] = [Fraction(0)] * m
+    _bland(rows, cost, basis, n)
+    if cost[-1] != 0:
+        return None
+    # drive zero-level artificials out of the basis; a row with no real
+    # column left is a redundant constraint
+    for i in reversed(range(m)):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if rows[i][j] != 0), None)
+            if col is None:
+                del rows[i], basis[i]
+            else:
+                _pivot(rows, cost, basis, i, col)
+    rows = [row[:n] + row[-1:] for row in rows]
+    # phase 2: reduced costs of c in the feasible basis
+    cost = [Fraction(x) for x in c] + [Fraction(0)]
+    for row, j in zip(rows, basis):
+        if cost[j] != 0:
+            f = cost[j]
+            cost = [a - f * b for a, b in zip(cost, row)]
+    _bland(rows, cost, basis, n)
+    return -cost[-1]
+
+
 def hull_position(values, target) -> str:
     """Classify a target against the convex hull of the statistic values.
 
-    Returns 'interior' (relative interior), 'boundary', or 'outside'. The
-    per-coordinate range check is exact; for dim >= 2 the classification runs
-    a small LP maximizing the minimum convex weight.
+    Returns 'interior' (relative interior), 'boundary', or 'outside', exactly.
+    The per-coordinate range check settles dim 1 and most outside targets; for
+    dim >= 2 an exact LP maximizes the smallest convex weight eps over the
+    representations t = sum_i lambda_i v_i, sum_i lambda_i = 1, lambda_i >= eps:
+    the target is interior iff eps* > 0, boundary iff eps* = 0, and outside iff
+    no representation exists.
     """
     values = [tuple(as_fraction(v) for v in row) for row in values]
     target = tuple(as_fraction(t) for t in target)
@@ -167,37 +245,30 @@ def hull_position(values, target) -> str:
         col = [row[0] for row in values]
         return "boundary" if target[0] in (min(col), max(col)) else "interior"
 
-    from scipy.optimize import linprog
-
+    # with lambda_i = mu_i + eps, variables mu_1..mu_m, eps >= 0 (eps* >= 0
+    # whenever a representation exists)
     m = len(values)
-    # variables: lambda_1..lambda_m, eps; maximize eps
-    cost = np.zeros(m + 1)
-    cost[-1] = -1.0
-    a_eq = np.zeros((dim + 1, m + 1))
-    for i, row in enumerate(values):
-        for j in range(dim):
-            a_eq[j, i] = float(row[j])
-    a_eq[dim, :m] = 1.0
-    b_eq = np.array([float(t) for t in target] + [1.0])
-    a_ub = np.zeros((m, m + 1))
-    for i in range(m):
-        a_ub[i, i] = -1.0
-        a_ub[i, -1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * m + [(None, None)], method="highs")
-    if not res.success:
+    a_eq = [[row[j] for row in values] + [sum(row[j] for row in values)]
+            for j in range(dim)]
+    a_eq.append([1] * m + [m])
+    eps = _lp_max(a_eq, list(target) + [1], [0] * m + [1])
+    if eps is None:
         return "outside"
-    return "interior" if res.x[-1] > 1e-9 else "boundary"
+    return "interior" if eps > 0 else "boundary"
 
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """A rational statistic T, a target for its mean, and the derived lattice."""
+    """A rational statistic T, a target for its mean, and the derived lattice.
+
+    ``position`` is the target's exact ``hull_position``, 'interior' or
+    'boundary'."""
 
     dim: int
     values: tuple[tuple[Fraction, ...], ...]
     target: tuple[Fraction, ...]
     geometry: LatticeGeometry
+    position: str
 
     @cached_property
     def values_float(self) -> np.ndarray:
@@ -257,7 +328,7 @@ def derive_lattice(values, target) -> ConstraintSpec:
 
     ``values`` holds one k-vector per outcome (scalars accepted for k = 1),
     ``target`` the desired mean. Constant coordinates and targets outside the
-    convex hull are rejected.
+    convex hull are rejected; the hull position is classified here, once.
     """
     rows = []
     for row in values:
@@ -273,12 +344,13 @@ def derive_lattice(values, target) -> ConstraintSpec:
     if len(target) != len(rows[0]):
         raise ValidationError("target dimension does not match statistic dimension")
     geometry = LatticeGeometry.from_values(rows)
-    if hull_position(rows, target) == "outside":
+    position = hull_position(rows, target)
+    if position == "outside":
         raise TargetOutsideHullError(
             f"target {tuple(str(t) for t in target)} outside the convex hull of statistic values"
         )
     return ConstraintSpec(dim=len(target), values=tuple(rows), target=target,
-                          geometry=geometry)
+                          geometry=geometry, position=position)
 
 
 @dataclass(frozen=True)

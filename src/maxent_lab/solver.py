@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     BoundaryTargetError,
     ConvergenceError,
+    InternalCheckError,
     SingularCovarianceError,
-    TargetOutsideHullError,
 )
-from .lattice import ConstraintSpec, SampleSpace, as_fraction, hull_position
+from .lattice import ConstraintSpec, SampleSpace, as_fraction
 
 LN2 = float(np.log(2.0))
 CONDITION_LIMIT = 1e12
@@ -76,10 +75,23 @@ def entropy_bits(solution: MaxEntSolution) -> float:
     direct = _entropy_sum_bits(solution.pmf, solution.prior)
     closed = (float(solution.beta @ solution.target) + solution.logz) / LN2
     if abs(direct - closed) > 1e-10:
-        raise ArithmeticError(
+        raise InternalCheckError(
             f"entropy cross-check failed: {direct} vs {closed}"
         )
     return direct
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """ln sum(exp(a)) of a 1-D float array, bit for bit as scipy.special's
+    (1.17): the maximal terms are split out of the shifted sum."""
+    a_max = np.max(a)
+    is_max = a == a_max
+    with np.errstate(all="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max))
+        m = np.sum(is_max, dtype=a.dtype)
+        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
+        # an infinite or NaN maximum: the direct form, as scipy falls back to
+        return out if np.isfinite(out) else np.log(np.sum(np.exp(a)))
 
 
 def _dual(beta: np.ndarray, logq: np.ndarray, values: np.ndarray, target: np.ndarray):
@@ -100,10 +112,7 @@ def solve_maxent(space: SampleSpace, constraint: ConstraintSpec,
     until the dual strictly decreases; iteration stops once the moment residual
     ``max_j |E[T_j] - target_j|`` is at most ``tol``.
     """
-    position = hull_position(constraint.values, constraint.target)
-    if position == "outside":
-        raise TargetOutsideHullError("target outside the convex hull of statistic values")
-    if position == "boundary":
+    if constraint.position == "boundary":
         raise BoundaryTargetError(
             "boundary target: no exponential-form solution; restrict the sample space"
         )
@@ -152,7 +161,7 @@ def solve_maxent(space: SampleSpace, constraint: ConstraintSpec,
     direct = _entropy_sum_bits(pmf, space.prior)
     closed = (float(beta @ target) + logz) / LN2
     if abs(direct - closed) > 1e-10:
-        raise ArithmeticError("entropy cross-check failed after convergence")
+        raise InternalCheckError("entropy cross-check failed after convergence")
     return MaxEntSolution(
         beta=beta, logz=logz, pmf=pmf, prior=space.prior.copy(),
         target=target.copy(), covariance=sigma, entropy_bits=direct,

@@ -232,6 +232,38 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
 
+    def test_failed_entropy_check_exit_2(self, tmp_path, capsys, monkeypatch):
+        from maxent_lab import solver
+        sum_bits = solver._entropy_sum_bits
+        monkeypatch.setattr(solver, "_entropy_sum_bits",
+                            lambda pmf, prior: sum_bits(pmf, prior) + 1e-6)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_with(experiments=[{"kind": "solve"}])))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert "entropy cross-check" in capsys.readouterr().err
+
+    def test_k3_run_imports_no_scipy(self, tmp_path):
+        raw = load_fixture("cube3")
+        raw["experiments"] = [
+            {"kind": "solve"},
+            {"kind": "game", "mode": "gaps", "n_max": 8, "horizon": 8,
+             "j_max": 8, "alpha": 0.95},
+            {"kind": "recur", "steps": 100, "reps": 2, "seed": 1},
+        ]
+        path = tmp_path / "cube3.json"
+        path.write_text(json.dumps(raw))
+        code = (
+            "import sys\n"
+            "from maxent_lab.cli import main\n"
+            f"assert main(['run', '-c', {str(path)!r}, '-o', "
+            f"{str(tmp_path / 'out')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_solve_prints_masses(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(load_fixture("brandeis")))

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from maxent_lab import (
     build_space,
@@ -195,6 +195,67 @@ class TestHullPosition:
         values = [[x, int(x == 4), int(x == 5)] for x in range(1, 7)]
         target = [Fraction(9, 2), Fraction(1, 2), Fraction(1, 2)]
         assert hull_position(values, target) == "boundary"
+
+    def test_near_facet_target_is_interior(self):
+        # a float LP with a 1e-9 margin calls this "boundary"
+        square = [[0, 0], [0, 1], [1, 0], [1, 1]]
+        target = [Fraction(1, 10 ** 12), Fraction(1, 2)]
+        assert hull_position(square, target) == "interior"
+
+
+_COORD = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _points_and_face(draw):
+    """Up to 8 rational points in 2 or 3 dimensions, a direction c, and the
+    points on the supporting face that maximizes c . v."""
+    k = draw(st.integers(2, 3))
+    points = draw(st.lists(st.tuples(*[_COORD] * k), min_size=2, max_size=8))
+    c = draw(st.tuples(*[st.integers(-3, 3)] * k))
+    height = [sum(a * b for a, b in zip(c, v)) for v in points]
+    face = [v for v, h in zip(points, height) if h == max(height)]
+    return points, c, face
+
+
+def _combine(points, weights):
+    total = sum(weights)
+    return [sum(w * v[j] for w, v in zip(weights, points)) / total
+            for j in range(len(points[0]))]
+
+
+class TestHullPositionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_combination_with_weights_at_least_one_percent_is_interior(self, data):
+        points, _, _ = data.draw(_points_and_face())
+        m = len(points)
+        raw = data.draw(st.lists(st.integers(0, 20), min_size=m, max_size=m))
+        rest = 1 - Fraction(m, 100)
+        weights = [Fraction(1, 100) + (rest * r / sum(raw) if sum(raw) else rest / m)
+                   for r in raw]
+        assert min(weights) >= Fraction(1, 100) and sum(weights) == 1
+        assert hull_position(points, _combine(points, weights)) == "interior"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_combination_on_a_supporting_face_is_boundary(self, data):
+        points, _, face = data.draw(_points_and_face())
+        assume(len(face) < len(points))  # some point lies off the face
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(face),
+                                     max_size=len(face)))
+        assert hull_position(points, _combine(face, weights)) == "boundary"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_point_pushed_past_a_face_is_outside(self, data):
+        points, c, face = data.draw(_points_and_face())
+        assume(any(c))
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(face),
+                                     max_size=len(face)))
+        push = data.draw(st.fractions(min_value=Fraction(1, 1000), max_value=2))
+        target = [t + push * cj for t, cj in zip(_combine(face, weights), c)]
+        assert hull_position(points, target) == "outside"
 
 
 def test_exact_mean(dice):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,12 +13,15 @@ from maxent_lab import (
     rational_tilt,
     solve_maxent,
 )
+from maxent_lab import solver
 from maxent_lab.errors import (
     BoundaryTargetError,
     ConvergenceError,
+    InternalCheckError,
+    MaxentLabError,
     SingularCovarianceError,
 )
-from maxent_lab.solver import covariance
+from maxent_lab.solver import covariance, logsumexp
 
 from conftest import BRANDEIS_MASSES
 
@@ -162,6 +166,36 @@ class TestEntropyBits:
     def test_nonpositive(self, dice_solution, coin03_solution):
         assert dice_solution.entropy_bits < 0
         assert coin03_solution.entropy_bits < 0
+
+    def test_corrupt_solution_raises_typed_error(self, dice_solution):
+        corrupt = dataclasses.replace(dice_solution, logz=dice_solution.logz + 1e-6)
+        with pytest.raises(InternalCheckError, match="entropy cross-check"):
+            entropy_bits(corrupt)
+        assert issubclass(InternalCheckError, MaxentLabError)
+
+    def test_failed_check_after_convergence_raises_typed_error(
+            self, dice, dice_constraint, monkeypatch):
+        sum_bits = solver._entropy_sum_bits
+        monkeypatch.setattr(solver, "_entropy_sum_bits",
+                            lambda pmf, prior: sum_bits(pmf, prior) + 1e-6)
+        with pytest.raises(InternalCheckError, match="after convergence"):
+            solve_maxent(dice, dice_constraint)
+
+
+class TestLogSumExp:
+    def test_bit_identical_to_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(20240301)
+        for trial in range(2000):
+            a = rng.normal(size=int(rng.integers(1, 200))) \
+                * 10.0 ** rng.uniform(-3, 3)
+            if trial % 3 == 0:
+                a = np.round(a)  # repeated maxima
+            if trial % 5 == 0:
+                a[rng.integers(0, a.size)] = -np.inf
+            assert logsumexp(a) == special.logsumexp(a)
+        for a in ([np.inf, 1.0], [-np.inf, -np.inf], [1e308, 1e308]):
+            assert logsumexp(np.array(a)) == special.logsumexp(np.array(a))
 
 
 class TestRationalTilt:
