@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -21,46 +22,25 @@ from .lattice import (
     SampleSpace,
     _check_budget,
     _dense_shape,
-    _reach_step,
+    _sequences_on_target,
 )
 from .priors import IntegerPrior
 from .solver import MaxEntSolution
-from .sumdist import central_series
+from .sumdist import central_series, constraint_prob
 
 
 def enumerate_constraint_sequences(space: SampleSpace, constraint: ConstraintSpec,
                                    n: int, limit: int = 10 ** 6) -> list:
-    """All length-n sequences (as index tuples) satisfying the constraint,
-    found by DFS with boolean reachability pruning."""
-    center = constraint.center_units(n)
-    if center is None:
-        return []
-    reach = [np.ones((1,) * constraint.dim, dtype=bool)]
-    for m in range(1, n + 1):
-        reach.append(_reach_step(reach[-1], _dense_shape(m, constraint.unit_max),
-                                 sorted(set(constraint.units))))
-    out: list = []
-
-    def descend(prefix, units, depth):
-        if depth == n:
-            out.append(tuple(prefix))
-            if len(out) > limit:
-                raise EnumerationInfeasibleError(
-                    f"constraint set at n={n} exceeds {limit} sequences"
-                )
-            return
-        table = reach[n - depth - 1]
-        for idx in range(space.size):
-            candidate = tuple(a + b for a, b in
-                              zip(units, constraint.units[idx]))
-            needed = tuple(c - u for c, u in zip(center, candidate))
-            if all(0 <= x < s for x, s in zip(needed, table.shape)) \
-                    and table[needed]:
-                prefix.append(idx)
-                descend(prefix, candidate, depth + 1)
-                prefix.pop()
-
-    descend([], (0,) * constraint.dim, 0)
+    """All length-n sequences (as index tuples) satisfying the constraint, in
+    lexicographic order, from the reachability-pruned walk that also gives
+    ``representative_sequence``. Raises ``LatticeBlowupError`` before any
+    table is built when the reachability tables exceed the default budget."""
+    walk = _sequences_on_target(space, constraint, n, DEFAULT_CELL_BUDGET)
+    out = list(islice(walk, limit + 1))
+    if len(out) > limit:
+        raise EnumerationInfeasibleError(
+            f"constraint set at n={n} exceeds {limit} sequences"
+        )
     return out
 
 
@@ -107,8 +87,8 @@ def verify_minimax_constancy(space: SampleSpace, constraint: ConstraintSpec,
 
     checks = []
     if alternatives:
-        p_c = float(central_series(space, constraint, n, measure=solution,
-                                   mode="float", cell_budget=cell_budget)[n])
+        p_c = constraint_prob(space, constraint, n, measure=solution,
+                              mode="float", cell_budget=cell_budget)
         c_n = n ** (constraint.dim / 2.0) * p_c
         bound = constant - (constraint.dim / (2.0 * n)) * math.log2(n) \
             + math.log2(c_n) / n

@@ -20,8 +20,8 @@ from .lattice import (
     DEFAULT_CELL_BUDGET,
     ConstraintSpec,
     SampleSpace,
-    _dense_shape,
-    _reach_step,
+    _reach_tables_cells,
+    _sequences_on_target,
     first_feasible_sizes,
 )
 from .solver import MaxEntSolution
@@ -145,50 +145,21 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                                records=tuple(records))
 
 
-def _reach_tables_cells(constraint: ConstraintSpec, n: int) -> int:
-    total = 0
-    for m in range(n + 1):
-        total += math.prod(_dense_shape(m, constraint.unit_max))
-    return total
-
-
 def representative_sequence(space: SampleSpace, constraint: ConstraintSpec,
                             n: int, cell_budget: int = DEFAULT_CELL_BUDGET
                             ) -> tuple[int, ...]:
     """Some length-n outcome sequence (as indices) satisfying the constraint.
 
-    Reconstructed by backtracking over boolean reachability tables when they
-    fit the budget, otherwise by concatenating short feasible blocks.
+    The lexicographically first one when the reachability tables fit the
+    budget, otherwise a concatenation of short feasible blocks.
     """
-    center = constraint.center_units(n)
-    if center is None:
+    if constraint.center_units(n) is None:
         raise ValidationError(f"n={n} is infeasible for this constraint")
-    unit_cells = sorted(set(constraint.units))
     if _reach_tables_cells(constraint, n) <= cell_budget:
-        reach = [np.ones((1,) * constraint.dim, dtype=bool)]
-        for m in range(1, n + 1):
-            reach.append(_reach_step(reach[-1],
-                                     _dense_shape(m, constraint.unit_max),
-                                     unit_cells))
-        if not reach[n][center]:
+        first = next(_sequences_on_target(space, constraint, n, cell_budget), None)
+        if first is None:
             raise ValidationError(f"n={n} is infeasible for this constraint")
-        units = (0,) * constraint.dim
-        sequence = []
-        for step in range(n):
-            remaining = n - step - 1
-            table = reach[remaining]
-            for idx in range(space.size):
-                candidate = tuple(a + b for a, b in
-                                  zip(units, constraint.units[idx]))
-                needed = tuple(c - u for c, u in zip(center, candidate))
-                if all(0 <= x < s for x, s in zip(needed, table.shape)) \
-                        and table[needed]:
-                    sequence.append(idx)
-                    units = candidate
-                    break
-            else:
-                raise ValidationError("reachability tables are inconsistent")
-        return tuple(sequence)
+        return first
 
     # Large instance: compose small feasible blocks.
     small = first_feasible_sizes(space, constraint, count=4, n_cap=24,

@@ -23,7 +23,7 @@ from .lattice import (
     SampleSpace,
     _dense_shape,
 )
-from .sumdist import SumTableProvider, resolve_measure, step_weights
+from .sumdist import SumTableProvider, _sparse_step, resolve_measure, step_weights
 
 
 @dataclass
@@ -78,7 +78,7 @@ def _binomial_weight_vector(n: int, nu: int, w: float) -> np.ndarray:
     return start * np.concatenate(([1.0], np.cumprod((m - nu) / m)))
 
 
-def _freq_layer_float(space, constraint, n, weights, bounds):
+def _freq_layer_float(constraint, n, weights, bounds):
     """Count-layered DP: returns (total mass, mass on the target cell) of
     sequences whose per-outcome counts respect ``bounds``."""
     shape_t = _dense_shape(n, constraint.unit_max)
@@ -103,7 +103,7 @@ def _freq_layer_float(space, constraint, n, weights, bounds):
     return float(final.sum()), on_target
 
 
-def _freq_layer_rational(space, constraint, n, weights, bounds):
+def _freq_layer_rational(constraint, n, weights, bounds):
     """Integer form of ``_freq_layer_float``: ``weights`` are the integer step
     numerators, so both masses come back as numerators over D**n."""
     table = {(0, (0,) * constraint.dim): 1}
@@ -136,8 +136,8 @@ def _freq_event(space, constraint, event, n, weights, mode):
     free = [(0, n)] * space.size
     layer = _freq_layer_rational if mode == "rational" else _freq_layer_float
     steps, unit = step_weights(weights, mode)
-    box_total, box_center = layer(space, constraint, n, steps, bounds)
-    all_total, all_center = layer(space, constraint, n, steps, free)
+    box_total, box_center = layer(constraint, n, steps, bounds)
+    all_total, all_center = layer(constraint, n, steps, free)
     scale = unit ** n
     prob_event = (all_total - box_total) * scale
     prob_joint = (all_center - box_center) * scale
@@ -145,21 +145,6 @@ def _freq_event(space, constraint, event, n, weights, mode):
         prob_event = max(prob_event, 0.0)
         prob_joint = max(prob_joint, 0.0)
     return prob_event, prob_joint, all_center * scale
-
-
-def _dict_step(table: dict, cells, cell_budget: int) -> dict:
-    new: dict = {}
-    for state, mass in table.items():
-        for delta, w in cells:
-            key = tuple(a + b for a, b in zip(state, delta))
-            prev = new.get(key)
-            add = mass * w
-            new[key] = add if prev is None else prev + add
-    if len(new) > cell_budget:
-        raise LatticeBlowupError(
-            f"lattice blow-up: joint event DP reached {len(new)} states"
-        )
-    return new
 
 
 def _box_event(space, constraint, event: BoxEvent, n, weights, mode, cell_budget):
@@ -170,7 +155,7 @@ def _box_event(space, constraint, event: BoxEvent, n, weights, mode, cell_budget
         cells.append((ut + us, w))
     table = {(0,) * (constraint.dim + geometry.dim): 1}
     for _ in range(n):
-        table = _dict_step(table, cells, cell_budget)
+        table = _sparse_step(table, cells, cell_budget)
     center = constraint.center_units(n)
     k = constraint.dim
     prob_event = prob_joint = prob_constraint = 0

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -392,6 +393,78 @@ def _reach_step(reach: np.ndarray, shape_new: tuple[int, ...], unit_cells) -> np
     return new
 
 
+def _reach_sweep(constraint: ConstraintSpec, cell_budget: int):
+    """Yield the boolean reachability tables for n = 0, 1, 2, ...: cell u of
+    table n is True when some length-n sequence has unit sum u. Each table is
+    checked against the cell budget before it is built."""
+    unit_cells = sorted(set(constraint.units))
+    reach = np.ones((1,) * constraint.dim, dtype=bool)
+    n = 0
+    while True:
+        yield reach
+        n += 1
+        shape = _dense_shape(n, constraint.unit_max)
+        _check_budget(shape, cell_budget, f"feasibility sweep at n={n}")
+        reach = _reach_step(reach, shape, unit_cells)
+
+
+def _on_target(constraint: ConstraintSpec, n: int, reach: np.ndarray) -> bool:
+    """Whether size n >= 1 is feasible, given its reachability table."""
+    center = constraint.center_units(n) if n > 0 else None
+    return center is not None and bool(reach[center])
+
+
+def _reach_tables_cells(constraint: ConstraintSpec, n: int) -> int:
+    """Cells of the reachability tables for sizes 0..n together."""
+    return sum(prod(_dense_shape(m, constraint.unit_max)) for m in range(n + 1))
+
+
+def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int,
+                         cell_budget: int):
+    """Yield the length-n sequences (index tuples) whose statistic average is
+    on target, in lexicographic order.
+
+    A depth-first walk over the outcome indices that extends one prefix list
+    in place and enters a prefix only when the unit sum still needed is
+    reachable in the steps left, so it never meets a dead end and the first
+    sequence costs at most n * |X| probes. The reachability tables for sizes
+    0..n together must fit the cell budget; that is checked before any is
+    built.
+    """
+    center = constraint.center_units(n)
+    if center is None:
+        return
+    _check_budget((_reach_tables_cells(constraint, n),), cell_budget,
+                  f"reachability tables to n={n}")
+    reach = list(islice(_reach_sweep(constraint, cell_budget), n))
+    prefix: list[int] = []
+    sums = [(0,) * constraint.dim]  # unit sum of each prefix of ``prefix``
+
+    def extend(start: int) -> bool:
+        """Append the first outcome >= start that leaves the prefix completable."""
+        table = reach[n - len(prefix) - 1]
+        for idx in range(start, space.size):
+            candidate = tuple(a + b for a, b in zip(sums[-1], constraint.units[idx]))
+            needed = tuple(c - u for c, u in zip(center, candidate))
+            if all(0 <= x < s for x, s in zip(needed, table.shape)) and table[needed]:
+                prefix.append(idx)
+                sums.append(candidate)
+                return True
+        return False
+
+    start = 0
+    while True:
+        if len(prefix) == n:
+            yield tuple(prefix)
+        elif extend(start):
+            start = 0
+            continue
+        if not prefix:
+            return
+        start = prefix.pop() + 1
+        sums.pop()
+
+
 def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
                    cell_budget: int = DEFAULT_CELL_BUDGET) -> FeasibilityTable:
     """Tabulate, for n = 1..n_max, whether some length-n sequence has its
@@ -404,33 +477,18 @@ def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
         raise ValidationError("n_max must be >= 1")
     _check_budget(_dense_shape(n_max, constraint.unit_max), cell_budget,
                   f"feasibility table to n={n_max}")
-    unit_cells = sorted(set(constraint.units))
-    reach = np.ones((1,) * constraint.dim, dtype=bool)
-    flags = [False] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        reach = _reach_step(reach, _dense_shape(n, constraint.unit_max), unit_cells)
-        center = constraint.center_units(n)
-        flags[n] = center is not None and bool(reach[center])
-    return FeasibilityTable(n_max=n_max, flags=tuple(flags))
+    sweep = islice(_reach_sweep(constraint, cell_budget), n_max + 1)
+    return FeasibilityTable(n_max=n_max, flags=tuple(
+        _on_target(constraint, n, reach) for n, reach in enumerate(sweep)))
 
 
 def first_feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, count: int,
                          n_cap: int = 100_000,
                          cell_budget: int = DEFAULT_CELL_BUDGET) -> list[int]:
     """First ``count`` feasible sizes in increasing order (stops at n_cap)."""
-    unit_cells = sorted(set(constraint.units))
-    reach = np.ones((1,) * constraint.dim, dtype=bool)
-    out: list[int] = []
-    n = 0
-    while len(out) < count and n < n_cap:
-        n += 1
-        shape = _dense_shape(n, constraint.unit_max)
-        _check_budget(shape, cell_budget, f"feasibility sweep at n={n}")
-        reach = _reach_step(reach, shape, unit_cells)
-        center = constraint.center_units(n)
-        if center is not None and reach[center]:
-            out.append(n)
-    return out
+    sweep = islice(_reach_sweep(constraint, cell_budget), n_cap + 1)
+    feasible = (n for n, reach in enumerate(sweep) if _on_target(constraint, n, reach))
+    return list(islice(feasible, count))
 
 
 def exact_mean(space: SampleSpace, values) -> tuple[Fraction, ...]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -162,19 +163,6 @@ class SumDistribution:
             yield u, m * self.scale
 
 
-def _advance(sd: SumDistribution, cells, unit, cell_budget: int) -> SumDistribution:
-    n = sd.n + 1
-    if sd.dense is not None:
-        shape = _dense_shape(n, sd.constraint.unit_max)
-        return SumDistribution(n=n, measure_id=sd.measure_id, mode=sd.mode,
-                               constraint=sd.constraint,
-                               dense=_dense_step(sd.dense, shape, cells))
-    return SumDistribution(n=n, measure_id=sd.measure_id, mode=sd.mode,
-                           constraint=sd.constraint,
-                           sparse=_sparse_step(sd.sparse, cells, cell_budget),
-                           scale=sd.scale * unit)
-
-
 def _initial(constraint: ConstraintSpec, measure_id: str, mode: str,
              dense: bool) -> SumDistribution:
     if dense:
@@ -186,6 +174,31 @@ def _initial(constraint: ConstraintSpec, measure_id: str, mode: str,
                            sparse={(0,) * constraint.dim: 1}, scale=Fraction(1))
 
 
+def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str,
+           cell_budget: int):
+    """Yield the sum tables for n = 0, 1, 2, ... under one measure.
+
+    Each table is built only when the caller asks for it, so ``islice`` and
+    ``next`` take exactly the sizes they need. Float mode convolves dense
+    arrays; rational mode convolves sparse integer maps within the budget.
+    """
+    cells, unit = _one_step_cells(constraint, weights, mode)
+    sd = _initial(constraint, measure_id, mode, mode == "float")
+    while True:
+        yield sd
+        n = sd.n + 1
+        if sd.dense is not None:
+            sd = SumDistribution(
+                n=n, measure_id=measure_id, mode=mode, constraint=constraint,
+                dense=_dense_step(sd.dense, _dense_shape(n, constraint.unit_max),
+                                  cells))
+        else:
+            sd = SumDistribution(
+                n=n, measure_id=measure_id, mode=mode, constraint=constraint,
+                sparse=_sparse_step(sd.sparse, cells, cell_budget),
+                scale=sd.scale * unit)
+
+
 def sum_distribution(space: SampleSpace, constraint: ConstraintSpec, n: int,
                      measure="q", mode: str = "float",
                      cell_budget: int = DEFAULT_CELL_BUDGET) -> SumDistribution:
@@ -193,15 +206,11 @@ def sum_distribution(space: SampleSpace, constraint: ConstraintSpec, n: int,
     if n < 0:
         raise ValidationError("n must be >= 0")
     measure_id, weights = resolve_measure(space, measure, mode)
-    cells, unit = _one_step_cells(constraint, weights, mode)
-    use_dense = mode == "float"
-    if use_dense:
+    if mode == "float":
         _check_budget(_dense_shape(n, constraint.unit_max), cell_budget,
                       f"sum distribution at n={n}")
-    sd = _initial(constraint, measure_id, mode, use_dense)
-    for _ in range(n):
-        sd = _advance(sd, cells, unit, cell_budget)
-    return sd
+    return next(islice(_sweep(constraint, measure_id, weights, mode, cell_budget),
+                       n, None))
 
 
 def convolve(a: SumDistribution, b: SumDistribution) -> SumDistribution:
@@ -209,13 +218,7 @@ def convolve(a: SumDistribution, b: SumDistribution) -> SumDistribution:
     if a.constraint is not b.constraint or a.measure_id != b.measure_id \
             or a.mode != b.mode:
         raise ValidationError("can only convolve tables of one statistic and measure")
-    out: dict = {}
-    cells_b = list(b._stored())
-    for u1, m1 in a._stored():
-        for u2, m2 in cells_b:
-            key = tuple(x + y for x, y in zip(u1, u2))
-            prev = out.get(key)
-            out[key] = m1 * m2 if prev is None else prev + m1 * m2
+    out = _sparse_step(dict(a._stored()), list(b._stored()), DEFAULT_CELL_BUDGET)
     return SumDistribution(n=a.n + b.n, measure_id=a.measure_id, mode=a.mode,
                            constraint=a.constraint, sparse=out,
                            scale=a.scale * b.scale)
@@ -243,17 +246,11 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     size. Entry 0 is the empty-sum mass 1.
     """
     measure_id, weights = resolve_measure(space, measure, mode)
-    cells, unit = _one_step_cells(constraint, weights, mode)
-    use_dense = mode == "float"
-    if use_dense:
+    if mode == "float":
         _check_budget(_dense_shape(n_max, constraint.unit_max), cell_budget,
                       f"central-mass sweep to n={n_max}")
-    sd = _initial(constraint, measure_id, mode, use_dense)
-    out = [sd.mass_at_target()]
-    for _ in range(n_max):
-        sd = _advance(sd, cells, unit, cell_budget)
-        out.append(sd.mass_at_target())
-    return out
+    sweep = _sweep(constraint, measure_id, weights, mode, cell_budget)
+    return [sd.mass_at_target() for sd in islice(sweep, n_max + 1)]
 
 
 class SumTableProvider:
@@ -271,16 +268,20 @@ class SumTableProvider:
         self.mode = mode
         self.cell_budget = cell_budget
         self.measure_id, self.weights = resolve_measure(space, measure, mode)
-        self._cells, self._unit = _one_step_cells(constraint, self.weights, mode)
-        self._tables = [_initial(constraint, self.measure_id, mode, mode == "float")]
+        self._sweep = _sweep(constraint, self.measure_id, self.weights, mode,
+                             cell_budget)
+        self._tables = [next(self._sweep)]
         self._cells_used = 1
 
     def table(self, m: int) -> SumDistribution:
         if m < 0:
             raise ValidationError("suffix size must be >= 0")
         while len(self._tables) <= m:
-            nxt = _advance(self._tables[-1], self._cells, self._unit,
-                           self.cell_budget)
+            nxt = next(self._sweep, None)
+            if nxt is None:  # a sparse step over the budget closed the sweep
+                raise LatticeBlowupError(
+                    f"lattice blow-up: sum table {len(self._tables)} exceeds "
+                    f"the budget {self.cell_budget}")
             self._cells_used += int(nxt.dense.size) if nxt.dense is not None \
                 else len(nxt.sparse)
             if self._cells_used > self.cell_budget:
