@@ -15,7 +15,7 @@ from itertools import islice
 import numpy as np
 
 from .concentration import LocalClt, representative_sequence
-from .errors import EnumerationInfeasibleError, ValidationError
+from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
 from .lattice import (
     DEFAULT_CELL_BUDGET,
     ConstraintSpec,
@@ -150,8 +150,13 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
         c_n, d_n = clt.constants(n, p_c)
         rep = representative_sequence(space, constraint, n, cell_budget)
         counts = np.bincount(np.array(rep), minlength=space.size)
+        p_q = float(central_q[n])
+        if p_q <= 0.0:
+            raise LatticeBlowupError(
+                f"corollary 1 at n={n}: the prior constraint mass underflows "
+                f"the float range while the projection gives {p_c:.3g}; reduce n")
         len_proj = -float(counts @ logp)
-        len_cond = -float(counts @ logq) + math.log2(float(central_q[n]))
+        len_cond = -float(counts @ logq) + math.log2(p_q)
         penalty = (k / 2.0) * math.log2(2.0 * math.pi * n) \
             + 0.5 * math.log2(clt.det_sigma) - math.log2(clt.spans)
         out.append(ResidualRecord(

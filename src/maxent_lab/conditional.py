@@ -21,9 +21,11 @@ from .lattice import (
     ConstraintSpec,
     LatticeGeometry,
     SampleSpace,
+    _check_budget,
     _dense_shape,
 )
-from .sumdist import SumTableProvider, _sparse_step, resolve_measure, step_weights
+from .sumdist import (TABLE_DTYPE, SumTableProvider, _sparse_step, resolve_measure,
+                      step_weights)
 
 
 @dataclass
@@ -78,18 +80,31 @@ def _binomial_weight_vector(n: int, nu: int, w: float) -> np.ndarray:
     return start * np.concatenate(([1.0], np.cumprod((m - nu) / m)))
 
 
-def _freq_layer_float(constraint, n, weights, bounds):
+def _exact_weight_vector(n: int, nu: int, w: int) -> np.ndarray:
+    """Integer form of ``_binomial_weight_vector``: C(n - used, nu) * w^nu for
+    used = 0..n-nu, as Python ints."""
+    w_nu = w ** nu
+    return np.array([math.comb(n - used, nu) * w_nu
+                     for used in range(n - nu + 1)], dtype=object)
+
+
+def _freq_layer(constraint, n, weights, bounds, mode, cell_budget):
     """Count-layered DP: returns (total mass, mass on the target cell) of
-    sequences whose per-outcome counts respect ``bounds``."""
+    sequences whose per-outcome counts respect ``bounds``, as floats or as
+    integer numerators over D**n when ``weights`` are the integer steps."""
     shape_t = _dense_shape(n, constraint.unit_max)
-    table = np.zeros((n + 1,) + shape_t)
-    table[(0,) + (0,) * constraint.dim] = 1.0
+    shape = (n + 1,) + shape_t
+    _check_budget(shape, cell_budget, f"frequency count DP at n={n}")
+    coefficients = _exact_weight_vector if mode == "rational" \
+        else _binomial_weight_vector
+    table = np.zeros(shape, dtype=TABLE_DTYPE[mode])
+    table[(0,) + (0,) * constraint.dim] = 1
     for u, w, (lo, hi) in zip(constraint.units, weights, bounds):
         if lo > hi:
-            return 0.0, 0.0
+            return 0, 0
         new = np.zeros_like(table)
         for nu in range(lo, hi + 1):
-            coef = _binomial_weight_vector(n, nu, w)
+            coef = coefficients(n, nu, w)
             # cells whose shift would leave the table carry zero mass anyway
             dst = tuple(slice(nu * uj, s) for uj, s in zip(u, shape_t))
             src = tuple(slice(0, s - nu * uj) for uj, s in zip(u, shape_t))
@@ -99,51 +114,23 @@ def _freq_layer_float(constraint, n, weights, bounds):
         table = new
     final = table[n]
     center = constraint.center_units(n)
-    on_target = float(final[center]) if center is not None else 0.0
-    return float(final.sum()), on_target
+    on_target = final.item(center) if center is not None else 0
+    return final.sum(keepdims=True).item(), on_target
 
 
-def _freq_layer_rational(constraint, n, weights, bounds):
-    """Integer form of ``_freq_layer_float``: ``weights`` are the integer step
-    numerators, so both masses come back as numerators over D**n."""
-    table = {(0, (0,) * constraint.dim): 1}
-    for u, w, (lo, hi) in zip(constraint.units, weights, bounds):
-        if lo > hi:
-            return 0, 0
-        new: dict = {}
-        for (used, ut), mass in table.items():
-            for nu in range(lo, min(hi, n - used) + 1):
-                coef = math.comb(n - used, nu) * w ** nu
-                key = (used + nu, tuple(a + nu * b for a, b in zip(ut, u)))
-                prev = new.get(key)
-                add = mass * coef
-                new[key] = add if prev is None else prev + add
-        table = new
-    total = 0
-    on_target = 0
-    center = constraint.center_units(n)
-    for (used, ut), mass in table.items():
-        if used != n:
-            continue
-        total += mass
-        if center is not None and ut == center:
-            on_target += mass
-    return total, on_target
-
-
-def _freq_event(space, constraint, event, n, weights, mode):
+def _freq_event(space, constraint, event, n, weights, mode, cell_budget):
     bounds = _count_bounds(n, event.reference, event.epsilon)
     free = [(0, n)] * space.size
-    layer = _freq_layer_rational if mode == "rational" else _freq_layer_float
     steps, unit = step_weights(weights, mode)
-    box_total, box_center = layer(constraint, n, steps, bounds)
-    all_total, all_center = layer(constraint, n, steps, free)
+    box_total, box_center = _freq_layer(constraint, n, steps, bounds, mode,
+                                        cell_budget)
+    all_total, all_center = _freq_layer(constraint, n, steps, free, mode,
+                                        cell_budget)
     scale = unit ** n
-    prob_event = (all_total - box_total) * scale
-    prob_joint = (all_center - box_center) * scale
-    if mode == "float":
-        prob_event = max(prob_event, 0.0)
-        prob_joint = max(prob_joint, 0.0)
+    # float round-off can dip below 0; exact differences never do, and max
+    # returns its first argument on a tie, so they stay Fractions
+    prob_event = max((all_total - box_total) * scale, 0.0)
+    prob_joint = max((all_center - box_center) * scale, 0.0)
     return prob_event, prob_joint, all_center * scale
 
 
@@ -245,7 +232,8 @@ def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
     if isinstance(event, FrequencyDeviationEvent):
         if len(event.reference) != space.size:
             raise ValidationError("reference masses must match the outcome count")
-        out = _freq_event(space, constraint, event, n, weights, mode)
+        out = _freq_event(space, constraint, event, n, weights, mode,
+                          cell_budget)
     elif isinstance(event, BoxEvent):
         if len(event.statistic) != space.size:
             raise ValidationError("auxiliary statistic must cover every outcome")

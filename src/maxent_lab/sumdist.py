@@ -1,13 +1,13 @@
 """Distributions of n-step sums of a lattice statistic under a product measure.
 
 Tables are indexed by unit coordinates: the scaled sum after n steps equals
-n * offset + span * units, coordinatewise. Two arithmetic backends exist: a
-dense float64 table (large n) and an exact sparse map (identity checks, small
-n). The exact map holds plain integer numerators: each rational step weight is
-written a_i / D over D = lcm of the weight denominators, the DP adds and
-multiplies the a_i, and a table after n steps carries the single denominator
-D**n, applied as a Fraction only when a mass is read out. Dense tables
-self-normalize because every step convolves probability masses, so no
+n * offset + span * units, coordinatewise. Every table is one dense array over
+the bounding box of the reachable sums, in either arithmetic: float64 masses,
+or (rational mode) an object array of exact integer numerators. Each rational
+step weight is written a_i / D over D = lcm of the weight denominators, the
+sweep adds and multiplies the a_i, and a table after n steps carries the single
+denominator D**n, applied as a Fraction only when a mass is read out. Float
+tables self-normalize because every step convolves probability masses, so no
 log-domain rescaling is needed at the sizes this package allows.
 """
 
@@ -85,8 +85,13 @@ def _one_step_cells(constraint: ConstraintSpec, weights, mode: str):
     return sorted(agg.items()), unit
 
 
+# dtype of the stored table values per arithmetic: float64 masses, or Python
+# int numerators over D**n
+TABLE_DTYPE = {"float": np.float64, "rational": object}
+
+
 def _dense_step(table: np.ndarray, shape_new, cells) -> np.ndarray:
-    new = np.zeros(shape_new)
+    new = np.zeros(shape_new, dtype=table.dtype)
     for u, w in cells:
         region = tuple(slice(uj, uj + s) for uj, s in zip(u, table.shape))
         new[region] += w * table
@@ -112,7 +117,7 @@ def _sparse_step(table: dict, cells, cell_budget: int) -> dict:
 class SumDistribution:
     """Distribution of the n-step unit-sum vector under one product measure.
 
-    A sparse table stores values whose masses are value * scale: integer
+    The table stores values whose masses are value * scale: integer
     numerators with scale Fraction(1, D**n) in rational mode, floats with
     scale 1.0 otherwise.
     """
@@ -121,82 +126,62 @@ class SumDistribution:
     measure_id: str
     mode: str
     constraint: ConstraintSpec
-    dense: np.ndarray | None = None
-    sparse: dict | None = None
-    scale: object = 1.0
+    table: np.ndarray
+    scale: object
+
+    def _mass(self, stored):
+        """Mass of a stored Python value: a float, or an exact Fraction."""
+        return stored * self.scale
 
     def mass_units(self, units):
         units = tuple(units)
-        if self.dense is not None:
-            for uj, s in zip(units, self.dense.shape):
-                if uj < 0 or uj >= s:
-                    return 0.0
-            return float(self.dense[units])
-        return self.sparse.get(units, 0) * self.scale
+        for uj, s in zip(units, self.table.shape):
+            if uj < 0 or uj >= s:
+                return self._mass(0)
+        return self._mass(self.table.item(units))
 
     def mass_at_target(self):
         """Mass of the cell where the n-sample average equals the target;
         zero when that cell is off the lattice."""
         center = self.constraint.center_units(self.n)
-        if center is None:
-            return 0 * self.scale
-        return self.mass_units(center)
+        return self._mass(0) if center is None else self.mass_units(center)
 
     def total(self):
-        if self.dense is not None:
-            return float(self.dense.sum())
-        return sum(self.sparse.values()) * self.scale
+        return self._mass(self.table.sum(keepdims=True).item())
 
     def _stored(self):
         """Support cells with their stored (unscaled) nonzero values."""
-        if self.dense is not None:
-            for idx in np.argwhere(self.dense > 0.0):
-                yield tuple(int(i) for i in idx), float(self.dense[tuple(idx)])
-        else:
-            for u, m in self.sparse.items():
-                if m != 0:
-                    yield u, m
+        for u in map(tuple, np.argwhere(self.table > 0).tolist()):
+            yield u, self.table.item(u)
 
     def items(self):
         """Support cells with nonzero mass."""
         for u, m in self._stored():
-            yield u, m * self.scale
+            yield u, self._mass(m)
 
 
 def _initial(constraint: ConstraintSpec, measure_id: str, mode: str,
-             dense: bool) -> SumDistribution:
-    if dense:
-        table = np.ones((1,) * constraint.dim)
-        return SumDistribution(n=0, measure_id=measure_id, mode=mode,
-                               constraint=constraint, dense=table)
+             unit) -> SumDistribution:
+    """The empty sum: stored value 1 at the origin, with scale unit**0."""
+    table = np.ones((1,) * constraint.dim, dtype=TABLE_DTYPE[mode])
     return SumDistribution(n=0, measure_id=measure_id, mode=mode,
-                           constraint=constraint,
-                           sparse={(0,) * constraint.dim: 1}, scale=Fraction(1))
+                           constraint=constraint, table=table, scale=unit ** 0)
 
 
-def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str,
-           cell_budget: int):
+def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str):
     """Yield the sum tables for n = 0, 1, 2, ... under one measure.
 
     Each table is built only when the caller asks for it, so ``islice`` and
-    ``next`` take exactly the sizes they need. Float mode convolves dense
-    arrays; rational mode convolves sparse integer maps within the budget.
+    ``next`` take exactly the sizes they need. Callers check the cell budget.
     """
     cells, unit = _one_step_cells(constraint, weights, mode)
-    sd = _initial(constraint, measure_id, mode, mode == "float")
+    sd = _initial(constraint, measure_id, mode, unit)
     while True:
         yield sd
-        n = sd.n + 1
-        if sd.dense is not None:
-            sd = SumDistribution(
-                n=n, measure_id=measure_id, mode=mode, constraint=constraint,
-                dense=_dense_step(sd.dense, _dense_shape(n, constraint.unit_max),
-                                  cells))
-        else:
-            sd = SumDistribution(
-                n=n, measure_id=measure_id, mode=mode, constraint=constraint,
-                sparse=_sparse_step(sd.sparse, cells, cell_budget),
-                scale=sd.scale * unit)
+        shape = _dense_shape(sd.n + 1, constraint.unit_max)
+        sd = SumDistribution(n=sd.n + 1, measure_id=measure_id, mode=mode,
+                             constraint=constraint, scale=sd.scale * unit,
+                             table=_dense_step(sd.table, shape, cells))
 
 
 def sum_distribution(space: SampleSpace, constraint: ConstraintSpec, n: int,
@@ -206,11 +191,9 @@ def sum_distribution(space: SampleSpace, constraint: ConstraintSpec, n: int,
     if n < 0:
         raise ValidationError("n must be >= 0")
     measure_id, weights = resolve_measure(space, measure, mode)
-    if mode == "float":
-        _check_budget(_dense_shape(n, constraint.unit_max), cell_budget,
-                      f"sum distribution at n={n}")
-    return next(islice(_sweep(constraint, measure_id, weights, mode, cell_budget),
-                       n, None))
+    _check_budget(_dense_shape(n, constraint.unit_max), cell_budget,
+                  f"sum distribution at n={n}")
+    return next(islice(_sweep(constraint, measure_id, weights, mode), n, None))
 
 
 def convolve(a: SumDistribution, b: SumDistribution) -> SumDistribution:
@@ -218,9 +201,12 @@ def convolve(a: SumDistribution, b: SumDistribution) -> SumDistribution:
     if a.constraint is not b.constraint or a.measure_id != b.measure_id \
             or a.mode != b.mode:
         raise ValidationError("can only convolve tables of one statistic and measure")
-    out = _sparse_step(dict(a._stored()), list(b._stored()), DEFAULT_CELL_BUDGET)
-    return SumDistribution(n=a.n + b.n, measure_id=a.measure_id, mode=a.mode,
-                           constraint=a.constraint, sparse=out,
+    n = a.n + b.n
+    shape = _dense_shape(n, a.constraint.unit_max)
+    _check_budget(shape, DEFAULT_CELL_BUDGET, f"convolution at n={n}")
+    return SumDistribution(n=n, measure_id=a.measure_id, mode=a.mode,
+                           constraint=a.constraint,
+                           table=_dense_step(a.table, shape, list(b._stored())),
                            scale=a.scale * b.scale)
 
 
@@ -246,10 +232,9 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     size. Entry 0 is the empty-sum mass 1.
     """
     measure_id, weights = resolve_measure(space, measure, mode)
-    if mode == "float":
-        _check_budget(_dense_shape(n_max, constraint.unit_max), cell_budget,
-                      f"central-mass sweep to n={n_max}")
-    sweep = _sweep(constraint, measure_id, weights, mode, cell_budget)
+    _check_budget(_dense_shape(n_max, constraint.unit_max), cell_budget,
+                  f"central-mass sweep to n={n_max}")
+    sweep = _sweep(constraint, measure_id, weights, mode)
     return [sd.mass_at_target() for sd in islice(sweep, n_max + 1)]
 
 
@@ -263,13 +248,10 @@ class SumTableProvider:
     def __init__(self, space: SampleSpace, constraint: ConstraintSpec,
                  measure="q", mode: str = "float",
                  cell_budget: int = DEFAULT_CELL_BUDGET):
-        self.space = space
-        self.constraint = constraint
         self.mode = mode
         self.cell_budget = cell_budget
         self.measure_id, self.weights = resolve_measure(space, measure, mode)
-        self._sweep = _sweep(constraint, self.measure_id, self.weights, mode,
-                             cell_budget)
+        self._sweep = _sweep(constraint, self.measure_id, self.weights, mode)
         self._tables = [next(self._sweep)]
         self._cells_used = 1
 
@@ -277,13 +259,8 @@ class SumTableProvider:
         if m < 0:
             raise ValidationError("suffix size must be >= 0")
         while len(self._tables) <= m:
-            nxt = next(self._sweep, None)
-            if nxt is None:  # a sparse step over the budget closed the sweep
-                raise LatticeBlowupError(
-                    f"lattice blow-up: sum table {len(self._tables)} exceeds "
-                    f"the budget {self.cell_budget}")
-            self._cells_used += int(nxt.dense.size) if nxt.dense is not None \
-                else len(nxt.sparse)
+            nxt = next(self._sweep)
+            self._cells_used += nxt.table.size
             if self._cells_used > self.cell_budget:
                 raise LatticeBlowupError(
                     f"lattice blow-up: cached sum tables hold {self._cells_used} "

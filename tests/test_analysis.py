@@ -16,6 +16,7 @@ from maxent_lab import (
     solve_maxent,
     verify_minimax_constancy,
 )
+from maxent_lab.errors import LatticeBlowupError
 
 
 class TestMinimaxConstancy:
@@ -104,6 +105,15 @@ class TestCorollaryOneResiduals:
                                        [2, 3])
         assert records[1].feasible is False
         assert records[1].residual_direct is None
+
+    def test_prior_mass_underflow_is_typed(self, dice):
+        # at mean 5 and n = 2000, P_q(C_n) underflows to 0.0 while P_p > 0
+        constraint = derive_lattice([[x] for x in range(1, 7)], [5])
+        solution = solve_maxent(dice, constraint)
+        assert corollary1_residuals(dice, constraint, solution, [1000])[0] \
+            .feasible
+        with pytest.raises(LatticeBlowupError, match="n=2000"):
+            corollary1_residuals(dice, constraint, solution, [2000])
 
 
 class TestMixtureGapSeries:

@@ -12,7 +12,11 @@ from maxent_lab import (
     enumerate_oracle,
     never_event,
 )
-from maxent_lab.errors import EnumerationInfeasibleError, ValidationError
+from maxent_lab.errors import (
+    EnumerationInfeasibleError,
+    LatticeBlowupError,
+    ValidationError,
+)
 
 from conftest import BRANDEIS_MASSES
 
@@ -62,6 +66,15 @@ class TestFrequencyDeviation:
                                     mode="rational")
         assert dp.prob_event == oracle.event_results[0].prob_event
         assert dp.prob_joint == oracle.event_results[0].prob_joint
+
+    def test_cell_budget(self, dice, dice_constraint):
+        # the count DP at n = 24 holds 25 x 121 cells per table
+        event = FrequencyDeviationEvent.make(Fraction(1, 5),
+                                             [Fraction(1, 6)] * 6)
+        for mode in ("float", "rational"):
+            with pytest.raises(LatticeBlowupError):
+                conditional_event_prob(dice, dice_constraint, event, 24,
+                                       mode=mode, cell_budget=100)
 
     def test_multidim_constraint(self, pair, pair_constraint):
         event = FrequencyDeviationEvent.make(Fraction(1, 5),

@@ -126,8 +126,11 @@ class TestCentralSeries:
 
 class TestGuards:
     def test_cell_budget(self, pair, pair_constraint):
-        with pytest.raises(LatticeBlowupError):
-            sum_distribution(pair, pair_constraint, 10 ** 5, cell_budget=10 ** 6)
+        # both arithmetics refuse the final table size before building any table
+        for mode in ("float", "rational"):
+            with pytest.raises(LatticeBlowupError):
+                sum_distribution(pair, pair_constraint, 10 ** 5, mode=mode,
+                                 cell_budget=10 ** 6)
 
     def test_negative_n(self, dice, dice_constraint):
         with pytest.raises(ValidationError):

@@ -103,7 +103,8 @@ def test_walk_matches_brute_force_and_representative(problem, n):
 
 
 def test_provider_raises_again_after_a_sparse_blowup(dice, dice_constraint):
-    # a block of sizes shares one provider and carries on past a failed size
+    # a block of sizes shares one provider and carries on past a failed size;
+    # the provider's cell count only grows, so a later miss raises again
     provider = SumTableProvider(dice, dice_constraint, mode="rational",
                                 cell_budget=3)
     for _ in range(2):
