@@ -17,12 +17,12 @@ import numpy as np
 from .concentration import LocalClt, representative_sequence
 from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
 from .lattice import (
-    DEFAULT_CELL_BUDGET,
     ConstraintSpec,
     SampleSpace,
     _check_budget,
     _dense_shape,
     _sequences_on_target,
+    _shift_combine,
 )
 from .priors import IntegerPrior
 from .solver import MaxEntSolution
@@ -34,8 +34,8 @@ def enumerate_constraint_sequences(space: SampleSpace, constraint: ConstraintSpe
     """All length-n sequences (as index tuples) satisfying the constraint, in
     lexicographic order, from the reachability-pruned walk that also gives
     ``representative_sequence``. Raises ``LatticeBlowupError`` before any
-    table is built when the reachability tables exceed the default budget."""
-    walk = _sequences_on_target(space, constraint, n, DEFAULT_CELL_BUDGET)
+    table is built when the reachability tables exceed the cell budget."""
+    walk = _sequences_on_target(space, constraint, n)
     out = list(islice(walk, limit + 1))
     if len(out) > limit:
         raise EnumerationInfeasibleError(
@@ -63,8 +63,7 @@ class MinimaxReport:
 
 def verify_minimax_constancy(space: SampleSpace, constraint: ConstraintSpec,
                              solution: MaxEntSolution, n: int,
-                             alternatives=(), limit: int = 10 ** 6,
-                             cell_budget: int = DEFAULT_CELL_BUDGET
+                             alternatives=(), limit: int = 10 ** 6
                              ) -> MinimaxReport:
     """Check that the projection's per-symbol redundancy against the prior is
     one constant on every constraint-satisfying sequence of length n.
@@ -88,7 +87,7 @@ def verify_minimax_constancy(space: SampleSpace, constraint: ConstraintSpec,
     checks = []
     if alternatives:
         p_c = constraint_prob(space, constraint, n, measure=solution,
-                              mode="float", cell_budget=cell_budget)
+                              mode="float")
         c_n = n ** (constraint.dim / 2.0) * p_c
         bound = constant - (constraint.dim / (2.0 * n)) * math.log2(n) \
             + math.log2(c_n) / n
@@ -117,8 +116,7 @@ class ResidualRecord:
 
 
 def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
-                         solution: MaxEntSolution, n_list,
-                         cell_budget: int = DEFAULT_CELL_BUDGET
+                         solution: MaxEntSolution, n_list
                          ) -> list[ResidualRecord]:
     """Concentration residual per n, computed two ways.
 
@@ -134,9 +132,9 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
     k = constraint.dim
     clt = LocalClt(constraint, solution)
     central_p = central_series(space, constraint, n_max, measure=solution,
-                               mode="float", cell_budget=cell_budget)
+                               mode="float")
     central_q = central_series(space, constraint, n_max, measure="q",
-                               mode="float", cell_budget=cell_budget)
+                               mode="float")
     logp = np.log2(solution.pmf)
     logq = np.log2(space.prior)
     out = []
@@ -148,7 +146,7 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
                                       residual_identity=None))
             continue
         c_n, d_n = clt.constants(n, p_c)
-        rep = representative_sequence(space, constraint, n, cell_budget)
+        rep = representative_sequence(space, constraint, n)
         counts = np.bincount(np.array(rep), minlength=space.size)
         p_q = float(central_q[n])
         if p_q <= 0.0:
@@ -166,8 +164,8 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
     return out
 
 
-def min_hit_cost_series(constraint: ConstraintSpec, costs: dict, n_max: int,
-                        cell_budget: int = DEFAULT_CELL_BUDGET) -> dict:
+def min_hit_cost_series(constraint: ConstraintSpec, costs: dict,
+                        n_max: int) -> dict:
     """Minimum accumulated hit cost over constraint-satisfying sequences.
 
     Walking the unit lattice, a path pays ``costs[m]`` whenever its length-m
@@ -175,17 +173,15 @@ def min_hit_cost_series(constraint: ConstraintSpec, costs: dict, n_max: int,
     n_max, the minimum total cost over paths ending on the target at m
     (including their own hit at m).
     """
-    _check_budget(_dense_shape(n_max, constraint.unit_max), cell_budget,
+    _check_budget(_dense_shape(n_max, constraint.unit_max),
                   f"min-cost sweep to n={n_max}")
-    unit_cells = sorted(set(constraint.units))
+    cells = [(u, None) for u in sorted(set(constraint.units))]
     table = np.zeros((1,) * constraint.dim)
     out: dict = {}
     for m in range(1, n_max + 1):
         new = np.full(_dense_shape(m, constraint.unit_max), np.inf)
-        for u in unit_cells:
-            region = tuple(slice(uj, uj + s) for uj, s in zip(u, table.shape))
-            np.minimum(new[region], table, out=new[region])
-        table = new
+        table = _shift_combine(new, table, cells, np.minimum,
+                               lambda w, table: table)
         center = constraint.center_units(m)
         if center is not None and np.isfinite(table[center]):
             if m in costs:
@@ -219,8 +215,8 @@ class GameReport:
 
 
 def play_coding_game(space: SampleSpace, constraint: ConstraintSpec,
-                     solution: MaxEntSolution, predictors: dict, n_list,
-                     cell_budget: int = DEFAULT_CELL_BUDGET) -> GameReport:
+                     solution: MaxEntSolution, predictors: dict,
+                     n_list) -> GameReport:
     """Codelength table for named predictors over shared sequences.
 
     For each feasible n one representative constraint sequence is drawn and
@@ -234,7 +230,7 @@ def play_coding_game(space: SampleSpace, constraint: ConstraintSpec,
     skipped = []
     for n in sorted(set(int(n) for n in n_list)):
         try:
-            rep = representative_sequence(space, constraint, n, cell_budget)
+            rep = representative_sequence(space, constraint, n)
         except (ValidationError, EnumerationInfeasibleError):
             skipped.append(n)
             continue
@@ -251,8 +247,7 @@ def play_coding_game(space: SampleSpace, constraint: ConstraintSpec,
 
 def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
                        solution: MaxEntSolution, prior: IntegerPrior,
-                       n_max: int, horizon: int | None = None,
-                       cell_budget: int = DEFAULT_CELL_BUDGET
+                       n_max: int, horizon: int | None = None
                        ) -> list[GapRecord]:
     """Worst-case codelength gap of the mixture over the projection, per n.
 
@@ -267,7 +262,7 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     if horizon < n_max:
         raise ValidationError("horizon must cover n_max")
     central_q = central_series(space, constraint, horizon, measure="q",
-                               mode="float", cell_budget=cell_budget)
+                               mode="float")
     # a size is feasible exactly when the prior reaches its target cell
     sizes = [m for m in range(1, horizon + 1) if central_q[m] > 0.0]
     sizes = sizes[: prior.j_max]
@@ -278,7 +273,7 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     weights = [w / total for w in weights]
     costs = {n_j: weights[j] / float(central_q[n_j])
              for j, n_j in enumerate(sizes)}
-    minima = min_hit_cost_series(constraint, costs, n_max, cell_budget)
+    minima = min_hit_cost_series(constraint, costs, n_max)
     entropy = solution.entropy_bits
     out = []
     for j, n_j in enumerate(sizes):

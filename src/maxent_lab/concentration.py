@@ -17,11 +17,11 @@ import numpy as np
 from .conditional import conditional_event_prob, conditional_marginal
 from .errors import EnumerationInfeasibleError, ValidationError
 from .lattice import (
-    DEFAULT_CELL_BUDGET,
+    CELL_BUDGET,
     ConstraintSpec,
     SampleSpace,
-    _reach_tables_cells,
     _sequences_on_target,
+    _tables_cells,
     first_feasible_sizes,
 )
 from .solver import MaxEntSolution
@@ -86,8 +86,7 @@ class ConcentrationReport:
 
 def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                             solution: MaxEntSolution, n_list, events=(),
-                            tv_m: int | None = None, mode: str = "float",
-                            cell_budget: int = DEFAULT_CELL_BUDGET
+                            tv_m: int | None = None, mode: str = "float"
                             ) -> ConcentrationReport:
     """Fill per-n concentration records for the given sizes.
 
@@ -100,7 +99,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
     k = constraint.dim
     clt = LocalClt(constraint, solution)
     centrals = central_series(space, constraint, n_list[-1], measure=solution,
-                              mode="float", cell_budget=cell_budget)
+                              mode="float")
     records = []
     for n in n_list:
         p_c = float(centrals[n])
@@ -114,11 +113,9 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
         checks = []
         for event in events:
             under_q = conditional_event_prob(space, constraint, event, n,
-                                             measure="q", mode=mode,
-                                             cell_budget=cell_budget)
+                                             measure="q", mode=mode)
             under_p = conditional_event_prob(space, constraint, event, n,
-                                             measure=solution, mode="float",
-                                             cell_budget=cell_budget)
+                                             measure=solution, mode="float")
             cond_q = under_q.conditional
             if cond_q is None:
                 slack = residual = None
@@ -135,8 +132,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
         tv = None
         if tv_m is not None and 1 <= tv_m < n:
             marg = conditional_marginal(space, constraint, tv_m, n,
-                                        measure="q", mode="float",
-                                        cell_budget=cell_budget)
+                                        measure="q", mode="float")
             tv = marg.tv_to_product(solution.pmf)
         records.append(ConcentrationRecord(
             n=n, feasible=True, prob_constraint=p_c, c_n=c_n, d_n=d_n,
@@ -146,8 +142,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
 
 
 def representative_sequence(space: SampleSpace, constraint: ConstraintSpec,
-                            n: int, cell_budget: int = DEFAULT_CELL_BUDGET
-                            ) -> tuple[int, ...]:
+                            n: int) -> tuple[int, ...]:
     """Some length-n outcome sequence (as indices) satisfying the constraint.
 
     The lexicographically first one when the reachability tables fit the
@@ -155,18 +150,17 @@ def representative_sequence(space: SampleSpace, constraint: ConstraintSpec,
     """
     if constraint.center_units(n) is None:
         raise ValidationError(f"n={n} is infeasible for this constraint")
-    if _reach_tables_cells(constraint, n) <= cell_budget:
-        first = next(_sequences_on_target(space, constraint, n, cell_budget), None)
+    if _tables_cells(constraint, n) <= CELL_BUDGET:
+        first = next(_sequences_on_target(space, constraint, n), None)
         if first is None:
             raise ValidationError(f"n={n} is infeasible for this constraint")
         return first
 
     # Large instance: compose small feasible blocks.
-    small = first_feasible_sizes(space, constraint, count=4, n_cap=24,
-                                 cell_budget=cell_budget)
+    small = first_feasible_sizes(space, constraint, count=4, n_cap=24)
     for n1 in small:
         if n % n1 == 0:
-            block = representative_sequence(space, constraint, n1, cell_budget)
+            block = representative_sequence(space, constraint, n1)
             return block * (n // n1)
     for n1 in small:
         for n2 in small:
@@ -175,10 +169,8 @@ def representative_sequence(space: SampleSpace, constraint: ConstraintSpec,
             b = 1
             while b * n2 < n:
                 if (n - b * n2) % n1 == 0:
-                    block1 = representative_sequence(space, constraint, n1,
-                                                     cell_budget)
-                    block2 = representative_sequence(space, constraint, n2,
-                                                     cell_budget)
+                    block1 = representative_sequence(space, constraint, n1)
+                    block2 = representative_sequence(space, constraint, n2)
                     return block2 * b + block1 * ((n - b * n2) // n1)
                 b += 1
     raise EnumerationInfeasibleError(

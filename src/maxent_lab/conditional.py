@@ -17,7 +17,7 @@ import numpy as np
 from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
 from .events import BigramDeviationEvent, BoxEvent, FrequencyDeviationEvent
 from .lattice import (
-    DEFAULT_CELL_BUDGET,
+    CELL_BUDGET,
     ConstraintSpec,
     LatticeGeometry,
     SampleSpace,
@@ -26,6 +26,9 @@ from .lattice import (
 )
 from .sumdist import (TABLE_DTYPE, SumTableProvider, _sparse_step, resolve_measure,
                       step_weights)
+
+# longest prefix whose conditioned marginal is enumerated symbol by symbol
+MARGINAL_M_CAP = 8
 
 
 @dataclass
@@ -88,13 +91,13 @@ def _exact_weight_vector(n: int, nu: int, w: int) -> np.ndarray:
                      for used in range(n - nu + 1)], dtype=object)
 
 
-def _freq_layer(constraint, n, weights, bounds, mode, cell_budget):
+def _freq_layer(constraint, n, weights, bounds, mode):
     """Count-layered DP: returns (total mass, mass on the target cell) of
     sequences whose per-outcome counts respect ``bounds``, as floats or as
     integer numerators over D**n when ``weights`` are the integer steps."""
     shape_t = _dense_shape(n, constraint.unit_max)
     shape = (n + 1,) + shape_t
-    _check_budget(shape, cell_budget, f"frequency count DP at n={n}")
+    _check_budget(shape, f"frequency count DP at n={n}")
     coefficients = _exact_weight_vector if mode == "rational" \
         else _binomial_weight_vector
     table = np.zeros(shape, dtype=TABLE_DTYPE[mode])
@@ -118,14 +121,12 @@ def _freq_layer(constraint, n, weights, bounds, mode, cell_budget):
     return final.sum(keepdims=True).item(), on_target
 
 
-def _freq_event(space, constraint, event, n, weights, mode, cell_budget):
+def _freq_event(space, constraint, event, n, weights, mode):
     bounds = _count_bounds(n, event.reference, event.epsilon)
     free = [(0, n)] * space.size
     steps, unit = step_weights(weights, mode)
-    box_total, box_center = _freq_layer(constraint, n, steps, bounds, mode,
-                                        cell_budget)
-    all_total, all_center = _freq_layer(constraint, n, steps, free, mode,
-                                        cell_budget)
+    box_total, box_center = _freq_layer(constraint, n, steps, bounds, mode)
+    all_total, all_center = _freq_layer(constraint, n, steps, free, mode)
     scale = unit ** n
     # float round-off can dip below 0; exact differences never do, and max
     # returns its first argument on a tie, so they stay Fractions
@@ -134,7 +135,7 @@ def _freq_event(space, constraint, event, n, weights, mode, cell_budget):
     return prob_event, prob_joint, all_center * scale
 
 
-def _box_event(space, constraint, event: BoxEvent, n, weights, mode, cell_budget):
+def _box_event(space, constraint, event: BoxEvent, n, weights, mode):
     geometry = LatticeGeometry.from_values(event.statistic, allow_constant=True)
     steps, unit = step_weights(weights, mode)
     cells = []
@@ -142,7 +143,7 @@ def _box_event(space, constraint, event: BoxEvent, n, weights, mode, cell_budget
         cells.append((ut + us, w))
     table = {(0,) * (constraint.dim + geometry.dim): 1}
     for _ in range(n):
-        table = _sparse_step(table, cells, cell_budget)
+        table = _sparse_step(table, cells)
     center = constraint.center_units(n)
     k = constraint.dim
     prob_event = prob_joint = prob_constraint = 0
@@ -166,8 +167,7 @@ def _box_event(space, constraint, event: BoxEvent, n, weights, mode, cell_budget
     return prob_event * scale, prob_joint * scale, prob_constraint * scale
 
 
-def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights,
-                  mode, cell_budget):
+def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights, mode):
     ij = space.index(event.j)
     ijp = space.index(event.jprime)
     steps, unit = step_weights(weights, mode)
@@ -189,10 +189,7 @@ def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights,
                 prev = new.get(key)
                 add = mass * w
                 new[key] = add if prev is None else prev + add
-        if len(new) > cell_budget:
-            raise LatticeBlowupError(
-                f"lattice blow-up: bigram DP reached {len(new)} states"
-            )
+        _check_budget((len(new),), "bigram DP step")
         table = new
     center = constraint.center_units(n)
     prob_event = prob_joint = prob_constraint = 0
@@ -218,8 +215,7 @@ def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights,
 
 
 def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
-                           event, n: int, measure="q", mode: str = "float",
-                           cell_budget: int = DEFAULT_CELL_BUDGET
+                           event, n: int, measure="q", mode: str = "float"
                            ) -> EventProbabilityResult:
     """Probability of an event, jointly with and conditioned on the constraint.
 
@@ -232,14 +228,13 @@ def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
     if isinstance(event, FrequencyDeviationEvent):
         if len(event.reference) != space.size:
             raise ValidationError("reference masses must match the outcome count")
-        out = _freq_event(space, constraint, event, n, weights, mode,
-                          cell_budget)
+        out = _freq_event(space, constraint, event, n, weights, mode)
     elif isinstance(event, BoxEvent):
         if len(event.statistic) != space.size:
             raise ValidationError("auxiliary statistic must cover every outcome")
-        out = _box_event(space, constraint, event, n, weights, mode, cell_budget)
+        out = _box_event(space, constraint, event, n, weights, mode)
     elif isinstance(event, BigramDeviationEvent):
-        out = _bigram_event(space, constraint, event, n, weights, mode, cell_budget)
+        out = _bigram_event(space, constraint, event, n, weights, mode)
     else:
         raise ValidationError(f"unknown event type {type(event).__name__}")
     prob_event, prob_joint, prob_constraint = out
@@ -287,25 +282,24 @@ class ConditionalMarginal:
 
 def conditional_marginal(space: SampleSpace, constraint: ConstraintSpec,
                          m: int, n: int, measure="q", mode: str = "float",
-                         m_cap: int = 8, provider: SumTableProvider | None = None,
-                         cell_budget: int = DEFAULT_CELL_BUDGET
+                         provider: SumTableProvider | None = None
                          ) -> ConditionalMarginal:
     """Exact marginal of the first m symbols under the conditioned prior.
 
     Each prefix mass is weight(prefix) * W_{n-m}(needed suffix) / W_n(target),
     where W are sum-distribution tables under the same measure.
     """
-    if not 1 <= m <= min(n - 1, m_cap):
+    if not 1 <= m <= min(n - 1, MARGINAL_M_CAP):
         raise EnumerationInfeasibleError(
-            f"enumeration infeasible: need 1 <= m <= min(n-1, {m_cap}), got m={m}, n={n}"
+            f"enumeration infeasible: need 1 <= m <= min(n-1, {MARGINAL_M_CAP}), "
+            f"got m={m}, n={n}"
         )
-    if space.size ** m > cell_budget:
+    if space.size ** m > CELL_BUDGET:
         raise EnumerationInfeasibleError(
             f"enumeration infeasible: {space.size}^{m} prefixes exceed the budget"
         )
     if provider is None:
-        provider = SumTableProvider(space, constraint, measure=measure, mode=mode,
-                                    cell_budget=cell_budget)
+        provider = SumTableProvider(space, constraint, measure=measure, mode=mode)
     else:
         if provider.mode != mode:
             raise ValidationError("provider mode mismatch")

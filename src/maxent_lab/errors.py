@@ -39,8 +39,8 @@ class ConvergenceError(MaxentLabError):
 
 
 class LatticeBlowupError(MaxentLabError):
-    """A lattice table would exceed the configured cell budget. Reduce n,
-    drop event dimensions, or coarsen the statistic."""
+    """A lattice table would exceed the cell budget (``lattice.CELL_BUDGET``).
+    Reduce n, drop event dimensions, or coarsen the statistic."""
 
 
 class EnumerationInfeasibleError(MaxentLabError):

@@ -23,7 +23,8 @@ from .errors import (
     ValidationError,
 )
 
-DEFAULT_CELL_BUDGET = 50_000_000
+# the most cells any lattice table, or set of tables kept together, may hold
+CELL_BUDGET = 50_000_000
 
 
 def as_fraction(value) -> Fraction:
@@ -374,26 +375,40 @@ def _dense_shape(n: int, unit_max: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(n * m + 1 for m in unit_max)
 
 
-def _check_budget(shape: tuple[int, ...], cell_budget: int, what: str) -> None:
-    cells = 1
-    for s in shape:
-        cells *= s
-    if cells > cell_budget:
+def _check_budget(shape: tuple[int, ...], what: str) -> None:
+    """Raise ``LatticeBlowupError`` when a table of ``shape`` would hold more
+    than ``CELL_BUDGET`` cells."""
+    cells = prod(shape)
+    if cells > CELL_BUDGET:
         raise LatticeBlowupError(
-            f"lattice blow-up: {what} needs {cells} cells (budget {cell_budget}); "
+            f"lattice blow-up: {what} needs {cells} cells (budget {CELL_BUDGET}); "
             "reduce n or coarsen the statistic"
         )
 
 
-def _reach_step(reach: np.ndarray, shape_new: tuple[int, ...], unit_cells) -> np.ndarray:
-    new = np.zeros(shape_new, dtype=bool)
-    for u in unit_cells:
-        region = tuple(slice(uj, uj + s) for uj, s in zip(u, reach.shape))
-        new[region] |= reach
+def _tables_cells(constraint: ConstraintSpec, n: int) -> int:
+    """Cells of the dense lattice tables for sizes 0..n together."""
+    return sum(prod(_dense_shape(m, constraint.unit_max)) for m in range(n + 1))
+
+
+def _shift_combine(new: np.ndarray, table: np.ndarray, cells, combine,
+                   term) -> np.ndarray:
+    """One step of a lattice sweep: for each ``(u, w)`` in ``cells``, in order,
+    combine ``term(w, table)`` into the region of ``new`` shifted by unit cell
+    u. ``new`` starts at the combine's identity and is returned."""
+    for u, w in cells:
+        region = tuple(slice(uj, uj + s) for uj, s in zip(u, table.shape))
+        combine(new[region], term(w, table), out=new[region])
     return new
 
 
-def _reach_sweep(constraint: ConstraintSpec, cell_budget: int):
+def _reach_step(reach: np.ndarray, shape_new: tuple[int, ...], unit_cells) -> np.ndarray:
+    return _shift_combine(np.zeros(shape_new, dtype=bool), reach,
+                          [(u, None) for u in unit_cells], np.logical_or,
+                          lambda w, table: table)
+
+
+def _reach_sweep(constraint: ConstraintSpec):
     """Yield the boolean reachability tables for n = 0, 1, 2, ...: cell u of
     table n is True when some length-n sequence has unit sum u. Each table is
     checked against the cell budget before it is built."""
@@ -404,7 +419,7 @@ def _reach_sweep(constraint: ConstraintSpec, cell_budget: int):
         yield reach
         n += 1
         shape = _dense_shape(n, constraint.unit_max)
-        _check_budget(shape, cell_budget, f"feasibility sweep at n={n}")
+        _check_budget(shape, f"feasibility sweep at n={n}")
         reach = _reach_step(reach, shape, unit_cells)
 
 
@@ -414,13 +429,7 @@ def _on_target(constraint: ConstraintSpec, n: int, reach: np.ndarray) -> bool:
     return center is not None and bool(reach[center])
 
 
-def _reach_tables_cells(constraint: ConstraintSpec, n: int) -> int:
-    """Cells of the reachability tables for sizes 0..n together."""
-    return sum(prod(_dense_shape(m, constraint.unit_max)) for m in range(n + 1))
-
-
-def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int,
-                         cell_budget: int):
+def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int):
     """Yield the length-n sequences (index tuples) whose statistic average is
     on target, in lexicographic order.
 
@@ -434,9 +443,8 @@ def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int,
     center = constraint.center_units(n)
     if center is None:
         return
-    _check_budget((_reach_tables_cells(constraint, n),), cell_budget,
-                  f"reachability tables to n={n}")
-    reach = list(islice(_reach_sweep(constraint, cell_budget), n))
+    _check_budget((_tables_cells(constraint, n),), f"reachability tables to n={n}")
+    reach = list(islice(_reach_sweep(constraint), n))
     prefix: list[int] = []
     sums = [(0,) * constraint.dim]  # unit sum of each prefix of ``prefix``
 
@@ -465,8 +473,8 @@ def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int,
         sums.pop()
 
 
-def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
-                   cell_budget: int = DEFAULT_CELL_BUDGET) -> FeasibilityTable:
+def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec,
+                   n_max: int) -> FeasibilityTable:
     """Tabulate, for n = 1..n_max, whether some length-n sequence has its
     statistic average exactly on target.
 
@@ -475,18 +483,17 @@ def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    _check_budget(_dense_shape(n_max, constraint.unit_max), cell_budget,
+    _check_budget(_dense_shape(n_max, constraint.unit_max),
                   f"feasibility table to n={n_max}")
-    sweep = islice(_reach_sweep(constraint, cell_budget), n_max + 1)
+    sweep = islice(_reach_sweep(constraint), n_max + 1)
     return FeasibilityTable(n_max=n_max, flags=tuple(
         _on_target(constraint, n, reach) for n, reach in enumerate(sweep)))
 
 
 def first_feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, count: int,
-                         n_cap: int = 100_000,
-                         cell_budget: int = DEFAULT_CELL_BUDGET) -> list[int]:
+                         n_cap: int = 100_000) -> list[int]:
     """First ``count`` feasible sizes in increasing order (stops at n_cap)."""
-    sweep = islice(_reach_sweep(constraint, cell_budget), n_cap + 1)
+    sweep = islice(_reach_sweep(constraint), n_cap + 1)
     feasible = (n for n, reach in enumerate(sweep) if _on_target(constraint, n, reach))
     return list(islice(feasible, count))
 

@@ -13,12 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationInfeasibleError, ValidationError
-from .lattice import DEFAULT_CELL_BUDGET, ConstraintSpec, SampleSpace
+from .lattice import ConstraintSpec, SampleSpace
 from .predictors import IIDPredictor, Predictor
 from .solver import MaxEntSolution
 from .sumdist import sum_distribution
 
 LN2 = math.log(2.0)
+# most symbols (samples * n) a hypercompression check codes one at a time
+# with stateful predictors
+STATEFUL_SYMBOL_BUDGET = 10 ** 7
 
 
 def _streams(seed: int, count: int):
@@ -104,8 +107,7 @@ class HypercompressionResult:
 
 def hypercompression_check(base: Predictor, challenger: Predictor,
                            solution: MaxEntSolution, n: int, k_bits: float,
-                           samples: int, seed: int,
-                           slow_budget: int = 10 ** 7) -> HypercompressionResult:
+                           samples: int, seed: int) -> HypercompressionResult:
     """Frequency with which the challenger saves at least ``k_bits`` over the
     base code on projection-sampled sequences of length n.
 
@@ -123,7 +125,7 @@ def hypercompression_check(base: Predictor, challenger: Predictor,
         exceed = len_base >= len_chall + k_bits
         frequency = float(np.mean(exceed))
     else:
-        if samples * n > slow_budget:
+        if samples * n > STATEFUL_SYMBOL_BUDGET:
             raise EnumerationInfeasibleError(
                 "stateful predictors over this many samples exceed the budget; "
                 "use i.i.d. predictors or fewer samples"
@@ -158,8 +160,8 @@ def _iid_codelengths(counts: np.ndarray, pmf) -> np.ndarray:
 
 
 def hypercompression_exact_prob(space: SampleSpace, constraint: ConstraintSpec,
-                                solution: MaxEntSolution, n: int, k_bits: float,
-                                cell_budget: int = DEFAULT_CELL_BUDGET) -> float:
+                                solution: MaxEntSolution, n: int,
+                                k_bits: float) -> float:
     """Exact probability that coding with the prior saves >= k_bits over the
     projection code on projection-sampled data.
 
@@ -167,8 +169,7 @@ def hypercompression_exact_prob(space: SampleSpace, constraint: ConstraintSpec,
     deterministic function of the lattice cell and sums exactly over the sum
     distribution. Cross-checks the sampled frequency for the prior challenger.
     """
-    sd = sum_distribution(space, constraint, n, measure=solution,
-                          cell_budget=cell_budget)
+    sd = sum_distribution(space, constraint, n, measure=solution)
     beta = solution.beta
     total = 0.0
     for units, mass in sd.items():

@@ -20,13 +20,14 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import LatticeBlowupError, ValidationError
+from .errors import ValidationError
 from .lattice import (
-    DEFAULT_CELL_BUDGET,
     ConstraintSpec,
     SampleSpace,
     _check_budget,
     _dense_shape,
+    _shift_combine,
+    _tables_cells,
     as_fraction,
 )
 from .solver import MaxEntSolution
@@ -91,25 +92,18 @@ TABLE_DTYPE = {"float": np.float64, "rational": object}
 
 
 def _dense_step(table: np.ndarray, shape_new, cells) -> np.ndarray:
-    new = np.zeros(shape_new, dtype=table.dtype)
-    for u, w in cells:
-        region = tuple(slice(uj, uj + s) for uj, s in zip(u, table.shape))
-        new[region] += w * table
-    return new
+    return _shift_combine(np.zeros(shape_new, dtype=table.dtype), table, cells,
+                          np.add, lambda w, table: w * table)
 
 
-def _sparse_step(table: dict, cells, cell_budget: int) -> dict:
+def _sparse_step(table: dict, cells) -> dict:
     new: dict = {}
     for u0, m in table.items():
         for u, w in cells:
             key = tuple(a + b for a, b in zip(u0, u))
             prev = new.get(key)
             new[key] = m * w if prev is None else prev + m * w
-    if len(new) > cell_budget:
-        raise LatticeBlowupError(
-            f"lattice blow-up: sparse sum support has {len(new)} cells "
-            f"(budget {cell_budget})"
-        )
+    _check_budget((len(new),), "sparse sum support")
     return new
 
 
@@ -172,7 +166,8 @@ def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str):
     """Yield the sum tables for n = 0, 1, 2, ... under one measure.
 
     Each table is built only when the caller asks for it, so ``islice`` and
-    ``next`` take exactly the sizes they need. Callers check the cell budget.
+    ``next`` take exactly the sizes they need. The sweep does not check the
+    cell budget: each caller checks the tables it asks for before it asks.
     """
     cells, unit = _one_step_cells(constraint, weights, mode)
     sd = _initial(constraint, measure_id, mode, unit)
@@ -185,14 +180,12 @@ def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str):
 
 
 def sum_distribution(space: SampleSpace, constraint: ConstraintSpec, n: int,
-                     measure="q", mode: str = "float",
-                     cell_budget: int = DEFAULT_CELL_BUDGET) -> SumDistribution:
+                     measure="q", mode: str = "float") -> SumDistribution:
     """Distribution of the n-step statistic sum by successive convolution."""
     if n < 0:
         raise ValidationError("n must be >= 0")
     measure_id, weights = resolve_measure(space, measure, mode)
-    _check_budget(_dense_shape(n, constraint.unit_max), cell_budget,
-                  f"sum distribution at n={n}")
+    _check_budget(_dense_shape(n, constraint.unit_max), f"sum distribution at n={n}")
     return next(islice(_sweep(constraint, measure_id, weights, mode), n, None))
 
 
@@ -203,7 +196,7 @@ def convolve(a: SumDistribution, b: SumDistribution) -> SumDistribution:
         raise ValidationError("can only convolve tables of one statistic and measure")
     n = a.n + b.n
     shape = _dense_shape(n, a.constraint.unit_max)
-    _check_budget(shape, DEFAULT_CELL_BUDGET, f"convolution at n={n}")
+    _check_budget(shape, f"convolution at n={n}")
     return SumDistribution(n=n, measure_id=a.measure_id, mode=a.mode,
                            constraint=a.constraint,
                            table=_dense_step(a.table, shape, list(b._stored())),
@@ -211,28 +204,26 @@ def convolve(a: SumDistribution, b: SumDistribution) -> SumDistribution:
 
 
 def constraint_prob(space: SampleSpace, constraint: ConstraintSpec, n: int,
-                    measure="q", mode: str = "float",
-                    cell_budget: int = DEFAULT_CELL_BUDGET):
+                    measure="q", mode: str = "float"):
     """Probability that the n-sample average of the statistic is on target.
 
     Zero (not an error) for infeasible n, so sweeps over n stay uninterrupted.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    return sum_distribution(space, constraint, n, measure=measure, mode=mode,
-                            cell_budget=cell_budget).mass_at_target()
+    return sum_distribution(space, constraint, n, measure=measure,
+                            mode=mode).mass_at_target()
 
 
 def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
-                   measure="q", mode: str = "float",
-                   cell_budget: int = DEFAULT_CELL_BUDGET) -> list:
+                   measure="q", mode: str = "float") -> list:
     """Constraint probabilities for every n up to n_max in one sweep.
 
     Keeps only the running table, so memory stays at one table of the largest
     size. Entry 0 is the empty-sum mass 1.
     """
     measure_id, weights = resolve_measure(space, measure, mode)
-    _check_budget(_dense_shape(n_max, constraint.unit_max), cell_budget,
+    _check_budget(_dense_shape(n_max, constraint.unit_max),
                   f"central-mass sweep to n={n_max}")
     sweep = _sweep(constraint, measure_id, weights, mode)
     return [sd.mass_at_target() for sd in islice(sweep, n_max + 1)]
@@ -241,32 +232,30 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
 class SumTableProvider:
     """Lazily grown cache of sum distributions for sizes 0..m.
 
+    The cached tables 0..m together must fit the cell budget; a request that
+    does not is refused before any table is built, so it leaves the cache as
+    it was.
+
     Not thread-safe; confine one provider to one thread of work. Concurrent
     runs should build independent providers, which compute identical values.
     """
 
     def __init__(self, space: SampleSpace, constraint: ConstraintSpec,
-                 measure="q", mode: str = "float",
-                 cell_budget: int = DEFAULT_CELL_BUDGET):
+                 measure="q", mode: str = "float"):
         self.mode = mode
-        self.cell_budget = cell_budget
+        self.constraint = constraint
         self.measure_id, self.weights = resolve_measure(space, measure, mode)
         self._sweep = _sweep(constraint, self.measure_id, self.weights, mode)
         self._tables = [next(self._sweep)]
-        self._cells_used = 1
 
     def table(self, m: int) -> SumDistribution:
         if m < 0:
             raise ValidationError("suffix size must be >= 0")
+        if m >= len(self._tables):
+            _check_budget((_tables_cells(self.constraint, m),),
+                          f"cached sum tables to n={m}")
         while len(self._tables) <= m:
-            nxt = next(self._sweep)
-            self._cells_used += nxt.table.size
-            if self._cells_used > self.cell_budget:
-                raise LatticeBlowupError(
-                    f"lattice blow-up: cached sum tables hold {self._cells_used} "
-                    f"cells (budget {self.cell_budget}); shrink the horizon"
-                )
-            self._tables.append(nxt)
+            self._tables.append(next(self._sweep))
         return self._tables[m]
 
     def mass(self, m: int, units):

@@ -68,13 +68,13 @@ class TestFrequencyDeviation:
         assert dp.prob_joint == oracle.event_results[0].prob_joint
 
     def test_cell_budget(self, dice, dice_constraint):
-        # the count DP at n = 24 holds 25 x 121 cells per table
+        # the count DP at n = 10**4 holds 10001 x 50001 cells per table
         event = FrequencyDeviationEvent.make(Fraction(1, 5),
                                              [Fraction(1, 6)] * 6)
         for mode in ("float", "rational"):
             with pytest.raises(LatticeBlowupError):
-                conditional_event_prob(dice, dice_constraint, event, 24,
-                                       mode=mode, cell_budget=100)
+                conditional_event_prob(dice, dice_constraint, event, 10 ** 4,
+                                       mode=mode)
 
     def test_multidim_constraint(self, pair, pair_constraint):
         event = FrequencyDeviationEvent.make(Fraction(1, 5),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from maxent_lab import (
     build_space,
@@ -211,3 +212,66 @@ class TestRationalTilt:
             u = dice_constraint.units[i][0]
             expected = (m / q) / (masses[0] / dice.prior_fractions[0])
             assert expected == Fraction(2, 3) ** u
+
+
+@st.composite
+def interior_problems(draw):
+    """(space, constraint) with |X| <= 8, k <= 3, affinely independent
+    rational statistic rows and a target that is a convex combination of
+    them with every weight >= 1/100, so strictly inside the hull."""
+    k = draw(st.integers(1, 3))
+    size = draw(st.integers(k + 1, 8))
+    prior = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+    scales = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    values = [[Fraction(draw(st.integers(-4, 4)), d) for d in scales]
+              for _ in range(size)]
+    rows = np.array([[float(v) for v in row] + [1.0] for row in values])
+    assume(np.linalg.matrix_rank(rows) == k + 1)
+    raw = draw(st.lists(st.integers(1, 100), min_size=size, max_size=size))
+    lam = [Fraction(1, 100) + Fraction(100 - size, 100) * Fraction(w, sum(raw))
+           for w in raw]
+    target = [sum(l * row[j] for l, row in zip(lam, values)) for j in range(k)]
+    return build_space(list(range(size)), prior), derive_lattice(values, target)
+
+
+def _bracketed_root(prior, values, target):
+    """beta with E_beta[T] = target for k = 1, by bisection: the tilted mean
+    q(x) exp(-beta x) / Z falls strictly in beta."""
+    def mean(beta):
+        logw = np.log(prior) - beta * values
+        w = np.exp(logw - logw.max())
+        return float(w @ values / w.sum())
+
+    lo, hi = -1.0, 1.0
+    while mean(lo) <= target:
+        lo *= 2.0
+    while mean(hi) >= target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if mean(mid) > target else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestEveryInteriorTargetSolves:
+    @settings(max_examples=300, deadline=None)
+    @given(interior_problems())
+    def test_solves_within_tolerance(self, problem):
+        space, constraint = problem
+        sol = solve_maxent(space, constraint)
+        assert sol.residual <= 1e-10
+        assert entropy_bits(sol) == sol.entropy_bits
+        if constraint.dim == 1:
+            values = constraint.values_float[:, 0]
+            root = _bracketed_root(space.prior, values, constraint.target_float[0])
+            # |beta - beta*| = residual / Var(T) at a point between them
+            variance = float(sol.covariance[0, 0])
+            assert abs(sol.beta[0] - root) <= \
+                2.0 * 1e-10 / variance + 1e-12 * max(1.0, abs(root))
+
+    @pytest.mark.parametrize("tenths", range(11, 60))
+    def test_every_die_target(self, dice, tenths):
+        cons = derive_lattice([[x] for x in range(1, 7)], [Fraction(tenths, 10)])
+        assert solve_maxent(dice, cons).residual <= 1e-10

@@ -14,6 +14,7 @@ from maxent_lab import (
     rational_tilt,
     sum_distribution,
 )
+from maxent_lab import sumdist
 from maxent_lab.errors import LatticeBlowupError, ValidationError
 
 
@@ -126,20 +127,34 @@ class TestCentralSeries:
 
 class TestGuards:
     def test_cell_budget(self, pair, pair_constraint):
-        # both arithmetics refuse the final table size before building any table
+        # both arithmetics refuse the final table size (about 1e10 cells)
+        # before building any table
         for mode in ("float", "rational"):
             with pytest.raises(LatticeBlowupError):
-                sum_distribution(pair, pair_constraint, 10 ** 5, mode=mode,
-                                 cell_budget=10 ** 6)
+                sum_distribution(pair, pair_constraint, 10 ** 5, mode=mode)
 
     def test_negative_n(self, dice, dice_constraint):
         with pytest.raises(ValidationError):
             sum_distribution(dice, dice_constraint, -1)
 
     def test_provider_budget(self, pair, pair_constraint):
-        provider = SumTableProvider(pair, pair_constraint, cell_budget=500)
+        # the tables to m = 10**4 would hold about 3.3e11 cells together
+        provider = SumTableProvider(pair, pair_constraint)
         with pytest.raises(LatticeBlowupError):
-            provider.table(100)
+            provider.table(10 ** 4)
+
+    def test_refused_provider_request_builds_nothing(self, dice, dice_constraint,
+                                                     monkeypatch):
+        steps = []
+        dense_step = sumdist._dense_step
+        monkeypatch.setattr(sumdist, "_dense_step",
+                            lambda *args: steps.append(1) or dense_step(*args))
+        provider = SumTableProvider(dice, dice_constraint)
+        for _ in range(2):
+            with pytest.raises(LatticeBlowupError):
+                provider.table(10 ** 4)
+        assert steps == []
+        assert provider.table(0).mass_at_target() == 1
 
 
 class TestProvider:

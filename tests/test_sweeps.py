@@ -104,12 +104,11 @@ def test_walk_matches_brute_force_and_representative(problem, n):
 
 def test_provider_raises_again_after_a_sparse_blowup(dice, dice_constraint):
     # a block of sizes shares one provider and carries on past a failed size;
-    # the provider's cell count only grows, so a later miss raises again
-    provider = SumTableProvider(dice, dice_constraint, mode="rational",
-                                cell_budget=3)
+    # the tables to m = 10**4 (about 2.5e8 cells) are refused on every call
+    provider = SumTableProvider(dice, dice_constraint, mode="rational")
     for _ in range(2):
         with pytest.raises(LatticeBlowupError):
-            provider.table(1)
+            provider.table(10 ** 4)
     assert provider.table(0).mass_at_target() == 1
 
 
