@@ -18,7 +18,6 @@ from .errors import (
 )
 from .experiments import run_config
 from .fixtures import fixture_names, load_fixture
-from .solver import solve_maxent
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -56,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
-    space, constraint = config.problem.build()
-    solution = solve_maxent(space, constraint)
+    space, _ = config.problem.build()
+    solution = config.problem.solve()
     print(f"beta = {[float(b) for b in solution.beta]}")
     print(f"ln Z = {solution.logz!r}")
     print(f"entropy_bits = {solution.entropy_bits!r}")
@@ -69,7 +68,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_run(config_source, output, mode) -> int:
     config = load_config(config_source)
-    diagnostics = validate_config(config.raw)
+    diagnostics = validate_config(config)
     blocking = [d for d in diagnostics if not d.message.startswith("note:")]
     if blocking:
         for d in blocking:

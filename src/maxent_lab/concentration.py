@@ -25,7 +25,7 @@ from .lattice import (
     first_feasible_sizes,
 )
 from .solver import MaxEntSolution
-from .sumdist import central_series
+from .sumdist import SumTableProvider, central_series
 
 
 class LocalClt:
@@ -100,6 +100,9 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
     clt = LocalClt(constraint, solution)
     centrals = central_series(space, constraint, n_list[-1], measure=solution,
                               mode="float")
+    # one provider serves the marginals of every size: its tables only grow
+    provider = None if tv_m is None else SumTableProvider(
+        space, constraint, measure="q", mode="float")
     records = []
     for n in n_list:
         p_c = float(centrals[n])
@@ -132,7 +135,8 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
         tv = None
         if tv_m is not None and 1 <= tv_m < n:
             marg = conditional_marginal(space, constraint, tv_m, n,
-                                        measure="q", mode="float")
+                                        measure="q", mode="float",
+                                        provider=provider)
             tv = marg.tv_to_product(solution.pmf)
         records.append(ConcentrationRecord(
             n=n, feasible=True, prob_constraint=p_c, c_n=c_n, d_n=d_n,

@@ -94,7 +94,11 @@ def _exact_weight_vector(n: int, nu: int, w: int) -> np.ndarray:
 def _freq_layer(constraint, n, weights, bounds, mode):
     """Count-layered DP: returns (total mass, mass on the target cell) of
     sequences whose per-outcome counts respect ``bounds``, as floats or as
-    integer numerators over D**n when ``weights`` are the integer steps."""
+    integer numerators over D**n when ``weights`` are the integer steps.
+
+    Each shift-add covers only the box of (count, T-unit) cells that can be
+    nonzero, and the last outcome fills only row n, the one row read: every
+    skipped term is an exact zero, so the results keep their bits."""
     shape_t = _dense_shape(n, constraint.unit_max)
     shape = (n + 1,) + shape_t
     _check_budget(shape, f"frequency count DP at n={n}")
@@ -102,18 +106,28 @@ def _freq_layer(constraint, n, weights, bounds, mode):
         else _binomial_weight_vector
     table = np.zeros(shape, dtype=TABLE_DTYPE[mode])
     table[(0,) + (0,) * constraint.dim] = 1
-    for u, w, (lo, hi) in zip(constraint.units, weights, bounds):
+    extent = [(0, 0)] * len(shape)  # nonzero (first, last) index per axis
+    for i, (u, w, (lo, hi)) in enumerate(zip(constraint.units, weights, bounds)):
         if lo > hi:
             return 0, 0
         new = np.zeros_like(table)
+        step = (1,) + u
         for nu in range(lo, hi + 1):
             coef = coefficients(n, nu, w)
-            # cells whose shift would leave the table carry zero mass anyway
-            dst = tuple(slice(nu * uj, s) for uj, s in zip(u, shape_t))
-            src = tuple(slice(0, s - nu * uj) for uj, s in zip(u, shape_t))
-            new[(slice(nu, None),) + dst] += \
-                table[(slice(0, n + 1 - nu),) + src] * coef.reshape(
+            # source cells whose shift stays inside the table
+            src = [(a, min(b, s - 1 - nu * d))
+                   for (a, b), s, d in zip(extent, shape, step)]
+            if i == len(bounds) - 1:
+                src[0] = (max(src[0][0], n - nu), src[0][1])
+            if any(a > b for a, b in src):
+                continue
+            new[tuple(slice(a + nu * d, b + 1 + nu * d)
+                      for (a, b), d in zip(src, step))] += \
+                table[tuple(slice(a, b + 1) for a, b in src)] * \
+                coef[src[0][0]:src[0][1] + 1].reshape(
                     (-1,) + (1,) * constraint.dim)
+        extent = [(a + lo * d, min(b + hi * d, s - 1))
+                  for (a, b), s, d in zip(extent, shape, step)]
         table = new
     final = table[n]
     center = constraint.center_units(n)
@@ -135,83 +149,103 @@ def _freq_event(space, constraint, event, n, weights, mode):
     return prob_event, prob_joint, all_center * scale
 
 
-def _box_event(space, constraint, event: BoxEvent, n, weights, mode):
-    geometry = LatticeGeometry.from_values(event.statistic, allow_constant=True)
-    steps, unit = step_weights(weights, mode)
-    cells = []
-    for ut, us, w in zip(constraint.units, geometry.units, steps):
-        cells.append((ut + us, w))
-    table = {(0,) * (constraint.dim + geometry.dim): 1}
-    for _ in range(n):
-        table = _sparse_step(table, cells)
-    center = constraint.center_units(n)
-    k = constraint.dim
+def _place_values(radices):
+    """Place value of each digit of a mixed-radix int, the last digit lowest."""
+    return [math.prod(radices[j + 1:]) for j in range(len(radices))]
+
+
+def _pack(digits, places) -> int:
+    return sum(d * p for d, p in zip(digits, places))
+
+
+def _unpack(code, radices) -> list:
+    return [code // p % r for r, p in zip(radices, _place_values(radices))]
+
+
+def _packed_masses(table, split, center, places, holds_for, scale):
+    """(event, joint, constraint) masses of a DP table keyed by packed states
+    whose T-units are the high digits: the event is decided once per value of
+    the low digits (code % split) by ``holds_for``."""
+    target = None if center is None else _pack(center, places)
     prob_event = prob_joint = prob_constraint = 0
-    for state, mass in table.items():
-        ut, us = state[:k], state[k:]
-        averages = [
-            Fraction(n * b + h * uj, s * n)
-            for uj, b, h, s in zip(us, geometry.offsets, geometry.spans,
-                                   geometry.scale)
-        ]
-        in_box = event.average_in_box(averages)
-        holds = in_box if event.inside else not in_box
-        at_center = center is not None and ut == center
+    decided: dict = {}
+    for code, mass in table.items():
+        low = code % split
+        holds = decided.get(low)
+        if holds is None:
+            holds = decided[low] = holds_for(low)
+        at_center = code - low == target
         if holds:
             prob_event += mass
             if at_center:
                 prob_joint += mass
         if at_center:
             prob_constraint += mass
-    scale = unit ** n
     return prob_event * scale, prob_joint * scale, prob_constraint * scale
+
+
+def _box_event(space, constraint, event: BoxEvent, n, weights, mode):
+    geometry = LatticeGeometry.from_values(event.statistic, allow_constant=True)
+    steps, unit = step_weights(weights, mode)
+    k = constraint.dim
+    # state: T-units then S-units, packed as one int
+    radices = [n * m + 1 for m in constraint.unit_max + geometry.unit_max]
+    places = _place_values(radices)
+    cells = [(_pack(ut + us, places), w)
+             for ut, us, w in zip(constraint.units, geometry.units, steps)]
+    table = {0: 1}
+    for _ in range(n):
+        table = _sparse_step(table, cells)
+
+    def holds_for(low):
+        averages = [
+            Fraction(n * b + h * uj, s * n)
+            for uj, b, h, s in zip(_unpack(low, radices[k:]), geometry.offsets,
+                                   geometry.spans, geometry.scale)
+        ]
+        in_box = event.average_in_box(averages)
+        return in_box if event.inside else not in_box
+
+    return _packed_masses(table, places[k - 1], constraint.center_units(n),
+                          places, holds_for, unit ** n)
 
 
 def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights, mode):
     ij = space.index(event.j)
     ijp = space.index(event.jprime)
     steps, unit = step_weights(weights, mode)
-    # state: T-units, count_j, count_jprime, bigram count, last-symbol-is-jprime
-    start = (0,) * constraint.dim + (0, 0, 0, 0)
-    table = {start: 1}
     k = constraint.dim
+    # state: T-units, count_j, count_jprime, bigram count, last-symbol-is-jprime,
+    # packed as one int with ``last`` the lowest digit; moves[last] holds each
+    # outcome's step from a state with that last digit cleared
+    radices = [n * m + 1 for m in constraint.unit_max] + [n + 1] * 3 + [2]
+    places = _place_values(radices)
+    moves = [[(_pack(u + (idx == ij, idx == ijp, last and idx == ij, idx == ijp),
+                     places), w)
+              for idx, (u, w) in enumerate(zip(constraint.units, steps))]
+             for last in (0, 1)]
+    table = {0: 1}
     for _ in range(n):
         new: dict = {}
-        for state, mass in table.items():
-            ut, cj, cjp, cbig, last = state[:k], state[k], state[k + 1], \
-                state[k + 2], state[k + 3]
-            for idx, (u, w) in enumerate(zip(constraint.units, steps)):
-                key = (
-                    tuple(a + b for a, b in zip(ut, u))
-                    + (cj + (idx == ij), cjp + (idx == ijp),
-                       cbig + (last and idx == ij), int(idx == ijp))
-                )
+        for code, mass in table.items():
+            last = code & 1
+            base = code - last
+            for d, w in moves[last]:
+                key = base + d
                 prev = new.get(key)
                 add = mass * w
                 new[key] = add if prev is None else prev + add
         _check_budget((len(new),), "bigram DP step")
         table = new
-    center = constraint.center_units(n)
-    prob_event = prob_joint = prob_constraint = 0
-    decided: dict = {}  # the event depends on the counts only
-    for state, mass in table.items():
-        ut, counts = state[:k], state[k:]
-        holds = decided.get(counts)
-        if holds is None:
-            cj, cjp, cbig, last = counts
-            denom = cjp - last
-            holds = decided[counts] = denom > 0 and abs(
-                Fraction(cj, n) - Fraction(cbig, denom)
-            ) > event.epsilon
-        at_center = center is not None and ut == center
-        if holds:
-            prob_event += mass
-            if at_center:
-                prob_joint += mass
-        if at_center:
-            prob_constraint += mass
-    scale = unit ** n
-    return prob_event * scale, prob_joint * scale, prob_constraint * scale
+
+    def holds_for(low):
+        cj, cjp, cbig, last = _unpack(low, radices[k:])
+        denom = cjp - last
+        return denom > 0 and abs(
+            Fraction(cj, n) - Fraction(cbig, denom)) > event.epsilon
+
+    return _packed_masses(table, places[k - 1], constraint.center_units(n),
+                          places, holds_for, unit ** n)
 
 
 def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,

@@ -42,8 +42,16 @@ class ProblemConfig:
     prior: list
     t_matrix: list          # k rows of |X| fraction strings
     target: list
+    # the built problem and its solution, shared by validation and the run
+    _built: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+    _solution: object = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def build(self):
+        """(space, constraint), built once per config."""
+        if self._built is not None:
+            return self._built
         space = build_space(self.outcomes, self.prior)
         if space.dropped:
             # statistic columns must follow the surviving outcomes
@@ -53,8 +61,14 @@ class ProblemConfig:
         else:
             rows = self.t_matrix
         values = [[row[i] for row in rows] for i in range(space.size)]
-        constraint = derive_lattice(values, self.target)
-        return space, constraint
+        self._built = space, derive_lattice(values, self.target)
+        return self._built
+
+    def solve(self):
+        """The max-ent projection of the problem, solved once per config."""
+        if self._solution is None:
+            self._solution = solve_maxent(*self.build())
+        return self._solution
 
 
 @dataclass
@@ -76,8 +90,10 @@ def load_config(source) -> ExperimentConfig:
     """Parse a config from a path, JSON text, or an already-loaded dict.
 
     Raises ValidationError on structural problems; use ``validate_config`` for
-    a non-raising diagnostic pass.
+    a non-raising diagnostic pass. An ``ExperimentConfig`` passes through.
     """
+    if isinstance(source, ExperimentConfig):
+        return source
     if isinstance(source, dict):
         raw = source
     else:
@@ -191,7 +207,8 @@ def build_event(spec: dict, space, solution=None):
 
 def validate_config(source) -> list[Diagnostic]:
     """Full structural plus semantic validation; returns diagnostics instead of
-    raising. An empty list means the config is runnable."""
+    raising. An empty list means the config is runnable. A loaded config keeps
+    the problem it builds and solves here for its run."""
     diagnostics: list[Diagnostic] = []
     try:
         config = load_config(source)
@@ -219,7 +236,7 @@ def validate_config(source) -> list[Diagnostic]:
     # Condition pre-checks: a trial solve surfaces boundary targets and
     # affinely dependent coordinates before any experiment runs.
     try:
-        solve_maxent(space, constraint)
+        config.problem.solve()
     except BoundaryTargetError:
         diagnostics.append(Diagnostic(
             "problem.target",

@@ -19,7 +19,7 @@ from . import __version__
 from .analysis import corollary1_residuals, mixture_gap_series, play_coding_game
 from .concentration import concentration_constants
 from .conditional import conditional_marginal
-from .config import ExperimentConfig, build_event, load_config
+from .config import build_event, load_config
 from .errors import MaxentLabError, ValidationError
 from .predictors import (
     IIDPredictor,
@@ -29,7 +29,6 @@ from .predictors import (
 )
 from .priors import rissanen_prior
 from .simulate import hypercompression_check, recurrence_simulation
-from .solver import solve_maxent
 from .sumdist import SumTableProvider
 
 COLUMN_REFERENCE = """\
@@ -292,7 +291,7 @@ def run_config(source, output_dir, mode: str | None = None) -> RunManifest:
 
     Experiments run serially in declaration order.
     """
-    config = source if isinstance(source, ExperimentConfig) else load_config(source)
+    config = load_config(source)
     mode = mode or config.mode
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -302,7 +301,7 @@ def run_config(source, output_dir, mode: str | None = None) -> RunManifest:
         version=__version__, mode=mode,
     )
     space, constraint = config.problem.build()
-    solution = solve_maxent(space, constraint)
+    solution = config.problem.solve()
     ctx = {
         "space": space, "constraint": constraint, "solution": solution,
         "mode": mode, "summary": [], "manifest": manifest, "tag": "",

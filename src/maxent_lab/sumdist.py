@@ -92,15 +92,26 @@ TABLE_DTYPE = {"float": np.float64, "rational": object}
 
 
 def _dense_step(table: np.ndarray, shape_new, cells) -> np.ndarray:
+    # a run of cells with equal (positive) weights shares one product, and it
+    # is dropped before the next is built, so one product is alive at a time
+    held = [None, None]
+
+    def term(w, table):
+        if held[0] != w:
+            held[1] = None
+            held[:] = w, w * table
+        return held[1]
+
     return _shift_combine(np.zeros(shape_new, dtype=table.dtype), table, cells,
-                          np.add, lambda w, table: w * table)
+                          np.add, term)
 
 
 def _sparse_step(table: dict, cells) -> dict:
+    """One dict-sweep step over int-packed states: a shift is one addition."""
     new: dict = {}
     for u0, m in table.items():
         for u, w in cells:
-            key = tuple(a + b for a, b in zip(u0, u))
+            key = u0 + u
             prev = new.get(key)
             new[key] = m * w if prev is None else prev + m * w
     _check_budget((len(new),), "sparse sum support")

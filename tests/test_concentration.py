@@ -9,6 +9,7 @@ from maxent_lab import (
     clt_limit,
     concentration_constants,
     conditional_event_prob,
+    conditional_marginal,
     enumerate_constraint_sequences,
     enumerate_oracle,
     rational_tilt,
@@ -70,6 +71,22 @@ class TestConstants:
         assert flags == {1: False, 2: True, 3: False, 4: True}
         infeasible = [r for r in report.records if not r.feasible]
         assert all(r.c_n is None and r.d_n is None for r in infeasible)
+
+    def test_marginals_share_one_sum_sweep(self, dice, dice_constraint,
+                                           dice_solution, monkeypatch):
+        from maxent_lab import sumdist
+        starts = []
+        initial = sumdist._initial
+        monkeypatch.setattr(sumdist, "_initial", lambda *args: (
+            starts.append(args[1]), initial(*args))[1])
+        sizes = [4, 8, 12]
+        report = concentration_constants(dice, dice_constraint, dice_solution,
+                                         sizes, tv_m=2)
+        assert starts.count("q") == 1
+        for record in report.records:
+            fresh = conditional_marginal(dice, dice_constraint, 2, record.n)
+            assert record.tv.hex() == fresh.tv_to_product(
+                dice_solution.pmf).hex()
 
 
 class TestTheoremOneChecks:

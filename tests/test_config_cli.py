@@ -254,6 +254,31 @@ class TestCli:
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
         assert "entropy cross-check" in capsys.readouterr().err
 
+    def test_run_builds_and_solves_once(self, tmp_path, monkeypatch):
+        # validation and the run share one built problem and one solution,
+        # so no module may build or solve it a second time
+        from maxent_lab import config as config_mod, experiments, lattice, solver
+        calls = []
+
+        def spy(name, fn):
+            return lambda *args, **kwargs: (calls.append(name),
+                                            fn(*args, **kwargs))[1]
+
+        for module in (config_mod, experiments):
+            monkeypatch.setattr(module, "solve_maxent",
+                                spy("solve", solver.solve_maxent), raising=False)
+            monkeypatch.setattr(module, "derive_lattice",
+                                spy("build", lattice.derive_lattice),
+                                raising=False)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_with(experiments=[{"kind": "solve"}])))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 0
+        assert sorted(calls) == ["build", "solve"]
+
+    def test_loaded_config_passes_through(self):
+        config = load_config(_with())
+        assert load_config(config) is config
+
     def test_k3_run_imports_no_scipy(self, tmp_path):
         raw = load_fixture("cube3")
         raw["experiments"] = [

@@ -1,0 +1,120 @@
+"""Check that two source trees of maxent-lab write the same outputs.
+
+    python3 tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT
+
+Each root is a checkout with ``src/maxent_lab``. Every run goes through the
+command-line entry point in a fresh interpreter that imports the package from
+that root's ``src``, so the two sides share nothing but the inputs:
+
+- the configs of seeds 1 and 2 of the gaps-k3, events-float and events-exact
+  benchmark workloads, and the first 25 many-small configs of seed 1, all
+  generated by CHANGE_ROOT's ``perfbench/workloads.py``;
+- all five shipped fixtures in float mode;
+- brandeis, two-constraint and brandeis-combined in rational mode.
+
+For every run the exit codes, the set of files written and the bytes of each
+CSV and ``summary.md`` must agree; ``manifest.json`` holds timings and is left
+out. Prints the number of runs and files compared and every difference, and
+exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SINGLE_WORKLOADS = ("gaps-k3", "events-float", "events-exact")
+SEEDS = (1, 2)
+MANY_SMALL = 25
+FIXTURES = ("brandeis", "brandeis-combined", "coin", "cube3", "two-constraint")
+RATIONAL_FIXTURES = ("brandeis", "two-constraint", "brandeis-combined")
+SKIPPED = {"manifest.json"}
+
+
+def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments without the output option) for every run."""
+    sys.path.insert(0, str(change_root / "perfbench"))
+    import workloads
+
+    configs = {f"{w}-seed{s}": workloads.generate(w, s)[0]
+               for w in SINGLE_WORKLOADS for s in SEEDS}
+    for i, cfg in enumerate(workloads.generate("many-small", 1)[:MANY_SMALL]):
+        configs[f"many-small-seed1-{i:02d}"] = cfg
+    runs = []
+    for name, cfg in configs.items():
+        path = config_dir / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        runs.append((name, ["run", "-c", str(path)]))
+    runs += [(f"fixture-{f}", ["fixtures", "run", f]) for f in FIXTURES]
+    runs += [(f"fixture-{f}-rational", ["fixtures", "run", f, "--mode", "rational"])
+             for f in RATIONAL_FIXTURES]
+    return runs
+
+
+def _run(root: Path, args: list[str], outdir: Path) -> int:
+    """Exit code of one CLI run of the package under ``root/src``."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from maxent_lab.cli import main; sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), *args, "-o", str(outdir)],
+        cwd=outdir.parent, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode
+
+
+def _outputs(outdir: Path) -> dict[str, bytes]:
+    if not outdir.is_dir():
+        return {}
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())
+            if p.name not in SKIPPED}
+
+
+def compare(parent_root: Path, change_root: Path) -> list[str]:
+    """Differences between the two trees' outputs, one line each."""
+    differences = []
+    files = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config_dir = tmp / "configs"
+        config_dir.mkdir()
+        runs = _runs(change_root, config_dir)
+        for name, args in runs:
+            sides = []
+            for side, root in (("parent", parent_root), ("change", change_root)):
+                outdir = tmp / side / name
+                outdir.parent.mkdir(exist_ok=True)
+                sides.append((_run(root, args, outdir), _outputs(outdir)))
+            (code_a, out_a), (code_b, out_b) = sides
+            if code_a != code_b:
+                differences.append(f"{name}: exit code {code_a} -> {code_b}")
+            if sorted(out_a) != sorted(out_b):
+                differences.append(f"{name}: files {sorted(out_a)} -> {sorted(out_b)}")
+            for fname in sorted(set(out_a) & set(out_b)):
+                files += 1
+                if out_a[fname] != out_b[fname]:
+                    differences.append(f"{name}/{fname}: contents differ")
+            print(f"{name}: exit {code_a}/{code_b}, {len(out_a)} files", flush=True)
+    print(f"compared {len(runs)} runs, {files} files: "
+          f"{len(differences)} differences")
+    return differences
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: compare_outputs.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    roots = [Path(a).resolve() for a in argv]
+    for root in roots:
+        if not (root / "src" / "maxent_lab").is_dir():
+            print(f"{root}: no src/maxent_lab", file=sys.stderr)
+            return 2
+    differences = compare(*roots)
+    for line in differences:
+        print(line)
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
