@@ -88,7 +88,7 @@ def verify_minimax_constancy(space: SampleSpace, constraint: ConstraintSpec,
     if alternatives:
         p_c = constraint_prob(space, constraint, n, measure=solution,
                               mode="float")
-        c_n = n ** (constraint.dim / 2.0) * p_c
+        c_n, _ = LocalClt(constraint, solution).constants(n, p_c)
         bound = constant - (constraint.dim / (2.0 * n)) * math.log2(n) \
             + math.log2(c_n) / n
         for alt in alternatives:

@@ -10,12 +10,7 @@ import argparse
 import sys
 
 from .config import load_config, validate_config
-from .errors import (
-    EnumerationInfeasibleError,
-    LatticeBlowupError,
-    MaxentLabError,
-    ValidationError,
-)
+from .errors import EnumerationInfeasibleError, LatticeBlowupError, MaxentLabError
 from .experiments import run_config
 from .fixtures import fixture_names, load_fixture
 
@@ -111,7 +106,7 @@ def main(argv=None) -> int:
     except (LatticeBlowupError, EnumerationInfeasibleError) as exc:
         print(f"engine guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValidationError, MaxentLabError) as exc:
+    except MaxentLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK

@@ -162,10 +162,24 @@ def _unpack(code, radices) -> list:
     return [code // p % r for r, p in zip(radices, _place_values(radices))]
 
 
-def _packed_masses(table, split, center, places, holds_for, scale):
-    """(event, joint, constraint) masses of a DP table keyed by packed states
-    whose T-units are the high digits: the event is decided once per value of
-    the low digits (code % split) by ``holds_for``."""
+def _packed_event(constraint, n, weights, mode, low_radices, low_moves,
+                  holds_for):
+    """(event, joint, constraint) probabilities by one dict DP over packed
+    states: the T-units are the high digits, the event's digits (radices
+    ``low_radices``) the low ones. ``low_moves[v]`` gives each outcome's event
+    digits added to a state whose lowest digit v is cleared; ``holds_for``
+    decides the event once per distinct list of event digits."""
+    steps, unit = step_weights(weights, mode)
+    radices = [n * m + 1 for m in constraint.unit_max] + low_radices
+    places = _place_values(radices)
+    moves = [[(_pack(u + low, places), w)
+              for u, low, w in zip(constraint.units, lows, steps)]
+             for lows in low_moves]
+    table = {0: 1}
+    for _ in range(n):
+        table = _sparse_step(table, moves)
+    split = math.prod(low_radices)
+    center = constraint.center_units(n)
     target = None if center is None else _pack(center, places)
     prob_event = prob_joint = prob_constraint = 0
     decided: dict = {}
@@ -173,7 +187,7 @@ def _packed_masses(table, split, center, places, holds_for, scale):
         low = code % split
         holds = decided.get(low)
         if holds is None:
-            holds = decided[low] = holds_for(low)
+            holds = decided[low] = holds_for(_unpack(low, low_radices))
         at_center = code - low == target
         if holds:
             prob_event += mass
@@ -181,71 +195,41 @@ def _packed_masses(table, split, center, places, holds_for, scale):
                 prob_joint += mass
         if at_center:
             prob_constraint += mass
+    scale = unit ** n
     return prob_event * scale, prob_joint * scale, prob_constraint * scale
 
 
 def _box_event(space, constraint, event: BoxEvent, n, weights, mode):
     geometry = LatticeGeometry.from_values(event.statistic, allow_constant=True)
-    steps, unit = step_weights(weights, mode)
-    k = constraint.dim
-    # state: T-units then S-units, packed as one int
-    radices = [n * m + 1 for m in constraint.unit_max + geometry.unit_max]
-    places = _place_values(radices)
-    cells = [(_pack(ut + us, places), w)
-             for ut, us, w in zip(constraint.units, geometry.units, steps)]
-    table = {0: 1}
-    for _ in range(n):
-        table = _sparse_step(table, cells)
 
-    def holds_for(low):
-        averages = [
-            Fraction(n * b + h * uj, s * n)
-            for uj, b, h, s in zip(_unpack(low, radices[k:]), geometry.offsets,
-                                   geometry.spans, geometry.scale)
-        ]
+    def holds_for(units):
+        averages = [Fraction(n * b + h * uj, s * n) for uj, b, h, s in
+                    zip(units, geometry.offsets, geometry.spans, geometry.scale)]
         in_box = event.average_in_box(averages)
         return in_box if event.inside else not in_box
 
-    return _packed_masses(table, places[k - 1], constraint.center_units(n),
-                          places, holds_for, unit ** n)
+    # event digits: the S-units
+    return _packed_event(constraint, n, weights, mode,
+                         [n * m + 1 for m in geometry.unit_max],
+                         [geometry.units], holds_for)
 
 
 def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights, mode):
     ij = space.index(event.j)
     ijp = space.index(event.jprime)
-    steps, unit = step_weights(weights, mode)
-    k = constraint.dim
-    # state: T-units, count_j, count_jprime, bigram count, last-symbol-is-jprime,
-    # packed as one int with ``last`` the lowest digit; moves[last] holds each
-    # outcome's step from a state with that last digit cleared
-    radices = [n * m + 1 for m in constraint.unit_max] + [n + 1] * 3 + [2]
-    places = _place_values(radices)
-    moves = [[(_pack(u + (idx == ij, idx == ijp, last and idx == ij, idx == ijp),
-                     places), w)
-              for idx, (u, w) in enumerate(zip(constraint.units, steps))]
-             for last in (0, 1)]
-    table = {0: 1}
-    for _ in range(n):
-        new: dict = {}
-        for code, mass in table.items():
-            last = code & 1
-            base = code - last
-            for d, w in moves[last]:
-                key = base + d
-                prev = new.get(key)
-                add = mass * w
-                new[key] = add if prev is None else prev + add
-        _check_budget((len(new),), "bigram DP step")
-        table = new
+    # event digits: count_j, count_jprime, bigram count and, lowest,
+    # last-symbol-is-jprime, which picks the move list
+    low_moves = [[(idx == ij, idx == ijp, last and idx == ij, idx == ijp)
+                  for idx in range(space.size)] for last in (0, 1)]
 
-    def holds_for(low):
-        cj, cjp, cbig, last = _unpack(low, radices[k:])
+    def holds_for(digits):
+        cj, cjp, cbig, last = digits
         denom = cjp - last
         return denom > 0 and abs(
             Fraction(cj, n) - Fraction(cbig, denom)) > event.epsilon
 
-    return _packed_masses(table, places[k - 1], constraint.center_units(n),
-                          places, holds_for, unit ** n)
+    return _packed_event(constraint, n, weights, mode, [n + 1] * 3 + [2],
+                         low_moves, holds_for)
 
 
 def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
@@ -334,14 +318,14 @@ def conditional_marginal(space: SampleSpace, constraint: ConstraintSpec,
         )
     if provider is None:
         provider = SumTableProvider(space, constraint, measure=measure, mode=mode)
-    else:
-        if provider.mode != mode:
-            raise ValidationError("provider mode mismatch")
+    elif (provider.measure_id, provider.weights, provider.mode) != \
+            (*resolve_measure(space, measure, mode), mode):
+        raise ValidationError("provider measure or mode mismatch")
     center = constraint.center_units(n)
     denom = provider.table(n).mass_units(center) if center is not None else 0
     if denom == 0:
         raise ValidationError(f"n={n} is infeasible for this constraint")
-    _, weights = resolve_measure(space, measure, mode)
+    weights = provider.weights
     suffix = provider.table(n - m)
     masses: dict = {}
 

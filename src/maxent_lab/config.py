@@ -136,29 +136,39 @@ def load_config(source) -> ExperimentConfig:
     )
 
 
+def _check_int(value, key: str, where: str, low: int = 1) -> None:
+    if not isinstance(value, int) or value < low:
+        raise ValidationError(f"{where}: {key} must be an integer >= {low}")
+
+
 def _validate_block_shape(block: dict, i: int) -> None:
     kind = block["kind"]
     where = f"experiments[{i}] ({kind})"
-    if kind in ("concentrate", "condlimit", "corollary1"):
+    paths = kind == "game" and block.get("mode", "paths") == "paths"
+    if kind in ("concentrate", "condlimit", "corollary1") or paths:
         n_list = _require(block, "n_list", where)
         if not n_list or any(not isinstance(n, int) or n < 1 for n in n_list):
             raise ValidationError(f"{where}: n_list must hold integers >= 1")
         if sorted(n_list) != n_list:
             raise ValidationError(f"{where}: n_list must be sorted ascending")
+    if kind == "concentrate" and block.get("tv_m") is not None:
+        _check_int(block["tv_m"], "tv_m", where)
     if kind == "condlimit":
-        m = _require(block, "m", where)
-        if not isinstance(m, int) or m < 1:
-            raise ValidationError(f"{where}: m must be an integer >= 1")
+        _check_int(_require(block, "m", where), "m", where)
     if kind == "game":
         mode = block.get("mode", "paths")
         if mode not in ("paths", "gaps"):
             raise ValidationError(f"{where}: mode must be 'paths' or 'gaps'")
-        if mode == "paths":
-            n_list = _require(block, "n_list", where)
-            if sorted(n_list) != n_list:
-                raise ValidationError(f"{where}: n_list must be sorted ascending")
-        else:
-            _require(block, "n_max", where)
+        if "j_max" in block:
+            _check_int(block["j_max"], "j_max", where)
+        if mode == "gaps":
+            n_max = _require(block, "n_max", where)
+            _check_int(n_max, "n_max", where)
+            if block.get("horizon") is not None:
+                _check_int(block["horizon"], "horizon", where, n_max)
+            alpha = block.get("alpha", 0.75)
+            if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+                raise ValidationError(f"{where}: alpha must be a number in (0, 1)")
     if kind == "recur":
         for key in ("steps", "reps", "seed"):
             v = _require(block, key, where)
@@ -172,8 +182,8 @@ def _validate_block_shape(block: dict, i: int) -> None:
         ks = _require(block, "K", where)
         if isinstance(ks, (int, float)):
             ks = [ks]
-        if not ks or any(k <= 0 for k in ks):
-            raise ValidationError(f"{where}: K values must be positive")
+        if not ks or any(not isinstance(k, (int, float)) or k <= 0 for k in ks):
+            raise ValidationError(f"{where}: K values must be positive numbers")
 
 
 def build_event(spec: dict, space, solution=None):
@@ -225,7 +235,7 @@ def validate_config(source) -> list[Diagnostic]:
             "problem.T",
             f"{exc} (the statistic covariance would be singular; restrict the "
             "sample space or drop the coordinate)")]
-    except (ValidationError, MaxentLabError) as exc:
+    except MaxentLabError as exc:
         return diagnostics + [Diagnostic("problem", str(exc))]
 
     if space.dropped:

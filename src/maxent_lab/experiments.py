@@ -158,7 +158,7 @@ def _run_condlimit(ctx, block, path):
             marg = conditional_marginal(space, constraint, m, n, measure="q",
                                         mode=ctx["mode"], provider=provider)
             rows.append((m, n, marg.tv_to_product(ctx["solution"].pmf)))
-        except (ValidationError, MaxentLabError):
+        except MaxentLabError:
             rows.append((m, n, None))
     _write_csv(path, ["m", "n", "tv"], rows)
     ctx["summary"].append(f"Conditional limit: m = {m}, sizes {block['n_list']}.")

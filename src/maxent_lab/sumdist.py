@@ -106,15 +106,20 @@ def _dense_step(table: np.ndarray, shape_new, cells) -> np.ndarray:
                           np.add, term)
 
 
-def _sparse_step(table: dict, cells) -> dict:
-    """One dict-sweep step over int-packed states: a shift is one addition."""
+def _sparse_step(table: dict, moves) -> dict:
+    """One dict-DP step over int-packed states: a state ``code`` takes the
+    (offset, weight) moves in ``moves[code % len(moves)]``, each applied from
+    ``code - code % len(moves)``, so a shift is one addition."""
     new: dict = {}
-    for u0, m in table.items():
-        for u, w in cells:
-            key = u0 + u
+    radix = len(moves)
+    for code, m in table.items():
+        low = code % radix
+        base = code - low
+        for d, w in moves[low]:
+            key = base + d
             prev = new.get(key)
             new[key] = m * w if prev is None else prev + m * w
-    _check_budget((len(new),), "sparse sum support")
+    _check_budget((len(new),), "dict DP states")
     return new
 
 

@@ -6,6 +6,7 @@ from maxent_lab import (
     BigramDeviationEvent,
     BoxEvent,
     FrequencyDeviationEvent,
+    SumTableProvider,
     always_event,
     conditional_event_prob,
     conditional_marginal,
@@ -186,3 +187,24 @@ class TestConditionalMarginal:
     def test_infeasible_n(self, dice, dice_constraint):
         with pytest.raises(ValidationError):
             conditional_marginal(dice, dice_constraint, 1, 3)
+
+    def test_provider_of_another_measure_refused(self, dice, dice_constraint):
+        # the prefix weights and the suffix tables must share one measure:
+        # tilt prefixes over q suffixes would sum to 9/7, labelled q
+        tilt = ("tilt", [Fraction(i, 21) for i in range(1, 7)])
+        q_tables = SumTableProvider(dice, dice_constraint, mode="rational")
+        for measure, mode in ((tilt, "rational"), ("q", "float")):
+            with pytest.raises(ValidationError, match="provider"):
+                conditional_marginal(dice, dice_constraint, 1, 4,
+                                     measure=measure, mode=mode,
+                                     provider=q_tables)
+
+    def test_provider_of_the_same_measure_is_used(self, dice, dice_constraint):
+        tilt = ("tilt", [Fraction(i, 21) for i in range(1, 7)])
+        tables = SumTableProvider(dice, dice_constraint, measure=tilt,
+                                  mode="rational")
+        got = conditional_marginal(dice, dice_constraint, 1, 4, measure=tilt,
+                                   mode="rational", provider=tables)
+        assert got.measure_id == "tilt" and got.total() == 1
+        assert got.masses == conditional_marginal(
+            dice, dice_constraint, 1, 4, measure=tilt, mode="rational").masses

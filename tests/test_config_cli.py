@@ -216,6 +216,29 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("block", [
+        {"kind": "concentrate", "n_list": [2], "tv_m": "2"},
+        {"kind": "concentrate", "n_list": [2], "tv_m": 0},
+        {"kind": "game", "mode": "gaps", "n_max": "10"},
+        {"kind": "game", "mode": "gaps", "n_max": 4, "horizon": "8"},
+        {"kind": "game", "mode": "gaps", "n_max": 4, "horizon": 2},
+        {"kind": "game", "mode": "gaps", "n_max": 4, "j_max": "8"},
+        {"kind": "game", "mode": "paths", "n_list": [2], "j_max": None},
+        {"kind": "game", "mode": "paths", "n_list": ["4", 8]},
+        {"kind": "game", "mode": "gaps", "n_max": 4, "alpha": "3/4"},
+        {"kind": "game", "mode": "gaps", "n_max": 4, "alpha": 1.5},
+        {"kind": "hypercomp", "n": 4, "K": ["1"], "samples": 10, "seed": 1},
+        {"kind": "hypercomp", "n": 4, "K": "1", "samples": 10, "seed": 1},
+    ], ids=["tv_m-str", "tv_m-zero", "n_max-str", "horizon-str",
+            "horizon-below-n_max", "j_max-str", "j_max-null",
+            "paths-n_list-str", "alpha-str", "alpha-above-1", "K-str-entry",
+            "K-str"])
+    def test_bad_experiment_field_exit_2(self, tmp_path, capsys, block):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_with(experiments=[block])))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert "error: experiments[0]" in capsys.readouterr().err
+
     def test_guard_abort_exit_3(self, tmp_path, capsys):
         raw = {
             "problem": {

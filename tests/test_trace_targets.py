@@ -6,12 +6,16 @@ package test noticing, so this checks every traced name against the package.
 
 import importlib
 import inspect
+import json
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 from tracing import TRACED  # noqa: E402
 
 TARGETS = [(module, path) for entries in TRACED.values()
@@ -58,3 +62,40 @@ def test_traced_sum_table_cache():
                                 derive_lattice([[0], [1]], ["1/2"]))
     provider.table(3)
     assert len(provider._tables) == 4
+
+
+# installing the tracer rebinds package functions for good, so it runs in a
+# fresh interpreter
+EVENTS_SNIPPET = textwrap.dedent("""
+    import json, sys
+    sys.path[:0] = [{src!r}, {bench!r}]
+    from tracing import Tracer
+    tracer = Tracer()
+    tracer.install()
+    from maxent_lab import (BigramDeviationEvent, BoxEvent, build_space,
+                            conditional_event_prob, derive_lattice)
+    die = build_space([1, 2, 3, 4, 5, 6], [1] * 6)
+    at_9_2 = derive_lattice([[x] for x in range(1, 7)], ["9/2"])
+    box = BoxEvent.make([[x * x] for x in range(1, 7)], [10], [20])
+    bigram = BigramDeviationEvent.make(1, 6, "1/10")
+    for mode in ("float", "rational"):
+        for event in (box, bigram):
+            conditional_event_prob(die, at_9_2, event, 6, mode=mode)
+    print(json.dumps({{"spans": sorted(tracer.spans),
+                      "steps": tracer.calls("sumdist._sparse_step"),
+                      "peak": tracer.peak_table_cells}}))
+""")
+
+
+def test_event_dps_traced():
+    code = EVENTS_SNIPPET.format(src=str(ROOT / "src"),
+                                 bench=str(ROOT / "perfbench"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    traced = json.loads(out.stdout.strip().splitlines()[-1])
+    for kind in ("box", "bigram"):
+        for mode in ("float", "rational"):
+            assert f"conditional.{kind}.{mode}" in traced["spans"]
+    # every step of both events, n = 6 each, is the one dict step
+    assert traced["steps"] == 4 * 6
+    assert traced["peak"] > 0
