@@ -21,8 +21,10 @@ from .lattice import (
     SampleSpace,
     _check_budget,
     _dense_shape,
+    _reach_sweep,
     _sequences_on_target,
     _shift_combine,
+    feasible_sizes,
 )
 from .priors import IntegerPrior
 from .solver import MaxEntSolution
@@ -172,6 +174,10 @@ def min_hit_cost_series(constraint: ConstraintSpec, costs: dict,
     prefix sits on the target cell. Returns, for each m in ``costs`` up to
     n_max, the minimum total cost over paths ending on the target at m
     (including their own hit at m).
+
+    This dense min-plus sweep is the reference for ``_hit_cost_minima``, which
+    gives the same dict in closed form; nothing in the package calls it. It
+    is kept because the benchmark's tracer and self-tests name it.
     """
     _check_budget(_dense_shape(n_max, constraint.unit_max),
                   f"min-cost sweep to n={n_max}")
@@ -187,6 +193,42 @@ def min_hit_cost_series(constraint: ConstraintSpec, costs: dict,
             if m in costs:
                 table[center] += costs[m]
                 out[m] = float(table[center])
+    return out
+
+
+def _hit_cost_minima(constraint: ConstraintSpec, costs: dict,
+                     n_max: int) -> dict:
+    """``min_hit_cost_series`` in closed form, for positive costs keyed by
+    feasible sizes.
+
+    First-return decomposition (Feller, Vol. I, Ch. XIII): if C_n holds a
+    sequence with a nonzero centred step T(x) - t, order its steps by the sign
+    of a functional that is nonzero on every nonzero centred step (positive,
+    zero, negative). That walk first returns to the target at n carrying 0.0,
+    so the minimum is costs[n] exactly. Below the first such size n0, which
+    exceeds 1 only when some outcome has T(x) = t, C_n holds only that zero
+    step repeated, every prefix hits, and the minimum is the running sum of
+    the costs, added in increasing size as the sweep adds them.
+    """
+    zero = constraint.center_units(1)
+    n0 = 1
+    if zero in constraint.units:
+        # n0 is the first size whose target cell a nonzero last step reaches
+        others = set(constraint.units) - {zero}
+        n0 = n_max + 1
+        sweep = islice(_reach_sweep(constraint), n_max)
+        for n, reach in enumerate(sweep, start=1):
+            center = constraint.center_units(n)
+            lasts = (tuple(c - uj for c, uj in zip(center, u)) for u in others)
+            if any(all(0 <= x < s for x, s in zip(cell, reach.shape))
+                   and reach[cell] for cell in lasts):
+                n0 = n
+                break
+    out: dict = {}
+    total = 0.0
+    for n in sorted(m for m in costs if m <= n_max):
+        total += costs[n]
+        out[n] = total if n < n0 else costs[n]
     return out
 
 
@@ -253,9 +295,12 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
 
     For each feasible n up to n_max this computes min over constraint
     sequences of log2(mixture mass / projection mass) in closed form: the
-    mixture's mass ratio to the prior decomposes into hit terms (minimized by
-    the cost sweep) plus a tail over components beyond n, and the projection's
-    ratio to the prior is constant on the constraint set.
+    mixture's mass ratio to the prior decomposes into hit terms plus a tail
+    over components beyond n, and the projection's ratio to the prior is
+    constant on the constraint set. The hit terms are smallest on a sequence
+    whose walk first returns to the target at n, which pays only the n-th
+    term (``_hit_cost_minima``). Raises ``LatticeBlowupError`` when the prior
+    mass of a feasible size at or below the horizon underflows to 0.0.
     """
     if horizon is None:
         horizon = 2 * n_max
@@ -263,7 +308,16 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
         raise ValidationError("horizon must cover n_max")
     central_q = central_series(space, constraint, horizon, measure="q",
                                mode="float")
-    # a size is feasible exactly when the prior reaches its target cell
+    zeros = [m for m in range(1, horizon + 1)
+             if central_q[m] == 0.0 and constraint.center_units(m) is not None]
+    if zeros:
+        flags = feasible_sizes(space, constraint, zeros[-1]).flags
+        lost = next((m for m in zeros if flags[m]), None)
+        if lost is not None:
+            raise LatticeBlowupError(
+                f"mixture gaps at n={lost}: the prior constraint mass "
+                "underflows the float range; reduce the horizon")
+    # with no mass lost, a size is feasible exactly when its prior mass is > 0
     sizes = [m for m in range(1, horizon + 1) if central_q[m] > 0.0]
     sizes = sizes[: prior.j_max]
     if not sizes:
@@ -273,14 +327,12 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     weights = [w / total for w in weights]
     costs = {n_j: weights[j] / float(central_q[n_j])
              for j, n_j in enumerate(sizes)}
-    minima = min_hit_cost_series(constraint, costs, n_max)
+    minima = _hit_cost_minima(constraint, costs, n_max)
     entropy = solution.entropy_bits
     out = []
     for j, n_j in enumerate(sizes):
         if n_j > n_max:
             break
-        if n_j not in minima:
-            continue
         tail = 0.0
         for jp in range(j + 1, len(sizes)):
             gain = float(central_q[sizes[jp] - n_j])

@@ -143,6 +143,16 @@ class TestMixtureGapSeries:
         # slow decay rather than the k=1 collapse
         assert late[0] > -3.0
 
+    def test_prior_mass_underflow_is_typed(self, dice):
+        # at mean 5 every size from 1741 on is feasible, but its prior mass
+        # underflows to 0.0; dropping those sizes would renormalize the
+        # component weights over fewer sizes
+        constraint = derive_lattice([[x] for x in range(1, 7)], [5])
+        solution = solve_maxent(dice, constraint)
+        with pytest.raises(LatticeBlowupError, match="n=1741"):
+            mixture_gap_series(dice, constraint, solution,
+                               rissanen_prior(3000), n_max=5, horizon=3000)
+
     def test_component_indexing(self, coin, coin_constraint, coin_solution):
         records = mixture_gap_series(coin, coin_constraint, coin_solution,
                                      rissanen_prior(8), n_max=8, horizon=16)

@@ -267,6 +267,19 @@ class TestCli:
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
         assert "n=2000" in capsys.readouterr().err
 
+    def test_mixture_gaps_underflow_exit_3(self, tmp_path, capsys):
+        faces = [str(x) for x in range(1, 7)]
+        raw = {
+            "problem": {"outcomes": faces, "prior": ["1/6"] * 6,
+                        "T": [faces], "target": ["5"]},
+            "experiments": [{"kind": "game", "mode": "gaps", "n_max": 5,
+                             "horizon": 3000, "j_max": 3000}],
+        }
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
+        assert "n=1741" in capsys.readouterr().err
+
     def test_failed_entropy_check_exit_2(self, tmp_path, capsys, monkeypatch):
         from maxent_lab import solver
         sum_bits = solver._entropy_sum_bits
