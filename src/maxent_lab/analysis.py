@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .concentration import LocalClt, representative_sequence
+from .concentration import LocalClt, representative_sequence, sorted_sizes
 from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
 from .lattice import (
     ConstraintSpec,
@@ -127,9 +127,7 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
     (k/2) log2(2 pi n) + log2 sqrt(det Sigma) - sum_j log2 h_j.
     Identity: -log2 d_n. The two agree up to float rounding.
     """
-    n_list = sorted(set(int(n) for n in n_list))
-    if not n_list or n_list[0] < 1:
-        raise ValidationError("n_list must hold sizes >= 1")
+    n_list = sorted_sizes(n_list)
     n_max = n_list[-1]
     k = constraint.dim
     clt = LocalClt(constraint, solution)
@@ -270,7 +268,7 @@ def play_coding_game(space: SampleSpace, constraint: ConstraintSpec,
     logp = np.log2(solution.pmf)
     records = []
     skipped = []
-    for n in sorted(set(int(n) for n in n_list)):
+    for n in sorted_sizes(n_list):
         try:
             rep = representative_sequence(space, constraint, n)
         except (ValidationError, EnumerationInfeasibleError):
@@ -301,6 +299,10 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     whose walk first returns to the target at n, which pays only the n-th
     term (``_hit_cost_minima``). Raises ``LatticeBlowupError`` when the prior
     mass of a feasible size at or below the horizon underflows to 0.0.
+
+    The mixture is the one ``mixture_predictor(provider, prior,
+    n_cap=horizon)`` builds: the prior renormalized over at most j_max
+    feasible sizes up to the horizon, so a short horizon measures fewer.
     """
     if horizon is None:
         horizon = 2 * n_max

@@ -50,6 +50,14 @@ class LocalClt:
         return c_n, d_n
 
 
+def sorted_sizes(n_list) -> list[int]:
+    """The distinct sizes of ``n_list`` in increasing order, all >= 1."""
+    sizes = sorted(set(int(n) for n in n_list))
+    if not sizes or sizes[0] < 1:
+        raise ValidationError("n_list must hold sizes >= 1")
+    return sizes
+
+
 def clt_limit(constraint: ConstraintSpec, solution: MaxEntSolution) -> float:
     """Limit of c_n: spans (original units) over sqrt((2 pi)^k det Sigma)."""
     return LocalClt(constraint, solution).limit
@@ -93,9 +101,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
     Infeasible sizes produce records flagged infeasible with undefined
     constants instead of raising, so n sweeps run whole.
     """
-    n_list = sorted(set(int(n) for n in n_list))
-    if not n_list or n_list[0] < 1:
-        raise ValidationError("n_list must hold sizes >= 1")
+    n_list = sorted_sizes(n_list)
     k = constraint.dim
     clt = LocalClt(constraint, solution)
     centrals = central_series(space, constraint, n_list[-1], measure=solution,
@@ -134,9 +140,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                 slack_item1=slack, residual_item2=residual))
         tv = None
         if tv_m is not None and 1 <= tv_m < n:
-            marg = conditional_marginal(space, constraint, tv_m, n,
-                                        measure="q", mode="float",
-                                        provider=provider)
+            marg = conditional_marginal(provider, tv_m, n)
             tv = marg.tv_to_product(solution.pmf)
         records.append(ConcentrationRecord(
             n=n, feasible=True, prob_constraint=p_c, c_n=c_n, d_n=d_n,

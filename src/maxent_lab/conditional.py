@@ -298,15 +298,14 @@ class ConditionalMarginal:
         return 0.5 * tv
 
 
-def conditional_marginal(space: SampleSpace, constraint: ConstraintSpec,
-                         m: int, n: int, measure="q", mode: str = "float",
-                         provider: SumTableProvider | None = None
+def conditional_marginal(provider: SumTableProvider, m: int, n: int
                          ) -> ConditionalMarginal:
     """Exact marginal of the first m symbols under the conditioned prior.
 
     Each prefix mass is weight(prefix) * W_{n-m}(needed suffix) / W_n(target),
-    where W are sum-distribution tables under the same measure.
+    where W are the provider's sum-distribution tables.
     """
+    space, constraint = provider.space, provider.constraint
     if not 1 <= m <= min(n - 1, MARGINAL_M_CAP):
         raise EnumerationInfeasibleError(
             f"enumeration infeasible: need 1 <= m <= min(n-1, {MARGINAL_M_CAP}), "
@@ -316,11 +315,6 @@ def conditional_marginal(space: SampleSpace, constraint: ConstraintSpec,
         raise EnumerationInfeasibleError(
             f"enumeration infeasible: {space.size}^{m} prefixes exceed the budget"
         )
-    if provider is None:
-        provider = SumTableProvider(space, constraint, measure=measure, mode=mode)
-    elif (provider.measure_id, provider.weights, provider.mode) != \
-            (*resolve_measure(space, measure, mode), mode):
-        raise ValidationError("provider measure or mode mismatch")
     center = constraint.center_units(n)
     denom = provider.table(n).mass_units(center) if center is not None else 0
     if denom == 0:
@@ -341,4 +335,4 @@ def conditional_marginal(space: SampleSpace, constraint: ConstraintSpec,
 
     descend((), (0,) * constraint.dim, 1, 0)
     return ConditionalMarginal(m=m, n=n, measure_id=provider.measure_id,
-                               mode=mode, masses=masses)
+                               mode=provider.mode, masses=masses)

@@ -25,6 +25,10 @@ from .solver import solve_maxent
 
 EXPERIMENT_KINDS = ("solve", "concentrate", "condlimit", "corollary1",
                     "game", "recur", "hypercomp")
+GAME_PREDICTORS = ("maxent", "conditioned", "mixture")
+# the fields a game block may leave out
+_GAME_DEFAULTS = {"mode": "paths", "j_max": 64, "alpha": 0.75,
+                  "predictors": list(GAME_PREDICTORS)}
 
 
 @dataclass
@@ -117,14 +121,8 @@ def load_config(source) -> ExperimentConfig:
     experiments = raw.get("experiments", [])
     if not isinstance(experiments, list):
         raise ValidationError("experiments must be a list")
-    for i, block in enumerate(experiments):
-        kind = _require(block, "kind", f"experiments[{i}]")
-        if kind not in EXPERIMENT_KINDS:
-            raise ValidationError(
-                f"experiments[{i}]: unknown kind {kind!r} "
-                f"(expected one of {', '.join(EXPERIMENT_KINDS)})"
-            )
-        _validate_block_shape(block, i)
+    experiments = [_checked_block(block, i)
+                   for i, block in enumerate(experiments)]
     mode = raw.get("mode", "float")
     if mode not in ("float", "rational"):
         raise ValidationError("mode must be 'float' or 'rational'")
@@ -136,6 +134,23 @@ def load_config(source) -> ExperimentConfig:
     )
 
 
+def _checked_block(block: dict, i: int) -> dict:
+    """A copy of experiment block i with the game defaults filled in and a
+    scalar ``K`` made a one-element list (JSON types kept), once its kind and
+    fields are checked."""
+    kind = _require(block, "kind", f"experiments[{i}]")
+    if kind not in EXPERIMENT_KINDS:
+        raise ValidationError(
+            f"experiments[{i}]: unknown kind {kind!r} "
+            f"(expected one of {', '.join(EXPERIMENT_KINDS)})"
+        )
+    out = {**_GAME_DEFAULTS, **block} if kind == "game" else dict(block)
+    if isinstance(out.get("K"), (int, float)):
+        out["K"] = [out["K"]]
+    _validate_block_shape(out, i)
+    return out
+
+
 def _check_int(value, key: str, where: str, low: int = 1) -> None:
     if not isinstance(value, int) or value < low:
         raise ValidationError(f"{where}: {key} must be an integer >= {low}")
@@ -144,7 +159,7 @@ def _check_int(value, key: str, where: str, low: int = 1) -> None:
 def _validate_block_shape(block: dict, i: int) -> None:
     kind = block["kind"]
     where = f"experiments[{i}] ({kind})"
-    paths = kind == "game" and block.get("mode", "paths") == "paths"
+    paths = kind == "game" and block["mode"] == "paths"
     if kind in ("concentrate", "condlimit", "corollary1") or paths:
         n_list = _require(block, "n_list", where)
         if not n_list or any(not isinstance(n, int) or n < 1 for n in n_list):
@@ -156,17 +171,21 @@ def _validate_block_shape(block: dict, i: int) -> None:
     if kind == "condlimit":
         _check_int(_require(block, "m", where), "m", where)
     if kind == "game":
-        mode = block.get("mode", "paths")
-        if mode not in ("paths", "gaps"):
+        if block["mode"] not in ("paths", "gaps"):
             raise ValidationError(f"{where}: mode must be 'paths' or 'gaps'")
-        if "j_max" in block:
-            _check_int(block["j_max"], "j_max", where)
-        if mode == "gaps":
+        _check_int(block["j_max"], "j_max", where)
+        tags = block["predictors"]
+        if paths and (not isinstance(tags, list)
+                      or any(t not in GAME_PREDICTORS for t in tags)):
+            raise ValidationError(
+                f"experiments[{i}].predictors: {tags!r} holds an unknown "
+                f"predictor (expected tags from {', '.join(GAME_PREDICTORS)})")
+        if block["mode"] == "gaps":
             n_max = _require(block, "n_max", where)
             _check_int(n_max, "n_max", where)
             if block.get("horizon") is not None:
                 _check_int(block["horizon"], "horizon", where, n_max)
-            alpha = block.get("alpha", 0.75)
+            alpha = block["alpha"]
             if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
                 raise ValidationError(f"{where}: alpha must be a number in (0, 1)")
     if kind == "recur":
@@ -180,8 +199,6 @@ def _validate_block_shape(block: dict, i: int) -> None:
             if not isinstance(v, int):
                 raise ValidationError(f"{where}: {key} must be an integer")
         ks = _require(block, "K", where)
-        if isinstance(ks, (int, float)):
-            ks = [ks]
         if not ks or any(not isinstance(k, (int, float)) or k <= 0 for k in ks):
             raise ValidationError(f"{where}: K values must be positive numbers")
 

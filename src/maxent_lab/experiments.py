@@ -20,7 +20,7 @@ from .analysis import corollary1_residuals, mixture_gap_series, play_coding_game
 from .concentration import concentration_constants
 from .conditional import conditional_marginal
 from .config import build_event, load_config
-from .errors import MaxentLabError, ValidationError
+from .errors import MaxentLabError
 from .predictors import (
     IIDPredictor,
     conditioned_prior_predictor,
@@ -155,8 +155,7 @@ def _run_condlimit(ctx, block, path):
     rows = []
     for n in block["n_list"]:
         try:
-            marg = conditional_marginal(space, constraint, m, n, measure="q",
-                                        mode=ctx["mode"], provider=provider)
+            marg = conditional_marginal(provider, m, n)
             rows.append((m, n, marg.tv_to_product(ctx["solution"].pmf)))
         except MaxentLabError:
             rows.append((m, n, None))
@@ -177,21 +176,16 @@ def _run_corollary1(ctx, block, path):
 
 def _run_game_paths(ctx, block, path):
     space, constraint, solution = ctx["space"], ctx["constraint"], ctx["solution"]
-    wanted = block.get("predictors", ["maxent", "conditioned", "mixture"])
     provider = SumTableProvider(space, constraint, measure="q", mode="float")
-    prior = rissanen_prior(block.get("j_max", 64))
     predictors = {}
-    for tag in wanted:
+    for tag in block["predictors"]:
         if tag == "maxent":
             predictors[tag] = maxent_predictor(space, solution)
         elif tag == "conditioned":
-            predictors[tag] = lambda n: conditioned_prior_predictor(
-                space, constraint, n, provider=provider)
-        elif tag == "mixture":
-            predictors[tag] = mixture_predictor(space, constraint, prior,
-                                                provider=provider)
+            predictors[tag] = lambda n: conditioned_prior_predictor(provider, n)
         else:
-            raise ValidationError(f"unknown predictor {tag!r}")
+            predictors[tag] = mixture_predictor(
+                provider, rissanen_prior(block["j_max"]))
     report = play_coding_game(space, constraint, solution, predictors,
                               block["n_list"])
     rows = [(r.n, r.predictor, r.codelength_bits, r.gap_vs_maxent_bits)
@@ -201,19 +195,19 @@ def _run_game_paths(ctx, block, path):
     note = f" Skipped infeasible sizes: {list(report.skipped_sizes)}." \
         if report.skipped_sizes else ""
     ctx["summary"].append(
-        f"Coding game (paths): predictors {wanted} on shared representative "
-        f"sequences.{note}"
+        f"Coding game (paths): predictors {block['predictors']} on shared "
+        f"representative sequences.{note}"
     )
 
 
 def _run_game_gaps(ctx, block, path):
-    prior = rissanen_prior(block.get("j_max", 64))
+    prior = rissanen_prior(block["j_max"])
     records = mixture_gap_series(
         ctx["space"], ctx["constraint"], ctx["solution"], prior,
         n_max=block["n_max"], horizon=block.get("horizon"))
     rows = [(r.n, r.component, r.gap_bits, r.gap_per_log2n) for r in records]
     _write_csv(path, ["n", "component", "gap_bits", "gap_per_log2n"], rows)
-    alpha = float(block.get("alpha", 0.75))
+    alpha = float(block["alpha"])
     if records:
         c_lower = min(r.gap_bits for r in records)
         ok = alpha * 2.0 ** c_lower > 1.0
@@ -231,7 +225,7 @@ def _run_game_gaps(ctx, block, path):
 
 
 def _run_game(ctx, block, path):
-    if block.get("mode", "paths") == "gaps":
+    if block["mode"] == "gaps":
         _run_game_gaps(ctx, block, path)
     else:
         _run_game_paths(ctx, block, path)
@@ -253,14 +247,11 @@ def _run_recur(ctx, block, path):
 
 def _run_hypercomp(ctx, block, path):
     space, solution = ctx["space"], ctx["solution"]
-    ks = block["K"]
-    if isinstance(ks, (int, float)):
-        ks = [ks]
     base = maxent_predictor(space, solution)
     challenger = IIDPredictor(space, [float(w) for w in space.prior], "prior")
     rows = []
     seeds = {}
-    for j, k_bits in enumerate(ks):
+    for j, k_bits in enumerate(block["K"]):
         seed = block["seed"] + j
         result = hypercompression_check(base, challenger, solution,
                                         n=block["n"], k_bits=float(k_bits),

@@ -113,21 +113,17 @@ class ConditionedPriorPredictor(Predictor):
     conditionals stay proper). Beyond the horizon it continues i.i.d.
     """
 
-    def __init__(self, space: SampleSpace, constraint: ConstraintSpec,
-                 horizon: int, provider: SumTableProvider | None = None,
-                 mode: str = "float", tag: str | None = None):
-        super().__init__(space, tag or f"conditioned[{horizon}]")
-        if provider is None:
-            provider = SumTableProvider(space, constraint, measure="q", mode=mode)
-        self.constraint = constraint
+    def __init__(self, provider: SumTableProvider, horizon: int,
+                 tag: str | None = None):
+        super().__init__(provider.space, tag or f"conditioned[{horizon}]")
+        self.constraint = provider.constraint
         self.provider = provider
-        self.mode = provider.mode
         self.horizon = horizon
-        self.center = constraint.center_units(horizon)
+        self.center = self.constraint.center_units(horizon)
         if self.center is None or \
                 provider.table(horizon).mass_units(self.center) == 0:
             raise ValidationError(f"horizon n={horizon} is infeasible")
-        self.units = (0,) * constraint.dim
+        self.units = (0,) * self.constraint.dim
         self.dead = False
 
     def conditionals(self) -> list:
@@ -157,16 +153,13 @@ class ConditionedPriorPredictor(Predictor):
                 self.dead = True
 
     def fresh(self) -> "ConditionedPriorPredictor":
-        return ConditionedPriorPredictor(self.space, self.constraint,
-                                         self.horizon, provider=self.provider,
-                                         mode=self.mode, tag=self.tag)
+        return ConditionedPriorPredictor(self.provider, self.horizon,
+                                         tag=self.tag)
 
 
-def conditioned_prior_predictor(space: SampleSpace, constraint: ConstraintSpec,
-                                horizon: int, provider=None,
-                                mode: str = "float") -> ConditionedPriorPredictor:
-    return ConditionedPriorPredictor(space, constraint, horizon,
-                                     provider=provider, mode=mode)
+def conditioned_prior_predictor(provider: SumTableProvider, horizon: int
+                                ) -> ConditionedPriorPredictor:
+    return ConditionedPriorPredictor(provider, horizon)
 
 
 class MixturePredictor(Predictor):
@@ -216,8 +209,7 @@ class MixturePredictor(Predictor):
                                 renormalize=renorm)
 
 
-def mixture_predictor(space: SampleSpace, constraint: ConstraintSpec,
-                      prior: IntegerPrior, provider=None, mode: str = "float",
+def mixture_predictor(provider: SumTableProvider, prior: IntegerPrior,
                       n_cap: int = 100_000, tag: str = "mixture"
                       ) -> MixturePredictor:
     """Mixture of conditioned priors at the first feasible sizes.
@@ -225,21 +217,15 @@ def mixture_predictor(space: SampleSpace, constraint: ConstraintSpec,
     Component j (1-based) conditions on the j-th feasible size and carries
     prior mass pi(j), renormalized over the components actually built.
     """
-    sizes = first_feasible_sizes(space, constraint, count=prior.j_max,
-                                 n_cap=n_cap)
+    sizes = first_feasible_sizes(provider.space, provider.constraint,
+                                 count=prior.j_max, n_cap=n_cap)
     if not sizes:
         raise ValidationError("no feasible sizes below the cap")
-    if provider is None:
-        provider = SumTableProvider(space, constraint, measure="q", mode=mode)
-    components = [
-        ConditionedPriorPredictor(space, constraint, n_j, provider=provider,
-                                  mode=mode)
-        for n_j in sizes
-    ]
+    components = [ConditionedPriorPredictor(provider, n_j) for n_j in sizes]
     weights = [prior.mass(j) for j in range(1, len(sizes) + 1)]
-    if mode == "float":
+    if provider.mode == "float":
         weights = [float(w) for w in weights]
-    return MixturePredictor(space, components, weights, tag)
+    return MixturePredictor(provider.space, components, weights, tag)
 
 
 class RenewalComposedPredictor(Predictor):

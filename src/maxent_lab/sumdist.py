@@ -248,6 +248,9 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
 class SumTableProvider:
     """Lazily grown cache of sum distributions for sizes 0..m.
 
+    It is the one source of the problem, the measure with its weights and
+    the arithmetic for the conditioned marginals and predictors built on it.
+
     The cached tables 0..m together must fit the cell budget; a request that
     does not is refused before any table is built, so it leaves the cache as
     it was.
@@ -259,6 +262,7 @@ class SumTableProvider:
     def __init__(self, space: SampleSpace, constraint: ConstraintSpec,
                  measure="q", mode: str = "float"):
         self.mode = mode
+        self.space = space
         self.constraint = constraint
         self.measure_id, self.weights = resolve_measure(space, measure, mode)
         self._sweep = _sweep(constraint, self.measure_id, self.weights, mode)

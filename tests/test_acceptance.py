@@ -14,6 +14,7 @@ import numpy as np
 from maxent_lab import (
     FrequencyDeviationEvent,
     IIDPredictor,
+    SumTableProvider,
     concentration_constants,
     conditional_event_prob,
     conditional_marginal,
@@ -91,7 +92,8 @@ def test_c03_oracle_equivalence():
             worst = max(worst, abs(dp - float(oracle.prob_constraint))
                         / float(oracle.prob_constraint))
             if n >= 2:
-                marginal = conditional_marginal(space, constraint, 1, n)
+                marginal = conditional_marginal(
+                    SumTableProvider(space, constraint), 1, n)
                 for key, mass in oracle.marginal(1).items():
                     got = float(marginal.masses[key])
                     worst = max(worst, abs(got - float(mass)) / float(mass))
@@ -169,8 +171,9 @@ def test_c06_corollary1(dice, dice_constraint, dice_solution):
 
 
 def test_c07_conditional_limit(dice, dice_constraint, dice_solution):
-    tvs = [conditional_marginal(dice, dice_constraint, 1, n)
-           .tv_to_product(dice_solution.pmf) for n in (2, 10, 50, 200)]
+    provider = SumTableProvider(dice, dice_constraint)
+    tvs = [conditional_marginal(provider, 1, n).tv_to_product(dice_solution.pmf)
+           for n in (2, 10, 50, 200)]
     decreasing = all(b < a for a, b in zip(tvs, tvs[1:]))
     _verdict(7, "conditional limit in total variation",
              decreasing and tvs[-1] < 0.01,
@@ -258,8 +261,9 @@ def test_c12_property_suites(dice, dice_constraint, coin, coin_constraint,
     notes = []
 
     # prefix consistency, exact, exhaustive to length 6
-    mixture = mixture_predictor(coin, coin_constraint, rissanen_prior(3),
-                                mode="rational")
+    mixture = mixture_predictor(
+        SumTableProvider(coin, coin_constraint, mode="rational"),
+        rissanen_prior(3))
     for m in range(1, 7):
         total = sum(mixture.sequence_mass(seq)
                     for seq in itertools.product(range(2), repeat=m))
@@ -276,9 +280,9 @@ def test_c12_property_suites(dice, dice_constraint, coin, coin_constraint,
     notes.append("convolution")
 
     # tower property, exact
-    larger = conditional_marginal(dice, dice_constraint, 2, 6, mode="rational")
-    smaller = conditional_marginal(dice, dice_constraint, 1, 6,
-                                   mode="rational")
+    exact = SumTableProvider(dice, dice_constraint, mode="rational")
+    larger = conditional_marginal(exact, 2, 6)
+    smaller = conditional_marginal(exact, 1, 6)
     ok &= larger.marginalize_last().masses == smaller.masses
     notes.append("tower")
 

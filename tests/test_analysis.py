@@ -5,6 +5,8 @@ import pytest
 
 from maxent_lab import (
     IIDPredictor,
+    SumTableProvider,
+    concentration_constants,
     conditioned_prior_predictor,
     corollary1_residuals,
     derive_lattice,
@@ -16,7 +18,7 @@ from maxent_lab import (
     solve_maxent,
     verify_minimax_constancy,
 )
-from maxent_lab.errors import LatticeBlowupError
+from maxent_lab.errors import LatticeBlowupError, ValidationError
 
 
 class TestMinimaxConstancy:
@@ -39,7 +41,8 @@ class TestMinimaxConstancy:
     def test_alternatives_respect_lower_bound(self, coin, coin03_constraint,
                                               coin03_solution):
         alternatives = [
-            conditioned_prior_predictor(coin, coin03_constraint, 10),
+            conditioned_prior_predictor(
+                SumTableProvider(coin, coin03_constraint), 10),
             IIDPredictor(coin, [0.5, 0.5], "prior"),
             IIDPredictor(coin, [0.9, 0.1], "skew"),
         ]
@@ -53,7 +56,8 @@ class TestMinimaxConstancy:
                                                   coin03_solution):
         # the conditioned prior beats the projection by exactly the all-n
         # concentration penalty, so its worst case sits on the bound
-        alt = conditioned_prior_predictor(coin, coin03_constraint, 10)
+        alt = conditioned_prior_predictor(
+            SumTableProvider(coin, coin03_constraint), 10)
         report = verify_minimax_constancy(coin, coin03_constraint,
                                           coin03_solution, 10,
                                           alternatives=[alt])
@@ -161,12 +165,29 @@ class TestMixtureGapSeries:
 
 
 class TestPlayCodingGame:
+    def test_sizes_below_one_rejected(self, coin, coin_constraint,
+                                      coin_solution):
+        # one n_list check serves the game, the constants and corollary 1
+        predictors = {"maxent": maxent_predictor(coin, coin_solution)}
+        runs = [
+            lambda sizes: play_coding_game(coin, coin_constraint, coin_solution,
+                                           predictors, sizes),
+            lambda sizes: concentration_constants(coin, coin_constraint,
+                                                  coin_solution, sizes),
+            lambda sizes: corollary1_residuals(coin, coin_constraint,
+                                               coin_solution, sizes),
+        ]
+        for run in runs:
+            for sizes in ([0, 2], [], [-2]):
+                with pytest.raises(ValidationError, match="n_list"):
+                    run(sizes)
+
     def test_shared_sequences_and_gaps(self, coin, coin_constraint,
                                        coin_solution):
+        provider = SumTableProvider(coin, coin_constraint)
         predictors = {
             "maxent": maxent_predictor(coin, coin_solution),
-            "conditioned": lambda n: conditioned_prior_predictor(
-                coin, coin_constraint, n),
+            "conditioned": lambda n: conditioned_prior_predictor(provider, n),
         }
         report = play_coding_game(coin, coin_constraint, coin_solution,
                                   predictors, [2, 3, 4])

@@ -6,6 +6,7 @@ import pytest
 from maxent_lab import (
     BoxEvent,
     FrequencyDeviationEvent,
+    SumTableProvider,
     clt_limit,
     concentration_constants,
     conditional_event_prob,
@@ -84,7 +85,8 @@ class TestConstants:
                                          sizes, tv_m=2)
         assert starts.count("q") == 1
         for record in report.records:
-            fresh = conditional_marginal(dice, dice_constraint, 2, record.n)
+            fresh = conditional_marginal(
+                SumTableProvider(dice, dice_constraint), 2, record.n)
             assert record.tv.hex() == fresh.tv_to_product(
                 dice_solution.pmf).hex()
 

@@ -68,6 +68,25 @@ class TestLoadConfig:
         with pytest.raises(ValidationError):
             load_config(_with(experiments=[{"kind": "dance"}]))
 
+    def test_block_defaults_filled_once(self):
+        raw = _with(experiments=[
+            {"kind": "game", "n_list": [2]},
+            {"kind": "game", "mode": "gaps", "n_max": 4, "j_max": 8},
+            {"kind": "hypercomp", "n": 4, "K": 5, "samples": 10, "seed": 1},
+            {"kind": "hypercomp", "n": 4, "K": 2.5, "samples": 10, "seed": 1},
+        ])
+        before = json.dumps(raw, sort_keys=True)
+        paths, gaps, k_int, k_float = load_config(raw).experiments
+        assert (paths["mode"], paths["j_max"], paths["alpha"],
+                paths["predictors"]) == ("paths", 64, 0.75,
+                                         ["maxent", "conditioned", "mixture"])
+        assert (gaps["mode"], gaps["j_max"]) == ("gaps", 8)
+        # K entries keep their JSON types: they name the seeds and CSV rows
+        assert k_int["K"] == [5] and isinstance(k_int["K"][0], int)
+        assert k_float["K"] == [2.5]
+        # the raw config, which the run hashes, is left as written
+        assert json.dumps(raw, sort_keys=True) == before
+
     def test_unsorted_n_list_rejected(self):
         with pytest.raises(ValidationError):
             load_config(_with(experiments=[
@@ -238,6 +257,19 @@ class TestCli:
         path.write_text(json.dumps(_with(experiments=[block])))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
         assert "error: experiments[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tags", [["maxent", "oracle"], "maxent"])
+    def test_unknown_predictor_exit_2(self, tmp_path, capsys, tags):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_with(experiments=[
+            {"kind": "solve"},
+            {"kind": "game", "n_list": [2], "predictors": tags}])))
+        assert main(["validate", "-c", str(path)]) == 2
+        assert "experiments[1].predictors" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 2
+        assert "experiments[1].predictors" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_guard_abort_exit_3(self, tmp_path, capsys):
         raw = {

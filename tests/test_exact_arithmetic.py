@@ -14,6 +14,7 @@ from maxent_lab import (
     BigramDeviationEvent,
     BoxEvent,
     FrequencyDeviationEvent,
+    SumTableProvider,
     build_space,
     central_series,
     conditional_event_prob,
@@ -126,8 +127,9 @@ def test_conditional_marginal_matches_oracle(problem, m):
     assume(m < n)
     oracle = enumerate_oracle(space, constraint, n, measure=measure)
     assume(oracle.prob_constraint != 0)
-    got = conditional_marginal(space, constraint, m, n, measure=measure,
-                               mode="rational")
+    got = conditional_marginal(
+        SumTableProvider(space, constraint, measure=measure, mode="rational"),
+        m, n)
     want = oracle.marginal(m)
     assert all(_exact(v) for v in got.masses.values())
     assert {p: v for p, v in got.masses.items() if v != 0} == want

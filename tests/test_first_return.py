@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from maxent_lab import (
+    SumTableProvider,
     build_space,
     derive_lattice,
     enumerate_constraint_sequences,
@@ -75,7 +76,8 @@ def test_gap_series_with_zero_step_matches_direct_minimum():
     constraint = derive_lattice([[0], [1], [3]], [1])
     solution = solve_maxent(space, constraint)
     prior = rissanen_prior(8)
-    mixture = mixture_predictor(space, constraint, prior, n_cap=16)
+    mixture = mixture_predictor(SumTableProvider(space, constraint), prior,
+                                n_cap=16)
     series = mixture_gap_series(space, constraint, solution, prior, n_max=6,
                                 horizon=16)
     assert [r.n for r in series] == [1, 2, 3, 4, 5, 6]

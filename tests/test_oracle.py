@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from maxent_lab import (
+    SumTableProvider,
     conditional_marginal,
     constraint_prob,
     enumerate_oracle,
@@ -50,13 +51,15 @@ class TestFloatDpAgreement:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_coin_marginals(self, coin, coin_constraint, n):
         oracle = enumerate_oracle(coin, coin_constraint, n)
-        marg = conditional_marginal(coin, coin_constraint, 1, n)
+        marg = conditional_marginal(SumTableProvider(coin, coin_constraint),
+                                    1, n)
         for key, mass in oracle.marginal(1).items():
             assert marg.masses[key] == pytest.approx(float(mass), rel=1e-12)
 
     def test_dice_two_symbol_marginal(self, dice, dice_constraint):
         oracle = enumerate_oracle(dice, dice_constraint, 6)
-        marg = conditional_marginal(dice, dice_constraint, 2, 6)
+        marg = conditional_marginal(
+            SumTableProvider(dice, dice_constraint), 2, 6)
         for key, mass in oracle.marginal(2).items():
             assert marg.masses[key] == pytest.approx(float(mass), rel=1e-12)
         # prefixes the oracle never saw carry no conditional mass

@@ -22,6 +22,11 @@ from maxent_lab.errors import ValidationError
 from conftest import BRANDEIS_MASSES
 
 
+def _exact(space, constraint):
+    """Rational sum tables of the prior."""
+    return SumTableProvider(space, constraint, mode="rational")
+
+
 class TestMaxentPredictor:
     def test_single_symbol_codelength(self, dice, dice_solution):
         predictor = maxent_predictor(dice, dice_solution)
@@ -45,16 +50,14 @@ class TestMaxentPredictor:
 class TestConditionedPrior:
     def test_coin_two_step_masses(self, coin, coin_constraint):
         oracle = enumerate_oracle(coin, coin_constraint, 2)
-        predictor = conditioned_prior_predictor(coin, coin_constraint, 2,
-                                                mode="rational")
+        predictor = conditioned_prior_predictor(_exact(coin, coin_constraint), 2)
         for seq in itertools.product(range(2), repeat=2):
             want = oracle.conditional.get(seq, Fraction(0))
             assert predictor.sequence_mass(seq) == want
 
     def test_codelength_is_conditioning_identity(self, dice, dice_constraint):
         n = 4
-        predictor = conditioned_prior_predictor(dice, dice_constraint, n,
-                                                mode="rational")
+        predictor = conditioned_prior_predictor(_exact(dice, dice_constraint), n)
         prob_c = constraint_prob(dice, dice_constraint, n, mode="rational")
         for seq in enumerate_constraint_sequences(dice, dice_constraint, n)[:20]:
             mass_q = Fraction(1, 6 ** n)
@@ -64,8 +67,7 @@ class TestConditionedPrior:
                 want, rel=1e-12)
 
     def test_killing_step_gets_zero_mass(self, coin, coin_constraint):
-        predictor = conditioned_prior_predictor(coin, coin_constraint, 4,
-                                                mode="rational")
+        predictor = conditioned_prior_predictor(_exact(coin, coin_constraint), 4)
         # three heads cannot be balanced by one remaining symbol
         conds = []
         for idx in (1, 1):
@@ -76,14 +78,13 @@ class TestConditionedPrior:
         assert predictor.sequence_codelength((1, 1, 1, 0)) == math.inf
 
     def test_continues_iid_after_horizon(self, coin, coin_constraint):
-        predictor = conditioned_prior_predictor(coin, coin_constraint, 2,
-                                                mode="rational")
+        predictor = conditioned_prior_predictor(_exact(coin, coin_constraint), 2)
         mass = predictor.sequence_mass((0, 1, 1, 1))
         assert mass == Fraction(1, 2) * Fraction(1, 4)
 
     def test_infeasible_horizon_rejected(self, dice, dice_constraint):
         with pytest.raises(ValidationError):
-            conditioned_prior_predictor(dice, dice_constraint, 3)
+            conditioned_prior_predictor(SumTableProvider(dice, dice_constraint), 3)
 
 
 def _prefix_consistency_exact(predictor, size, depth):
@@ -96,26 +97,24 @@ def _prefix_consistency_exact(predictor, size, depth):
 
 class TestPrefixConsistency:
     def test_conditioned_prior_exact(self, coin, coin_constraint):
-        predictor = conditioned_prior_predictor(coin, coin_constraint, 4,
-                                                mode="rational")
+        predictor = conditioned_prior_predictor(_exact(coin, coin_constraint), 4)
         _prefix_consistency_exact(predictor, 2, 6)
 
     def test_mixture_exact(self, coin, coin_constraint):
-        predictor = mixture_predictor(coin, coin_constraint, rissanen_prior(4),
-                                      mode="rational")
+        predictor = mixture_predictor(_exact(coin, coin_constraint),
+                                      rissanen_prior(4))
         _prefix_consistency_exact(predictor, 2, 6)
 
     def test_renewal_exact(self, coin, coin_constraint):
-        factory = lambda: mixture_predictor(coin, coin_constraint,
-                                            rissanen_prior(3), mode="rational")
+        provider = _exact(coin, coin_constraint)
+        factory = lambda: mixture_predictor(provider, rissanen_prior(3))
         predictor = renewal_compose(coin, coin_constraint, factory)
         _prefix_consistency_exact(predictor, 2, 6)
 
     def test_float_conditionals_sum_to_one(self, dice, dice_constraint,
                                            dice_solution):
         provider = SumTableProvider(dice, dice_constraint)
-        predictor = conditioned_prior_predictor(dice, dice_constraint, 8,
-                                                provider=provider)
+        predictor = conditioned_prior_predictor(provider, 8)
         for idx in (3, 4, 2):
             assert sum(predictor.conditionals()) == pytest.approx(1.0, abs=1e-9)
             predictor.push(idx)
@@ -123,32 +122,68 @@ class TestPrefixConsistency:
 
 class TestMixture:
     def test_single_component_degenerates(self, coin, coin_constraint):
-        mixture = mixture_predictor(coin, coin_constraint, rissanen_prior(1),
-                                    mode="rational")
-        conditioned = conditioned_prior_predictor(coin, coin_constraint, 2,
-                                                  mode="rational")
+        provider = _exact(coin, coin_constraint)
+        mixture = mixture_predictor(provider, rissanen_prior(1))
+        conditioned = conditioned_prior_predictor(provider, 2)
         for seq in itertools.product(range(2), repeat=4):
             assert mixture.sequence_mass(seq) == conditioned.sequence_mass(seq)
 
     def test_mixture_lower_bound(self, coin, coin_constraint):
         prior = rissanen_prior(4)
-        mixture = mixture_predictor(coin, coin_constraint, prior,
-                                    mode="rational")
+        provider = _exact(coin, coin_constraint)
+        mixture = mixture_predictor(provider, prior)
         sizes = [2, 4, 6, 8]
-        provider = SumTableProvider(coin, coin_constraint, mode="rational")
         for j, n_j in enumerate(sizes, start=1):
-            component = conditioned_prior_predictor(coin, coin_constraint, n_j,
-                                                    provider=provider,
-                                                    mode="rational")
+            component = conditioned_prior_predictor(provider, n_j)
             for seq in itertools.product(range(2), repeat=4):
                 assert mixture.sequence_mass(seq) >= \
                     prior.mass(j) * component.sequence_mass(seq)
+
+    def test_arithmetic_follows_the_provider(self, coin, coin_constraint):
+        # a rational provider makes the weights and every conditional exact
+        mixture = mixture_predictor(_exact(coin, coin_constraint),
+                                    rissanen_prior(3))
+        seq = (0, 1, 1, 0)
+        p = mixture.fresh()
+        for idx in seq:
+            assert all(isinstance(c, Fraction) for c in p.conditionals())
+            p.push(idx)
+        assert mixture.sequence_mass(seq) == Fraction(359940716346852413,
+                                                      2772133847403501930)
+        floats = mixture_predictor(SumTableProvider(coin, coin_constraint),
+                                   rissanen_prior(3))
+        assert all(isinstance(c, float) for c in floats.conditionals())
+        assert floats.sequence_mass(seq) == 0.12984247376222044
+
+    @pytest.mark.parametrize("horizon,gaps", [(8, (0.86398, -0.86866)),
+                                              (16, (0.83107, -0.77259))])
+    def test_gap_series_measures_the_mixture_to_its_horizon(
+            self, coin, coin_constraint, coin_solution, horizon, gaps):
+        # the gaps at a horizon are those of the mixture over the feasible
+        # sizes up to it: 4 components at horizon 8, all 8 at horizon 16
+        prior = rissanen_prior(8)
+        mixture = mixture_predictor(SumTableProvider(coin, coin_constraint),
+                                    prior, n_cap=horizon)
+        assert len(mixture.components) == horizon // 2
+        series = mixture_gap_series(coin, coin_constraint, coin_solution,
+                                    prior, n_max=4, horizon=horizon)
+        proj = maxent_predictor(coin, coin_solution)
+        for record, gap in zip(series, gaps):
+            direct = min(
+                math.log2(float(mixture.sequence_mass(seq)))
+                + proj.sequence_codelength(seq)
+                for seq in enumerate_constraint_sequences(
+                    coin, coin_constraint, record.n))
+            assert record.gap_bits == pytest.approx(direct, abs=1e-9)
+            assert record.gap_bits == pytest.approx(gap, abs=1e-5)
+        assert [r.n for r in series] == [2, 4]
 
     def test_gap_series_matches_direct_minimum(self, coin, coin_constraint,
                                                coin_solution):
         # closed-form series against brute-force minimum over the constraint set
         prior = rissanen_prior(8)
-        mixture = mixture_predictor(coin, coin_constraint, prior, n_cap=16)
+        mixture = mixture_predictor(SumTableProvider(coin, coin_constraint),
+                                    prior, n_cap=16)
         series = mixture_gap_series(coin, coin_constraint, coin_solution,
                                     prior, n_max=8, horizon=16)
         proj = maxent_predictor(coin, coin_solution)
@@ -172,8 +207,8 @@ class TestRenewal:
                 iid.sequence_codelength(seq), rel=1e-12)
 
     def test_masses_sum_to_one(self, coin, coin_constraint):
-        factory = lambda: mixture_predictor(coin, coin_constraint,
-                                            rissanen_prior(3), mode="rational")
+        provider = _exact(coin, coin_constraint)
+        factory = lambda: mixture_predictor(provider, rissanen_prior(3))
         composed = renewal_compose(coin, coin_constraint, factory)
         for m in (1, 3, 6):
             total = sum(composed.sequence_mass(seq)
@@ -187,10 +222,10 @@ class TestRenewal:
         # with c'' measured as the challenger's worst gap on constraint blocks
         alpha = Fraction(3, 4)
         prior = rissanen_prior(4)
+        provider = _exact(coin, coin_constraint)
 
         def challenger():
-            return mixture_predictor(coin, coin_constraint, prior,
-                                     mode="rational")
+            return mixture_predictor(provider, prior)
 
         # p_alpha = alpha * challenger + (1 - alpha) * projection
         from maxent_lab.predictors import MixturePredictor

@@ -4,6 +4,7 @@ import pytest
 
 from maxent_lab import (
     IIDPredictor,
+    SumTableProvider,
     hypercompression_check,
     hypercompression_exact_prob,
     maxent_predictor,
@@ -98,8 +99,8 @@ class TestHypercompression:
     def test_stateful_predictor_slow_path(self, coin, coin_solution,
                                           coin_constraint):
         base = maxent_predictor(coin, coin_solution)
-        challenger = mixture_predictor(coin, coin_constraint,
-                                       rissanen_prior(4))
+        challenger = mixture_predictor(
+            SumTableProvider(coin, coin_constraint), rissanen_prior(4))
         result = hypercompression_check(base, challenger, coin_solution,
                                         n=12, k_bits=2.0, samples=400, seed=17)
         assert result.within_bound
