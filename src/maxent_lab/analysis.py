@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .concentration import LocalClt, representative_sequence, sorted_sizes
+from .concentration import LocalClt, _feasible, representative_sequence, sorted_sizes
 from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
 from .lattice import (
     ConstraintSpec,
@@ -28,7 +28,7 @@ from .lattice import (
 )
 from .priors import IntegerPrior
 from .solver import MaxEntSolution
-from .sumdist import central_series, constraint_prob
+from .sumdist import _central_masses, constraint_prob
 
 
 def enumerate_constraint_sequences(space: SampleSpace, constraint: ConstraintSpec,
@@ -131,16 +131,16 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
     n_max = n_list[-1]
     k = constraint.dim
     clt = LocalClt(constraint, solution)
-    central_p = central_series(space, constraint, n_max, measure=solution,
-                               mode="float")
-    central_q = central_series(space, constraint, n_max, measure="q",
-                               mode="float")
+    central_p = _central_masses(space, constraint, n_max, measure=solution,
+                                mode="float")
+    central_q = _central_masses(space, constraint, n_max, measure="q",
+                                mode="float")
     logp = np.log2(solution.pmf)
     logq = np.log2(space.prior)
     out = []
     for n in n_list:
         p_c = float(central_p[n])
-        if p_c <= 0.0:
+        if not _feasible(space, constraint, n, p_c, "corollary 1"):
             out.append(ResidualRecord(n=n, feasible=False, c_n=None, d_n=None,
                                       residual_direct=None,
                                       residual_identity=None))
@@ -215,7 +215,7 @@ def _hit_cost_minima(constraint: ConstraintSpec, costs: dict,
         others = set(constraint.units) - {zero}
         n0 = n_max + 1
         sweep = islice(_reach_sweep(constraint), n_max)
-        for n, reach in enumerate(sweep, start=1):
+        for n, (reach, _) in enumerate(sweep, start=1):
             center = constraint.center_units(n)
             lasts = (tuple(c - uj for c, uj in zip(center, u)) for u in others)
             if any(all(0 <= x < s for x, s in zip(cell, reach.shape))
@@ -308,8 +308,8 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
         horizon = 2 * n_max
     if horizon < n_max:
         raise ValidationError("horizon must cover n_max")
-    central_q = central_series(space, constraint, horizon, measure="q",
-                               mode="float")
+    central_q = _central_masses(space, constraint, horizon, measure="q",
+                                mode="float")
     zeros = [m for m in range(1, horizon + 1)
              if central_q[m] == 0.0 and constraint.center_units(m) is not None]
     if zeros:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd, lcm, prod
+from operator import add, sub
 
 import numpy as np
 
@@ -391,6 +392,41 @@ def _tables_cells(constraint: ConstraintSpec, n: int) -> int:
     return sum(prod(_dense_shape(m, constraint.unit_max)) for m in range(n + 1))
 
 
+def _window(constraint: ConstraintSpec, horizon: int,
+            m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Origin and shape of the part of the size-m table that a sweep to
+    ``horizon`` H keeps: per coordinate the cells lo_j..hi_j with
+    hi_j = min(m u_j, floor(H sigma_j)) and
+    lo_j = max(0, m u_j - (H u_j - floor(H sigma_j))), for u = ``unit_max``
+    and sigma = ``center_step``. Steps only add 0..u_j to a coordinate, so no
+    cell outside can reach the target of any size m..H. A predecessor of a
+    kept cell at size m + 1 is kept at size m or lies outside the full box,
+    so every kept cell sums the same terms, in the same order, as in the
+    full sweep."""
+    origin, shape = [], []
+    for u, sigma in zip(constraint.unit_max, constraint.center_step):
+        top = horizon * sigma.numerator // sigma.denominator
+        lo, hi = max(0, m * u - horizon * u + top), min(m * u, top)
+        origin.append(lo)
+        shape.append(hi - lo + 1)
+    return tuple(origin), tuple(shape)
+
+
+def _grow(constraint: ConstraintSpec, horizon: int | None, n: int,
+          shape: tuple[int, ...], origin: tuple[int, ...]):
+    """One step of a sweep to ``horizon`` from a size n - 1 table of
+    ``shape`` whose index 0 is unit cell ``origin``: the shape of the box it
+    grows to, the index that cuts that box to the size n ``_window``, and
+    the window's origin. With no horizon the sweep keeps the full box and
+    nothing is cut."""
+    grown = tuple(map(add, shape, constraint.unit_max))
+    if horizon is None:
+        return grown, (), origin
+    new_origin, new_shape = _window(constraint, horizon, n)
+    starts = tuple(map(sub, new_origin, origin))
+    return grown, tuple(map(slice, starts, map(add, starts, new_shape))), new_origin
+
+
 def _shift_combine(new: np.ndarray, table: np.ndarray, cells, combine,
                    term) -> np.ndarray:
     """One step of a lattice sweep: for each ``(u, w)`` in ``cells``, in order,
@@ -408,19 +444,22 @@ def _reach_step(reach: np.ndarray, shape_new: tuple[int, ...], unit_cells) -> np
                           lambda w, table: table)
 
 
-def _reach_sweep(constraint: ConstraintSpec):
-    """Yield the boolean reachability tables for n = 0, 1, 2, ...: cell u of
-    table n is True when some length-n sequence has unit sum u. Each table is
-    checked against the cell budget before it is built."""
+def _reach_sweep(constraint: ConstraintSpec, horizon: int | None = None):
+    """Yield (table, origin) for n = 0, 1, 2, ...: index i of boolean table n
+    is True when some length-n sequence has unit sum origin + i. With a
+    horizon each table is cut to its ``_window``; without, every origin is
+    the zero cell. Each table is checked against the cell budget before it
+    is built."""
     unit_cells = sorted(set(constraint.units))
     reach = np.ones((1,) * constraint.dim, dtype=bool)
+    origin = (0,) * constraint.dim
     n = 0
     while True:
-        yield reach
+        yield reach, origin
         n += 1
-        shape = _dense_shape(n, constraint.unit_max)
+        shape, cut, origin = _grow(constraint, horizon, n, reach.shape, origin)
         _check_budget(shape, f"feasibility sweep at n={n}")
-        reach = _reach_step(reach, shape, unit_cells)
+        reach = _reach_step(reach, shape, unit_cells)[cut]
 
 
 def _on_target(constraint: ConstraintSpec, n: int, reach: np.ndarray) -> bool:
@@ -436,24 +475,28 @@ def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int)
     A depth-first walk over the outcome indices that extends one prefix list
     in place and enters a prefix only when the unit sum still needed is
     reachable in the steps left, so it never meets a dead end and the first
-    sequence costs at most n * |X| probes. The reachability tables for sizes
-    0..n together must fit the cell budget; that is checked before any is
-    built.
+    sequence costs at most n * |X| probes. Each reachability table holds
+    only its ``_window`` at horizon n, which holds every unit sum still
+    needed that can be reached. The full tables for sizes 0..n together must
+    fit the cell budget; that is checked before any is built.
     """
     center = constraint.center_units(n)
     if center is None:
         return
     _check_budget((_tables_cells(constraint, n),), f"reachability tables to n={n}")
-    reach = list(islice(_reach_sweep(constraint), n))
+    # per number of steps left: its table, and the center less the table's
+    # origin, so a prefix of unit sum s needs index goal - s
+    reach = [(table, tuple(c - o for c, o in zip(center, origin)))
+             for table, origin in islice(_reach_sweep(constraint, n), n)]
     prefix: list[int] = []
     sums = [(0,) * constraint.dim]  # unit sum of each prefix of ``prefix``
 
     def extend(start: int) -> bool:
         """Append the first outcome >= start that leaves the prefix completable."""
-        table = reach[n - len(prefix) - 1]
+        table, goal = reach[n - len(prefix) - 1]
         for idx in range(start, space.size):
             candidate = tuple(a + b for a, b in zip(sums[-1], constraint.units[idx]))
-            needed = tuple(c - u for c, u in zip(center, candidate))
+            needed = tuple(c - u for c, u in zip(goal, candidate))
             if all(0 <= x < s for x, s in zip(needed, table.shape)) and table[needed]:
                 prefix.append(idx)
                 sums.append(candidate)
@@ -487,14 +530,15 @@ def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec,
                   f"feasibility table to n={n_max}")
     sweep = islice(_reach_sweep(constraint), n_max + 1)
     return FeasibilityTable(n_max=n_max, flags=tuple(
-        _on_target(constraint, n, reach) for n, reach in enumerate(sweep)))
+        _on_target(constraint, n, reach) for n, (reach, _) in enumerate(sweep)))
 
 
 def first_feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, count: int,
                          n_cap: int = 100_000) -> list[int]:
     """First ``count`` feasible sizes in increasing order (stops at n_cap)."""
     sweep = islice(_reach_sweep(constraint), n_cap + 1)
-    feasible = (n for n, reach in enumerate(sweep) if _on_target(constraint, n, reach))
+    feasible = (n for n, (reach, _) in enumerate(sweep)
+                if _on_target(constraint, n, reach))
     return list(islice(feasible, count))
 
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import sub
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .lattice import (
     SampleSpace,
     _check_budget,
     _dense_shape,
+    _grow,
     _shift_combine,
     _tables_cells,
     as_fraction,
@@ -129,7 +131,8 @@ class SumDistribution:
 
     The table stores values whose masses are value * scale: integer
     numerators with scale Fraction(1, D**n) in rational mode, floats with
-    scale 1.0 otherwise.
+    scale 1.0 otherwise. Index i of the table is unit cell origin + i; a
+    windowed sweep keeps a table that does not start at the zero cell.
     """
 
     n: int
@@ -138,17 +141,21 @@ class SumDistribution:
     constraint: ConstraintSpec
     table: np.ndarray
     scale: object
+    origin: tuple[int, ...]
 
     def _mass(self, stored):
         """Mass of a stored Python value: a float, or an exact Fraction."""
         return stored * self.scale
 
     def mass_units(self, units):
-        units = tuple(units)
-        for uj, s in zip(units, self.table.shape):
-            if uj < 0 or uj >= s:
+        # the predictors read full-box tables, which start at the zero cell,
+        # cell by cell: only a windowed table pays for the subtraction
+        index = tuple(map(sub, units, self.origin)) if any(self.origin) \
+            else tuple(units)
+        for i, s in zip(index, self.table.shape):
+            if i < 0 or i >= s:
                 return self._mass(0)
-        return self._mass(self.table.item(units))
+        return self._mass(self.table.item(index))
 
     def mass_at_target(self):
         """Mass of the cell where the n-sample average equals the target;
@@ -161,8 +168,8 @@ class SumDistribution:
 
     def _stored(self):
         """Support cells with their stored (unscaled) nonzero values."""
-        for u in map(tuple, np.argwhere(self.table > 0).tolist()):
-            yield u, self.table.item(u)
+        for i in map(tuple, np.argwhere(self.table > 0).tolist()):
+            yield tuple(a + o for a, o in zip(i, self.origin)), self.table.item(i)
 
     def items(self):
         """Support cells with nonzero mass."""
@@ -175,24 +182,31 @@ def _initial(constraint: ConstraintSpec, measure_id: str, mode: str,
     """The empty sum: stored value 1 at the origin, with scale unit**0."""
     table = np.ones((1,) * constraint.dim, dtype=TABLE_DTYPE[mode])
     return SumDistribution(n=0, measure_id=measure_id, mode=mode,
-                           constraint=constraint, table=table, scale=unit ** 0)
+                           constraint=constraint, table=table, scale=unit ** 0,
+                           origin=(0,) * constraint.dim)
 
 
-def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str):
+def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str,
+           horizon: int | None = None):
     """Yield the sum tables for n = 0, 1, 2, ... under one measure.
 
     Each table is built only when the caller asks for it, so ``islice`` and
-    ``next`` take exactly the sizes they need. The sweep does not check the
-    cell budget: each caller checks the tables it asks for before it asks.
+    ``next`` take exactly the sizes they need. With a horizon each table
+    is cut to its ``lattice._window``, whose cells carry the masses of the
+    full sweep bit for bit; the target masses up to the horizon are all in
+    it. The sweep does not check the cell budget: each caller checks the
+    tables it asks for before it asks.
     """
     cells, unit = _one_step_cells(constraint, weights, mode)
     sd = _initial(constraint, measure_id, mode, unit)
     while True:
         yield sd
-        shape = _dense_shape(sd.n + 1, constraint.unit_max)
+        shape, cut, origin = _grow(constraint, horizon, sd.n + 1,
+                                   sd.table.shape, sd.origin)
         sd = SumDistribution(n=sd.n + 1, measure_id=measure_id, mode=mode,
                              constraint=constraint, scale=sd.scale * unit,
-                             table=_dense_step(sd.table, shape, cells))
+                             table=_dense_step(sd.table, shape, cells)[cut],
+                             origin=origin)
 
 
 def sum_distribution(space: SampleSpace, constraint: ConstraintSpec, n: int,
@@ -216,7 +230,7 @@ def convolve(a: SumDistribution, b: SumDistribution) -> SumDistribution:
     return SumDistribution(n=n, measure_id=a.measure_id, mode=a.mode,
                            constraint=a.constraint,
                            table=_dense_step(a.table, shape, list(b._stored())),
-                           scale=a.scale * b.scale)
+                           scale=a.scale * b.scale, origin=a.origin)
 
 
 def constraint_prob(space: SampleSpace, constraint: ConstraintSpec, n: int,
@@ -236,12 +250,25 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     """Constraint probabilities for every n up to n_max in one sweep.
 
     Keeps only the running table, so memory stays at one table of the largest
-    size. Entry 0 is the empty-sum mass 1.
+    size. Entry 0 is the empty-sum mass 1. This sweep fills the full box;
+    the package reads the same masses from ``_central_masses``, and this is
+    its reference.
     """
+    return _central_masses(space, constraint, n_max, measure, mode,
+                           window=False)
+
+
+def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
+                    measure="q", mode: str = "float", window: bool = True) -> list:
+    """``central_series``, from tables cut to the cells that can still reach
+    a target of size <= n_max (``lattice._window``): the same values, bit for
+    bit, from fewer cells. The budget check is the full sweep's, so the same
+    sizes are refused."""
     measure_id, weights = resolve_measure(space, measure, mode)
     _check_budget(_dense_shape(n_max, constraint.unit_max),
                   f"central-mass sweep to n={n_max}")
-    sweep = _sweep(constraint, measure_id, weights, mode)
+    sweep = _sweep(constraint, measure_id, weights, mode,
+                   n_max if window else None)
     return [sd.mass_at_target() for sd in islice(sweep, n_max + 1)]
 
 

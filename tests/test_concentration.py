@@ -7,14 +7,18 @@ from maxent_lab import (
     BoxEvent,
     FrequencyDeviationEvent,
     SumTableProvider,
+    build_space,
     clt_limit,
     concentration_constants,
     conditional_event_prob,
     conditional_marginal,
+    corollary1_residuals,
+    derive_lattice,
     enumerate_constraint_sequences,
     enumerate_oracle,
     rational_tilt,
     representative_sequence,
+    solve_maxent,
 )
 from maxent_lab.errors import ValidationError
 
@@ -72,6 +76,17 @@ class TestConstants:
         assert flags == {1: False, 2: True, 3: False, 4: True}
         infeasible = [r for r in report.records if not r.feasible]
         assert all(r.c_n is None and r.d_n is None for r in infeasible)
+
+    def test_unreachable_lattice_targets_are_infeasible(self):
+        # steps (0, 0), (2, 1), (1, 2) at mean (1, 1): the target cell is on
+        # the lattice at every size but first reached at n = 3
+        space = build_space(["a", "b", "c"], [1, 1, 1])
+        constraint = derive_lattice([[0, 0], [2, 1], [1, 2]], [1, 1])
+        solution = solve_maxent(space, constraint)
+        report = concentration_constants(space, constraint, solution, [1, 2, 3])
+        assert [r.feasible for r in report.records] == [False, False, True]
+        records = corollary1_residuals(space, constraint, solution, [1, 2, 3])
+        assert [r.feasible for r in records] == [False, False, True]
 
     def test_marginals_share_one_sum_sweep(self, dice, dice_constraint,
                                            dice_solution, monkeypatch):

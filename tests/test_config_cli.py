@@ -312,6 +312,26 @@ class TestCli:
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
         assert "n=1741" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["concentrate", "corollary1"])
+    def test_zero_mass_at_a_feasible_size_exit_3(self, tmp_path, capsys,
+                                                  monkeypatch, kind):
+        # a 0.0 projection mass at n = 4, where the fair coin has sequences on
+        # target, is an underflow: the exact walk finds the target cell
+        from maxent_lab import analysis, concentration, sumdist
+
+        def zero_at_4(*args, **kwargs):
+            masses = sumdist._central_masses(*args, **kwargs)
+            masses[4] = 0.0
+            return masses
+
+        monkeypatch.setattr(concentration, "_central_masses", zero_at_4)
+        monkeypatch.setattr(analysis, "_central_masses", zero_at_4)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(_with(experiments=[
+            {"kind": kind, "n_list": [2, 4]}])))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
+        assert "n=4" in capsys.readouterr().err
+
     def test_failed_entropy_check_exit_2(self, tmp_path, capsys, monkeypatch):
         from maxent_lab import solver
         sum_bits = solver._entropy_sum_bits
