@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .concentration import LocalClt, _feasible, representative_sequence, sorted_sizes
+from .concentration import LocalClt, representative_sequence, sorted_sizes
 from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
 from .lattice import (
     ConstraintSpec,
@@ -24,7 +24,7 @@ from .lattice import (
     _reach_sweep,
     _sequences_on_target,
     _shift_combine,
-    feasible_sizes,
+    _sizes_with_mass,
 )
 from .priors import IntegerPrior
 from .solver import MaxEntSolution
@@ -137,10 +137,12 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
                                 mode="float")
     logp = np.log2(solution.pmf)
     logq = np.log2(space.prior)
+    feasible = set(_sizes_with_mass(space, constraint, central_p, n_list,
+                                    "corollary 1"))
     out = []
     for n in n_list:
         p_c = float(central_p[n])
-        if not _feasible(space, constraint, n, p_c, "corollary 1"):
+        if n not in feasible:
             out.append(ResidualRecord(n=n, feasible=False, c_n=None, d_n=None,
                                       residual_direct=None,
                                       residual_identity=None))
@@ -310,18 +312,9 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
         raise ValidationError("horizon must cover n_max")
     central_q = _central_masses(space, constraint, horizon, measure="q",
                                 mode="float")
-    zeros = [m for m in range(1, horizon + 1)
-             if central_q[m] == 0.0 and constraint.center_units(m) is not None]
-    if zeros:
-        flags = feasible_sizes(space, constraint, zeros[-1]).flags
-        lost = next((m for m in zeros if flags[m]), None)
-        if lost is not None:
-            raise LatticeBlowupError(
-                f"mixture gaps at n={lost}: the prior constraint mass "
-                "underflows the float range; reduce the horizon")
-    # with no mass lost, a size is feasible exactly when its prior mass is > 0
-    sizes = [m for m in range(1, horizon + 1) if central_q[m] > 0.0]
-    sizes = sizes[: prior.j_max]
+    sizes = _sizes_with_mass(space, constraint, central_q,
+                             range(1, horizon + 1), "mixture gaps",
+                             "reduce the horizon")[: prior.j_max]
     if not sizes:
         raise ValidationError("no feasible sizes below the horizon")
     weights = [float(prior.mass(j)) for j in range(1, len(sizes) + 1)]

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import conditional_event_prob, conditional_marginal
-from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
+from .errors import EnumerationInfeasibleError, ValidationError
 from .lattice import (
     CELL_BUDGET,
     ConstraintSpec,
     SampleSpace,
     _sequences_on_target,
+    _sizes_with_mass,
     _tables_cells,
     first_feasible_sizes,
 )
@@ -56,24 +57,6 @@ def sorted_sizes(n_list) -> list[int]:
     if not sizes or sizes[0] < 1:
         raise ValidationError("n_list must hold sizes >= 1")
     return sizes
-
-
-def _feasible(space: SampleSpace, constraint: ConstraintSpec, n: int,
-              mass: float, what: str) -> bool:
-    """Whether size n is feasible, given its float constraint mass under a
-    measure that charges every outcome. A size whose target cell is off the
-    lattice is not; a positive mass has a path behind it. A mass of 0.0 is
-    settled by the exact walk: if it reaches the target, the mass has
-    underflowed and ``LatticeBlowupError`` names ``what``."""
-    if constraint.center_units(n) is None:
-        return False
-    if mass > 0.0:
-        return True
-    if next(_sequences_on_target(space, constraint, n), None) is None:
-        return False
-    raise LatticeBlowupError(
-        f"{what} at n={n}: the projection constraint mass underflows the "
-        "float range; reduce n")
 
 
 def clt_limit(constraint: ConstraintSpec, solution: MaxEntSolution) -> float:
@@ -127,10 +110,12 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
     # one provider serves the marginals of every size: its tables only grow
     provider = None if tv_m is None else SumTableProvider(
         space, constraint, measure="q", mode="float")
+    feasible = set(_sizes_with_mass(space, constraint, centrals, n_list,
+                                    "concentration constants"))
     records = []
     for n in n_list:
         p_c = float(centrals[n])
-        if not _feasible(space, constraint, n, p_c, "concentration constants"):
+        if n not in feasible:
             records.append(ConcentrationRecord(
                 n=n, feasible=False, prob_constraint=0.0, c_n=None, d_n=None,
                 events=(), tv=None))

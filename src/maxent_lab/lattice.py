@@ -533,6 +533,25 @@ def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec,
         _on_target(constraint, n, reach) for n, (reach, _) in enumerate(sweep)))
 
 
+def _sizes_with_mass(space: SampleSpace, constraint: ConstraintSpec, masses,
+                     sizes, what: str, remedy: str = "reduce n") -> list[int]:
+    """The feasible sizes among ``sizes``, given their float constraint
+    masses ``masses[n]`` under a measure that charges every outcome: those
+    with a mass > 0.0. A mass of 0.0 at an on-lattice target is settled by
+    one ``feasible_sizes`` sweep; where that reaches the target, the mass
+    has underflowed and ``LatticeBlowupError`` names ``what``."""
+    zeros = [n for n in sizes
+             if masses[n] == 0.0 and constraint.center_units(n) is not None]
+    if zeros:
+        flags = feasible_sizes(space, constraint, zeros[-1]).flags
+        lost = next((n for n in zeros if flags[n]), None)
+        if lost is not None:
+            raise LatticeBlowupError(
+                f"{what} at n={lost}: the constraint mass underflows the "
+                f"float range; {remedy}")
+    return [n for n in sizes if masses[n] > 0.0]
+
+
 def first_feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, count: int,
                          n_cap: int = 100_000) -> list[int]:
     """First ``count`` feasible sizes in increasing order (stops at n_cap)."""

@@ -148,10 +148,7 @@ class SumDistribution:
         return stored * self.scale
 
     def mass_units(self, units):
-        # the predictors read full-box tables, which start at the zero cell,
-        # cell by cell: only a windowed table pays for the subtraction
-        index = tuple(map(sub, units, self.origin)) if any(self.origin) \
-            else tuple(units)
+        index = tuple(map(sub, units, self.origin))
         for i, s in zip(index, self.table.shape):
             if i < 0 or i >= s:
                 return self._mass(0)
@@ -254,12 +251,15 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     the package reads the same masses from ``_central_masses``, and this is
     its reference.
     """
-    return _central_masses(space, constraint, n_max, measure, mode,
-                           window=False)
+    measure_id, weights = resolve_measure(space, measure, mode)
+    _check_budget(_dense_shape(n_max, constraint.unit_max),
+                  f"central-mass sweep to n={n_max}")
+    sweep = _sweep(constraint, measure_id, weights, mode)
+    return [sd.mass_at_target() for sd in islice(sweep, n_max + 1)]
 
 
 def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
-                    measure="q", mode: str = "float", window: bool = True) -> list:
+                    measure="q", mode: str = "float") -> list:
     """``central_series``, from tables cut to the cells that can still reach
     a target of size <= n_max (``lattice._window``): the same values, bit for
     bit, from fewer cells. The budget check is the full sweep's, so the same
@@ -267,8 +267,7 @@ def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     measure_id, weights = resolve_measure(space, measure, mode)
     _check_budget(_dense_shape(n_max, constraint.unit_max),
                   f"central-mass sweep to n={n_max}")
-    sweep = _sweep(constraint, measure_id, weights, mode,
-                   n_max if window else None)
+    sweep = _sweep(constraint, measure_id, weights, mode, n_max)
     return [sd.mass_at_target() for sd in islice(sweep, n_max + 1)]
 
 

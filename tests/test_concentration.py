@@ -88,6 +88,19 @@ class TestConstants:
         records = corollary1_residuals(space, constraint, solution, [1, 2, 3])
         assert [r.feasible for r in records] == [False, False, True]
 
+    def test_unreachable_targets_past_the_walk_budget_are_infeasible(self):
+        # the same steps at n = 337: the target is on the lattice but off the
+        # sublattice the steps span, so its 0.0 mass is exact; the reachability
+        # tables of a walk to n = 337 together exceed the cell budget, one
+        # feasibility table does not
+        space = build_space(["a", "b", "c"], [1, 1, 1])
+        constraint = derive_lattice([[0, 0], [2, 1], [1, 2]], [1, 1])
+        solution = solve_maxent(space, constraint)
+        report = concentration_constants(space, constraint, solution, [3, 337])
+        assert [r.feasible for r in report.records] == [True, False]
+        records = corollary1_residuals(space, constraint, solution, [3, 337])
+        assert [r.feasible for r in records] == [True, False]
+
     def test_marginals_share_one_sum_sweep(self, dice, dice_constraint,
                                            dice_solution, monkeypatch):
         from maxent_lab import sumdist

@@ -316,7 +316,7 @@ class TestCli:
     def test_zero_mass_at_a_feasible_size_exit_3(self, tmp_path, capsys,
                                                   monkeypatch, kind):
         # a 0.0 projection mass at n = 4, where the fair coin has sequences on
-        # target, is an underflow: the exact walk finds the target cell
+        # target, is an underflow: the feasibility sweep reaches the target
         from maxent_lab import analysis, concentration, sumdist
 
         def zero_at_4(*args, **kwargs):
@@ -331,6 +331,27 @@ class TestCli:
             {"kind": kind, "n_list": [2, 4]}])))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
         assert "n=4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["concentrate", "corollary1"])
+    def test_exact_zero_mass_past_the_walk_budget_exit_0(self, tmp_path, kind):
+        # steps (0, 0), (2, 1), (1, 2) at mean (1, 1) reach the target only at
+        # sizes divisible by 3: n = 337 is on the lattice with an exact 0.0
+        # mass and is written as an infeasible row
+        raw = {
+            "problem": {"outcomes": ["a", "b", "c"], "prior": ["1/3"] * 3,
+                        "T": [["0", "2", "1"], ["0", "1", "2"]],
+                        "target": ["1", "1"]},
+            "experiments": [{"kind": kind, "n_list": [3, 337]}],
+        }
+        path = tmp_path / "sublattice.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 0
+        header, *rows = [r.split(",") for r in
+                         next(out.glob("*.csv")).read_text().splitlines()]
+        c_n = header.index("c_n")
+        assert [(r[0], r[c_n] == "") for r in rows] == [("3", False),
+                                                         ("337", True)]
 
     def test_failed_entropy_check_exit_2(self, tmp_path, capsys, monkeypatch):
         from maxent_lab import solver
