@@ -26,22 +26,27 @@ from .lattice import (
     _shift_combine,
     _sizes_with_mass,
 )
+from .predictors import maxent_predictor
 from .priors import IntegerPrior
 from .solver import MaxEntSolution
 from .sumdist import _central_masses, constraint_prob
 
+# the most constraint sequences one enumeration may list
+SEQUENCE_LIMIT = 10 ** 6
+
 
 def enumerate_constraint_sequences(space: SampleSpace, constraint: ConstraintSpec,
-                                   n: int, limit: int = 10 ** 6) -> list:
+                                   n: int) -> list:
     """All length-n sequences (as index tuples) satisfying the constraint, in
     lexicographic order, from the reachability-pruned walk that also gives
     ``representative_sequence``. Raises ``LatticeBlowupError`` before any
-    table is built when the reachability tables exceed the cell budget."""
+    table is built when the reachability tables exceed the cell budget, and
+    ``EnumerationInfeasibleError`` past ``SEQUENCE_LIMIT`` sequences."""
     walk = _sequences_on_target(space, constraint, n)
-    out = list(islice(walk, limit + 1))
-    if len(out) > limit:
+    out = list(islice(walk, SEQUENCE_LIMIT + 1))
+    if len(out) > SEQUENCE_LIMIT:
         raise EnumerationInfeasibleError(
-            f"constraint set at n={n} exceeds {limit} sequences"
+            f"constraint set at n={n} exceeds {SEQUENCE_LIMIT} sequences"
         )
     return out
 
@@ -65,8 +70,7 @@ class MinimaxReport:
 
 def verify_minimax_constancy(space: SampleSpace, constraint: ConstraintSpec,
                              solution: MaxEntSolution, n: int,
-                             alternatives=(), limit: int = 10 ** 6
-                             ) -> MinimaxReport:
+                             alternatives=()) -> MinimaxReport:
     """Check that the projection's per-symbol redundancy against the prior is
     one constant on every constraint-satisfying sequence of length n.
 
@@ -75,7 +79,7 @@ def verify_minimax_constancy(space: SampleSpace, constraint: ConstraintSpec,
     checked against the exact lower bound constant - (k/2n) log2 n +
     (1/n) log2 c_n, with c_n computed in the same run.
     """
-    sequences = enumerate_constraint_sequences(space, constraint, n, limit)
+    sequences = enumerate_constraint_sequences(space, constraint, n)
     if not sequences:
         raise ValidationError(f"n={n} is infeasible for this constraint")
     logp = np.log2(solution.pmf)
@@ -263,11 +267,12 @@ def play_coding_game(space: SampleSpace, constraint: ConstraintSpec,
 
     For each feasible n one representative constraint sequence is drawn and
     every predictor is scored on it, so the reported gaps compare like with
-    like. The projection codelength is the gap baseline. A dict value may be
-    a predictor or a callable building one from n (for horizon-dependent
+    like. The gap baseline is the codelength of ``maxent_predictor``, so a
+    projection entry scores a gap of exactly 0.0. A dict value may be a
+    predictor or a callable building one from n (for horizon-dependent
     predictors). Infeasible sizes are skipped and recorded.
     """
-    logp = np.log2(solution.pmf)
+    projection = maxent_predictor(space, solution)
     records = []
     skipped = []
     for n in sorted_sizes(n_list):
@@ -276,7 +281,7 @@ def play_coding_game(space: SampleSpace, constraint: ConstraintSpec,
         except (ValidationError, EnumerationInfeasibleError):
             skipped.append(n)
             continue
-        baseline = -float(sum(logp[idx] for idx in rep))
+        baseline = projection.sequence_codelength(rep)
         for tag, entry in predictors.items():
             predictor = entry(n) if callable(entry) else entry
             length = predictor.sequence_codelength(rep)
@@ -303,7 +308,7 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     mass of a feasible size at or below the horizon underflows to 0.0.
 
     The mixture is the one ``mixture_predictor(provider, prior,
-    n_cap=horizon)`` builds: the prior renormalized over at most j_max
+    n_cap=horizon)`` builds: the prior normalized over at most j_max
     feasible sizes up to the horizon, so a short horizon measures fewer.
     """
     if horizon is None:

@@ -70,7 +70,6 @@ class EventCheck:
     n: int
     conditional_q: float | None
     prob_maxent: float
-    joint_maxent: float
     slack_item1: float | None
     residual_item2: float | None
 
@@ -138,7 +137,6 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                 event_kind=event.kind, n=n,
                 conditional_q=None if cond_q is None else float(cond_q),
                 prob_maxent=float(under_p.prob_event),
-                joint_maxent=float(under_p.prob_joint),
                 slack_item1=slack, residual_item2=residual))
         tv = None
         if tv_m is not None and 1 <= tv_m < n:

@@ -166,8 +166,16 @@ def _validate_block_shape(block: dict, i: int) -> None:
             raise ValidationError(f"{where}: n_list must hold integers >= 1")
         if sorted(n_list) != n_list:
             raise ValidationError(f"{where}: n_list must be sorted ascending")
-    if kind == "concentrate" and block.get("tv_m") is not None:
-        _check_int(block["tv_m"], "tv_m", where)
+    if kind == "concentrate":
+        if block.get("tv_m") is not None:
+            _check_int(block["tv_m"], "tv_m", where)
+        events = block.get("events", [])
+        if not isinstance(events, list) or \
+                any(not isinstance(spec, dict) for spec in events):
+            raise ValidationError(f"{where}: events must be a list of objects")
+        for j, spec in enumerate(events):
+            if spec.get("type") == "box":
+                _check_box_shape(spec, f"experiments[{i}].events[{j}]")
     if kind == "condlimit":
         _check_int(_require(block, "m", where), "m", where)
     if kind == "game":
@@ -188,19 +196,34 @@ def _validate_block_shape(block: dict, i: int) -> None:
             alpha = block["alpha"]
             if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
                 raise ValidationError(f"{where}: alpha must be a number in (0, 1)")
-    if kind == "recur":
-        for key in ("steps", "reps", "seed"):
-            v = _require(block, key, where)
-            if not isinstance(v, int) or (key != "seed" and v < 1):
-                raise ValidationError(f"{where}: {key} must be a positive integer")
+    if kind in ("recur", "hypercomp"):
+        for key in ("steps", "reps") if kind == "recur" else ("n", "samples"):
+            _check_int(_require(block, key, where), key, where)
+        _check_int(_require(block, "seed", where), "seed", where, 0)
+    if kind == "recur" and block.get("checkpoints") is not None:
+        points = block["checkpoints"]
+        if not isinstance(points, list) or not points or any(
+                not isinstance(c, int) or not 1 <= c <= block["steps"]
+                for c in points):
+            raise ValidationError(f"{where}: checkpoints must be a nonempty "
+                                  "list of integers in 1..steps")
     if kind == "hypercomp":
-        for key in ("n", "samples", "seed"):
-            v = _require(block, key, where)
-            if not isinstance(v, int):
-                raise ValidationError(f"{where}: {key} must be an integer")
         ks = _require(block, "K", where)
         if not ks or any(not isinstance(k, (int, float)) or k <= 0 for k in ks):
             raise ValidationError(f"{where}: K values must be positive numbers")
+
+
+def _check_box_shape(spec: dict, where: str) -> None:
+    """A box event's statistic is a list of rows and its bounds are lists;
+    their entries, and a missing field, are reported when the event is
+    built."""
+    statistic = spec.get("statistic", [[]])
+    if not isinstance(statistic, list) or not statistic or \
+            any(not isinstance(row, list) for row in statistic):
+        raise ValidationError(f"{where}: statistic must be a k x |X| matrix")
+    for key in ("lower", "upper"):
+        if not isinstance(spec.get(key, []), list):
+            raise ValidationError(f"{where}: {key} must be a list")
 
 
 def build_event(spec: dict, space, solution=None):
@@ -274,8 +297,7 @@ def validate_config(source) -> list[Diagnostic]:
     except MaxentLabError as exc:
         diagnostics.append(Diagnostic("problem", f"trial solve failed: {exc}"))
 
-    sizes = first_feasible_sizes(space, constraint, count=3, n_cap=64)
-    if not sizes:
+    if not first_feasible_sizes(space, constraint, count=1, n_cap=64):
         diagnostics.append(Diagnostic(
             "problem.target",
             "no feasible sample sizes up to 64: empirical-constraint "
@@ -292,7 +314,4 @@ def validate_config(source) -> list[Diagnostic]:
                 except ValidationError as exc:
                     diagnostics.append(Diagnostic(
                         f"experiments[{i}].events[{j}]", str(exc)))
-        if kind in ("recur", "hypercomp") and "seed" not in block:
-            diagnostics.append(Diagnostic(
-                f"experiments[{i}]", "randomized experiment without a seed"))
     return diagnostics

@@ -7,7 +7,7 @@ with gcd arithmetic. Floats only appear as cached views for the numeric layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -261,16 +261,15 @@ def hull_position(values, target) -> str:
 
 
 @dataclass(frozen=True)
-class ConstraintSpec:
-    """A rational statistic T, a target for its mean, and the derived lattice.
+class ConstraintSpec(LatticeGeometry):
+    """A rational statistic T and a target for its mean, on the lattice
+    ``LatticeGeometry.from_values`` derives from T.
 
     ``position`` is the target's exact ``hull_position``, 'interior' or
     'boundary'."""
 
-    dim: int
     values: tuple[tuple[Fraction, ...], ...]
     target: tuple[Fraction, ...]
-    geometry: LatticeGeometry
     position: str
 
     @cached_property
@@ -280,26 +279,6 @@ class ConstraintSpec:
     @cached_property
     def target_float(self) -> np.ndarray:
         return np.array([float(t) for t in self.target])
-
-    @property
-    def scale(self) -> tuple[int, ...]:
-        return self.geometry.scale
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return self.geometry.offsets
-
-    @property
-    def spans(self) -> tuple[int, ...]:
-        return self.geometry.spans
-
-    @property
-    def units(self) -> tuple[tuple[int, ...], ...]:
-        return self.geometry.units
-
-    @property
-    def unit_max(self) -> tuple[int, ...]:
-        return self.geometry.unit_max
 
     @cached_property
     def spans_original(self) -> tuple[Fraction, ...]:
@@ -346,14 +325,14 @@ def derive_lattice(values, target) -> ConstraintSpec:
     target = tuple(as_fraction(t) for t in target)
     if len(target) != len(rows[0]):
         raise ValidationError("target dimension does not match statistic dimension")
-    geometry = LatticeGeometry.from_values(rows)
+    geometry = asdict(LatticeGeometry.from_values(rows))
     position = hull_position(rows, target)
     if position == "outside":
         raise TargetOutsideHullError(
             f"target {tuple(str(t) for t in target)} outside the convex hull of statistic values"
         )
-    return ConstraintSpec(dim=len(target), values=tuple(rows), target=target,
-                          geometry=geometry, position=position)
+    return ConstraintSpec(**geometry, values=tuple(rows), target=target,
+                          position=position)
 
 
 @dataclass(frozen=True)

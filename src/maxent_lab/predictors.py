@@ -98,10 +98,9 @@ class IIDPredictor(Predictor):
         return IIDPredictor(self.space, self.pmf, self.tag)
 
 
-def maxent_predictor(space: SampleSpace, solution: MaxEntSolution,
-                     tag: str = "maxent") -> IIDPredictor:
+def maxent_predictor(space: SampleSpace, solution: MaxEntSolution) -> IIDPredictor:
     """The i.i.d. projection predictor."""
-    return IIDPredictor(space, [float(p) for p in solution.pmf], tag)
+    return IIDPredictor(space, [float(p) for p in solution.pmf], "maxent")
 
 
 class ConditionedPriorPredictor(Predictor):
@@ -113,9 +112,8 @@ class ConditionedPriorPredictor(Predictor):
     conditionals stay proper). Beyond the horizon it continues i.i.d.
     """
 
-    def __init__(self, provider: SumTableProvider, horizon: int,
-                 tag: str | None = None):
-        super().__init__(provider.space, tag or f"conditioned[{horizon}]")
+    def __init__(self, provider: SumTableProvider, horizon: int):
+        super().__init__(provider.space, f"conditioned[{horizon}]")
         self.constraint = provider.constraint
         self.provider = provider
         self.horizon = horizon
@@ -147,14 +145,9 @@ class ConditionedPriorPredictor(Predictor):
         if self.steps < self.horizon:
             self.units = tuple(a + b for a, b in
                                zip(self.units, self.constraint.units[idx]))
-            remaining = self.horizon - self.steps - 1
-            needed = tuple(c - u for c, u in zip(self.center, self.units))
-            if not self.dead and self.provider.mass(remaining, needed) == 0:
-                self.dead = True
 
     def fresh(self) -> "ConditionedPriorPredictor":
-        return ConditionedPriorPredictor(self.provider, self.horizon,
-                                         tag=self.tag)
+        return ConditionedPriorPredictor(self.provider, self.horizon)
 
 
 def conditioned_prior_predictor(provider: SumTableProvider, horizon: int
@@ -163,20 +156,17 @@ def conditioned_prior_predictor(provider: SumTableProvider, horizon: int
 
 
 class MixturePredictor(Predictor):
-    """Bayesian mixture of component predictors advanced in lockstep."""
+    """Bayesian mixture of component predictors advanced in lockstep, with
+    the weights scaled to sum to one."""
 
-    def __init__(self, space: SampleSpace, components, weights, tag: str,
-                 renormalize: bool = True):
+    def __init__(self, space: SampleSpace, components, weights, tag: str):
         super().__init__(space, tag)
         if len(components) != len(weights) or not components:
             raise ValidationError("need matching nonempty components and weights")
-        self._ctor = (list(components), list(weights), renormalize)
+        self._ctor = (list(components), list(weights))
         self.components = [c.fresh() for c in components]
-        weights = list(weights)
-        if renormalize:
-            total = sum(weights)
-            weights = [w / total for w in weights]
-        self.posteriors = list(weights)
+        total = sum(weights)
+        self.posteriors = [w / total for w in weights]
 
     def conditionals(self) -> list:
         total = sum(self.posteriors)
@@ -204,18 +194,15 @@ class MixturePredictor(Predictor):
             comp.push(idx)
 
     def fresh(self) -> "MixturePredictor":
-        components, weights, renorm = self._ctor
-        return MixturePredictor(self.space, components, weights, self.tag,
-                                renormalize=renorm)
+        return MixturePredictor(self.space, *self._ctor, self.tag)
 
 
 def mixture_predictor(provider: SumTableProvider, prior: IntegerPrior,
-                      n_cap: int = 100_000, tag: str = "mixture"
-                      ) -> MixturePredictor:
+                      n_cap: int = 100_000) -> MixturePredictor:
     """Mixture of conditioned priors at the first feasible sizes.
 
     Component j (1-based) conditions on the j-th feasible size and carries
-    prior mass pi(j), renormalized over the components actually built.
+    prior mass pi(j), normalized over the components actually built.
     """
     sizes = first_feasible_sizes(provider.space, provider.constraint,
                                  count=prior.j_max, n_cap=n_cap)
@@ -225,7 +212,7 @@ def mixture_predictor(provider: SumTableProvider, prior: IntegerPrior,
     weights = [prior.mass(j) for j in range(1, len(sizes) + 1)]
     if provider.mode == "float":
         weights = [float(w) for w in weights]
-    return MixturePredictor(provider.space, components, weights, tag)
+    return MixturePredictor(provider.space, components, weights, "mixture")
 
 
 class RenewalComposedPredictor(Predictor):
@@ -260,6 +247,5 @@ class RenewalComposedPredictor(Predictor):
 
 
 def renewal_compose(space: SampleSpace, constraint: ConstraintSpec,
-                    block_factory, tag: str = "renewal"
-                    ) -> RenewalComposedPredictor:
-    return RenewalComposedPredictor(space, constraint, block_factory, tag)
+                    block_factory) -> RenewalComposedPredictor:
+    return RenewalComposedPredictor(space, constraint, block_factory, "renewal")

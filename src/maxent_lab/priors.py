@@ -11,24 +11,13 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class IntegerPrior:
-    """Prior masses for j = 1..j_max as exact rationals summing to one.
-
-    ``truncated_tail_estimate`` records how much mass the untruncated
-    proportionality series would carry beyond j_max (integral estimate); the
-    shipped masses themselves are renormalized over the kept range.
-    """
+    """Prior masses for j = 1..j_max as exact rationals summing to one."""
 
     masses: tuple[Fraction, ...]
-    truncated_tail_estimate: float
 
     @property
     def j_max(self) -> int:
         return len(self.masses)
-
-    @property
-    def tail_mass(self) -> float:
-        """Mass not assigned to 1..j_max; zero after exact renormalization."""
-        return float(1 - sum(self.masses))
 
     def mass(self, j: int) -> Fraction:
         if not 1 <= j <= self.j_max:
@@ -52,7 +41,4 @@ def rissanen_prior(j_max: int = 4096) -> IntegerPrior:
     raw = [Fraction(1.0 / ((j + 1) * math.log2(j + 2) ** 2))
            for j in range(j_max)]
     total = sum(raw)
-    masses = tuple(w / total for w in raw)
-    # integral of dx / (x log2(x)^2) from j_max+1, relative to the kept sum
-    tail = math.log(2.0) / math.log2(j_max + 1) / float(total)
-    return IntegerPrior(masses=masses, truncated_tail_estimate=tail)
+    return IntegerPrior(masses=tuple(w / total for w in raw))

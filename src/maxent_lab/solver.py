@@ -24,6 +24,9 @@ from .lattice import ConstraintSpec, SampleSpace, as_fraction
 
 LN2 = float(np.log(2.0))
 CONDITION_LIMIT = 1e12
+# moment residual at which the Newton iteration stops, and its step cap
+TOL = 1e-10
+MAX_ITER = 200
 EPS = float(np.finfo(float).eps)
 
 
@@ -115,16 +118,14 @@ def _dual(beta: np.ndarray, logq: np.ndarray, values: np.ndarray, target: np.nda
     return logz, pmf, mean, f
 
 
-def solve_maxent(space: SampleSpace, constraint: ConstraintSpec,
-                 tol: float = 1e-10, max_iter: int = 200,
-                 beta0=None) -> MaxEntSolution:
+def solve_maxent(space: SampleSpace, constraint: ConstraintSpec) -> MaxEntSolution:
     """Solve the projection for a target strictly inside the hull.
 
-    Newton steps on the dual start at beta = 0 (or ``beta0``) and are halved
+    Newton steps on the dual start at beta = 0 and are halved
     until the dual decreases sufficiently (Armijo, on the Newton decrement
     r . Sigma^-1 r, with an allowance for float noise in the dual value, which
     the full step cannot beat near the optimum); iteration stops once the
-    moment residual ``max_j |E[T_j] - target_j|`` is at most ``tol``.
+    moment residual ``max_j |E[T_j] - target_j|`` is at most ``TOL``.
     """
     if constraint.position == "boundary":
         raise BoundaryTargetError(
@@ -134,18 +135,18 @@ def solve_maxent(space: SampleSpace, constraint: ConstraintSpec,
     values = constraint.values_float
     target = constraint.target_float
     logq = np.log(space.prior)
-    beta = np.zeros(constraint.dim) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    beta = np.zeros(constraint.dim)
 
     logz, pmf, mean, f = _dual(beta, logq, values, target)
     path = [f]
     iterations = 0
     while True:
         residual = float(np.max(np.abs(mean - target)))
-        if residual <= tol:
+        if residual <= TOL:
             break
-        if iterations >= max_iter:
+        if iterations >= MAX_ITER:
             raise ConvergenceError(
-                f"no convergence after {max_iter} iterations (residual {residual:.3e})"
+                f"no convergence after {MAX_ITER} iterations (residual {residual:.3e})"
             )
         sigma = covariance_matrix(pmf, values)
         if np.linalg.cond(sigma) > CONDITION_LIMIT:

@@ -6,6 +6,7 @@ import pytest
 from maxent_lab import (
     IIDPredictor,
     SumTableProvider,
+    build_space,
     concentration_constants,
     conditioned_prior_predictor,
     corollary1_residuals,
@@ -201,3 +202,19 @@ class TestPlayCodingGame:
             # the conditioned prior saves -log2 P(C_n) bits on its horizon
             saving = by_key[(n, "conditioned")].gap_vs_maxent_bits
             assert saving < 0
+
+    def test_projection_gap_is_exactly_zero(self):
+        # the baseline is the projection predictor's own codelength; a sum of
+        # log2 masses taken apart from it rounds to a gap of -1.8e-15 here
+        space = build_space(["x0", "x1", "x2", "x3"], [2, 4, 4, 3])
+        rows = [(0, 1, 1, 0), (1, 2, 0, 2), (1, 0, 1, 1)]
+        constraint = derive_lattice([[row[i] for row in rows]
+                                     for i in range(4)],
+                                    ["3/8", "13/8", "3/4"])
+        solution = solve_maxent(space, constraint)
+        report = play_coding_game(
+            space, constraint, solution,
+            {"maxent": maxent_predictor(space, solution)}, [8])
+        (record,) = report.codelengths
+        assert record.codelength_bits == 13.999999999999995
+        assert record.gap_vs_maxent_bits == 0.0

@@ -139,6 +139,26 @@ class TestValidateConfig:
     def test_clean_fixture_no_diagnostics(self):
         assert validate_config(_with()) == []
 
+    def test_no_feasible_size_diagnostic(self, tmp_path, capsys, monkeypatch):
+        # the coin at mean 1/67 hits its target only at multiples of 67; one
+        # sweep to the first feasible size, capped at 64, settles that
+        from maxent_lab import config as config_mod, lattice
+        counts = []
+
+        def spy(space, constraint, count, n_cap):
+            counts.append((count, n_cap))
+            return lattice.first_feasible_sizes(space, constraint, count,
+                                                n_cap)
+
+        monkeypatch.setattr(config_mod, "first_feasible_sizes", spy)
+        for target, code in (("1/67", 2), ("1/2", 0)):
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(_with(problem={"target": [target]})))
+            assert main(["validate", "-c", str(path)]) == code
+            out = capsys.readouterr().out
+            assert ("no feasible sample sizes up to 64" in out) == (code == 2)
+        assert counts == [(1, 64), (1, 64)]
+
 
 class TestRunConfig:
     def test_empty_experiment_list(self, tmp_path):
@@ -248,15 +268,45 @@ class TestCli:
         {"kind": "game", "mode": "gaps", "n_max": 4, "alpha": 1.5},
         {"kind": "hypercomp", "n": 4, "K": ["1"], "samples": 10, "seed": 1},
         {"kind": "hypercomp", "n": 4, "K": "1", "samples": 10, "seed": 1},
+        {"kind": "hypercomp", "n": 0, "K": [1], "samples": 10, "seed": 1},
+        {"kind": "hypercomp", "n": 4, "K": [1], "samples": 0, "seed": 1},
+        {"kind": "recur", "steps": 20, "reps": 2, "seed": 1,
+         "checkpoints": ["a"]},
+        {"kind": "recur", "steps": 20, "reps": 2, "seed": 1,
+         "checkpoints": [None]},
+        {"kind": "recur", "steps": 20, "reps": 2, "seed": 1,
+         "checkpoints": 10},
+        {"kind": "recur", "steps": 20, "reps": 2, "seed": 1,
+         "checkpoints": [10.5]},
+        {"kind": "recur", "steps": 20, "reps": 2, "seed": 1,
+         "checkpoints": []},
+        {"kind": "recur", "steps": 20, "reps": 2, "seed": 1,
+         "checkpoints": [30]},
+        {"kind": "recur", "steps": 20, "reps": 2, "seed": -1},
+        {"kind": "concentrate", "n_list": [2],
+         "events": {"type": "box", "statistic": [["0", "1"]],
+                    "lower": ["0"], "upper": ["1"]}},
+        {"kind": "concentrate", "n_list": [2],
+         "events": [{"type": "box", "statistic": 5, "lower": ["0"],
+                     "upper": ["1"]}]},
+        {"kind": "concentrate", "n_list": [2],
+         "events": [{"type": "box", "statistic": [["0", "1"]], "lower": 0,
+                     "upper": ["1"]}]},
     ], ids=["tv_m-str", "tv_m-zero", "n_max-str", "horizon-str",
             "horizon-below-n_max", "j_max-str", "j_max-null",
             "paths-n_list-str", "alpha-str", "alpha-above-1", "K-str-entry",
-            "K-str"])
+            "K-str", "hypercomp-n-zero", "hypercomp-samples-zero",
+            "checkpoints-str", "checkpoints-null", "checkpoints-scalar",
+            "checkpoints-float", "checkpoints-empty",
+            "checkpoints-above-steps", "seed-negative", "events-object",
+            "box-statistic-scalar", "box-lower-scalar"])
     def test_bad_experiment_field_exit_2(self, tmp_path, capsys, block):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(_with(experiments=[block])))
-        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 2
         assert "error: experiments[0]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("tags", [["maxent", "oracle"], "maxent"])
     def test_unknown_predictor_exit_2(self, tmp_path, capsys, tags):

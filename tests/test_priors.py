@@ -10,7 +10,6 @@ class TestRissanenPrior:
     def test_masses_sum_exactly_to_one(self):
         prior = rissanen_prior(512)
         assert sum(prior.masses) == 1
-        assert prior.tail_mass == 0.0
 
     def test_positive_and_decreasing(self):
         prior = rissanen_prior(64)
@@ -24,10 +23,6 @@ class TestRissanenPrior:
         for j in (1, 2, 3, 5, 10, 100, 1000, 4096):
             overhead = prior.neg_log2(j) - math.log2(j)
             assert overhead <= 3.0 * math.log2(math.log2(j + 2)) + constant
-
-    def test_tail_estimate_recorded(self):
-        prior = rissanen_prior(4096)
-        assert 0.0 < prior.truncated_tail_estimate < 0.1
 
     def test_mass_bounds(self):
         prior = rissanen_prior(8)

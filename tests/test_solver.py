@@ -54,11 +54,6 @@ class TestSolveMaxent:
         path = dice_solution.dual_path
         assert all(b < a for a, b in zip(path, path[1:]))
 
-    def test_idempotent_restart(self, dice, dice_constraint, dice_solution):
-        again = solve_maxent(dice, dice_constraint, beta0=dice_solution.beta)
-        assert again.iterations <= 2
-        assert np.abs(again.pmf - dice_solution.pmf).max() < 1e-12
-
     def test_ratio_constancy_across_equal_statistic_values(self):
         space = build_space("abc", [1, 2, 3])
         cons = derive_lattice([[1], [1], [2]], [Fraction(3, 2)])
@@ -85,9 +80,10 @@ class TestSolveMaxent:
         with pytest.raises(SingularCovarianceError):
             solve_maxent(pair, cons)
 
-    def test_no_convergence_error(self, dice, dice_constraint):
+    def test_no_convergence_error(self, dice, dice_constraint, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            solve_maxent(dice, dice_constraint, tol=1e-10, max_iter=1)
+            solve_maxent(dice, dice_constraint)
 
     @pytest.mark.parametrize("instance", ["dice", "pair"])
     def test_gradient_matches_finite_differences(self, instance, dice,
