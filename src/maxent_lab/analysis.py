@@ -307,9 +307,10 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     term (``_hit_cost_minima``). Raises ``LatticeBlowupError`` when the prior
     mass of a feasible size at or below the horizon underflows to 0.0.
 
-    The mixture is the one ``mixture_predictor(provider, prior,
-    n_cap=horizon)`` builds: the prior normalized over at most j_max
-    feasible sizes up to the horizon, so a short horizon measures fewer.
+    The mixture is the one ``mixture_predictor`` builds from the sizes
+    ``first_feasible_sizes(space, constraint, prior.j_max, n_cap=horizon)``:
+    the prior normalized over at most j_max feasible sizes up to the
+    horizon, so a short horizon measures fewer.
     """
     if horizon is None:
         horizon = 2 * n_max

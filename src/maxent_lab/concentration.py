@@ -108,7 +108,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                                mode="float")
     # one provider serves the marginals of every size: its tables only grow
     provider = None if tv_m is None else SumTableProvider(
-        space, constraint, measure="q", mode="float")
+        space, constraint, n_list[-1], measure="q", mode="float")
     feasible = set(_sizes_with_mass(space, constraint, centrals, n_list,
                                     "concentration constants"))
     records = []

@@ -57,15 +57,8 @@ class ProblemConfig:
         if self._built is not None:
             return self._built
         space = build_space(self.outcomes, self.prior)
-        if space.dropped:
-            # statistic columns must follow the surviving outcomes
-            keep = [i for i, lab in enumerate(self.outcomes)
-                    if lab in set(space.outcomes)]
-            rows = [[row[i] for i in keep] for row in self.t_matrix]
-        else:
-            rows = self.t_matrix
-        values = [[row[i] for row in rows] for i in range(space.size)]
-        self._built = space, derive_lattice(values, self.target)
+        self._built = space, derive_lattice(space.columns(self.t_matrix),
+                                            self.target)
         return self._built
 
     def solve(self):
@@ -243,8 +236,7 @@ def build_event(spec: dict, space, solution=None):
             ref = list(space.prior_fractions)
         return FrequencyDeviationEvent.make(_require(spec, "epsilon", "event"), ref)
     if etype == "box":
-        statistic = _require(spec, "statistic", "event")
-        values = [[row[i] for row in statistic] for i in range(space.size)]
+        values = space.columns(_require(spec, "statistic", "event"))
         return BoxEvent.make(values, _require(spec, "lower", "event"),
                              _require(spec, "upper", "event"),
                              inside=spec.get("inside", True))

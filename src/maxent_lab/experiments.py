@@ -21,6 +21,7 @@ from .concentration import concentration_constants
 from .conditional import conditional_marginal
 from .config import build_event, load_config
 from .errors import MaxentLabError
+from .lattice import first_feasible_sizes
 from .predictors import (
     IIDPredictor,
     conditioned_prior_predictor,
@@ -151,7 +152,8 @@ def _run_condlimit(ctx, block, path):
     space, constraint, solution = ctx["space"], ctx["constraint"], ctx["solution"]
     m = block["m"]
     # one provider serves every size of the block: its tables only grow
-    provider = SumTableProvider(space, constraint, measure="q", mode=ctx["mode"])
+    provider = SumTableProvider(space, constraint, block["n_list"][-1],
+                                measure="q", mode=ctx["mode"])
     rows = []
     for n in block["n_list"]:
         try:
@@ -176,7 +178,14 @@ def _run_corollary1(ctx, block, path):
 
 def _run_game_paths(ctx, block, path):
     space, constraint, solution = ctx["space"], ctx["constraint"], ctx["solution"]
-    provider = SumTableProvider(space, constraint, measure="q", mode="float")
+    prior = rissanen_prior(block["j_max"])
+    # the mixture's component sizes, swept once; the provider serves them and
+    # every size of the block
+    sizes = first_feasible_sizes(space, constraint, prior.j_max) \
+        if "mixture" in block["predictors"] else []
+    provider = SumTableProvider(space, constraint,
+                                max(block["n_list"][-1], *sizes),
+                                measure="q", mode="float")
     predictors = {}
     for tag in block["predictors"]:
         if tag == "maxent":
@@ -184,8 +193,7 @@ def _run_game_paths(ctx, block, path):
         elif tag == "conditioned":
             predictors[tag] = lambda n: conditioned_prior_predictor(provider, n)
         else:
-            predictors[tag] = mixture_predictor(
-                provider, rissanen_prior(block["j_max"]))
+            predictors[tag] = mixture_predictor(provider, prior, sizes)
     report = play_coding_game(space, constraint, solution, predictors,
                               block["n_list"])
     rows = [(r.n, r.predictor, r.codelength_bits, r.gap_vs_maxent_bits)

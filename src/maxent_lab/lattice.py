@@ -49,11 +49,27 @@ def as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class SampleSpace:
-    """Finite outcome set with a strictly positive rational prior."""
+    """Finite outcome set with a strictly positive rational prior: the
+    ``labels`` of the problem less those of zero mass."""
 
     outcomes: tuple
     prior_fractions: tuple[Fraction, ...]
-    dropped: tuple = ()
+    labels: tuple
+
+    @property
+    def dropped(self) -> tuple:
+        """The zero-mass labels, each with its weight 0."""
+        return tuple((label, Fraction(0)) for label in self.labels
+                     if label not in self._index)
+
+    def columns(self, rows) -> list[list]:
+        """Per outcome, its values in ``rows``: matrix rows whose entry j
+        belongs to ``labels[j]``, so the entries of dropped labels are
+        left out."""
+        if any(len(row) != len(self.labels) for row in rows):
+            raise ValidationError("statistic rows must have one entry per outcome")
+        keep = [self.labels.index(label) for label in self.outcomes]
+        return [[row[i] for row in rows] for i in keep]
 
     @cached_property
     def prior(self) -> np.ndarray:
@@ -93,13 +109,11 @@ def build_space(labels, prior_weights) -> SampleSpace:
     total = sum(weights)
     if total == 0:
         raise ValidationError("all prior weights are zero")
-    kept, dropped = [], []
-    for label, w in zip(labels, weights):
-        (kept if w > 0 else dropped).append((label, w))
+    kept = [(label, w) for label, w in zip(labels, weights) if w > 0]
     return SampleSpace(
         outcomes=tuple(label for label, _ in kept),
         prior_fractions=tuple(w / total for _, w in kept),
-        dropped=tuple(dropped),
+        labels=tuple(labels),
     )
 
 

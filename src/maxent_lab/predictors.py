@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import ValidationError
-from .lattice import ConstraintSpec, SampleSpace, first_feasible_sizes
+from .lattice import ConstraintSpec, SampleSpace
 from .priors import IntegerPrior
 from .solver import MaxEntSolution
 from .sumdist import SumTableProvider
@@ -157,7 +157,8 @@ def conditioned_prior_predictor(provider: SumTableProvider, horizon: int
 
 class MixturePredictor(Predictor):
     """Bayesian mixture of component predictors advanced in lockstep, with
-    the weights scaled to sum to one."""
+    the weights scaled to sum to one. A step reuses the component
+    conditionals that ``conditionals`` computed at the same state."""
 
     def __init__(self, space: SampleSpace, components, weights, tag: str):
         super().__init__(space, tag)
@@ -167,6 +168,8 @@ class MixturePredictor(Predictor):
         self.components = [c.fresh() for c in components]
         total = sum(weights)
         self.posteriors = [w / total for w in weights]
+        # (steps, component conditionals) of the last ``conditionals`` call
+        self._conds = (None, None)
 
     def conditionals(self) -> list:
         total = sum(self.posteriors)
@@ -176,6 +179,7 @@ class MixturePredictor(Predictor):
                 else 1.0 / self.space.size
             return [flat] * self.space.size
         conds = [c.conditionals() for c in self.components]
+        self._conds = (self.steps, conds)
         out = []
         for idx in range(self.space.size):
             acc = None
@@ -188,9 +192,11 @@ class MixturePredictor(Predictor):
         return out
 
     def _step(self, idx: int) -> None:
+        steps, conds = self._conds
         for i, comp in enumerate(self.components):
             if self.posteriors[i] != 0:
-                self.posteriors[i] = self.posteriors[i] * comp.conditionals()[idx]
+                cond = conds[i] if steps == self.steps else comp.conditionals()
+                self.posteriors[i] = self.posteriors[i] * cond[idx]
             comp.push(idx)
 
     def fresh(self) -> "MixturePredictor":
@@ -198,16 +204,17 @@ class MixturePredictor(Predictor):
 
 
 def mixture_predictor(provider: SumTableProvider, prior: IntegerPrior,
-                      n_cap: int = 100_000) -> MixturePredictor:
-    """Mixture of conditioned priors at the first feasible sizes.
+                      sizes) -> MixturePredictor:
+    """Mixture of conditioned priors at the given feasible sizes.
 
-    Component j (1-based) conditions on the j-th feasible size and carries
-    prior mass pi(j), normalized over the components actually built.
+    ``sizes`` are the first feasible sizes in increasing order, as
+    ``first_feasible_sizes(space, constraint, prior.j_max)`` gives them, all
+    within the provider's horizon. Component j (1-based) conditions on
+    ``sizes[j - 1]`` and carries prior mass pi(j), normalized over the
+    components built.
     """
-    sizes = first_feasible_sizes(provider.space, provider.constraint,
-                                 count=prior.j_max, n_cap=n_cap)
     if not sizes:
-        raise ValidationError("no feasible sizes below the cap")
+        raise ValidationError("no feasible sizes for the mixture")
     components = [ConditionedPriorPredictor(provider, n_j) for n_j in sizes]
     weights = [prior.mass(j) for j in range(1, len(sizes) + 1)]
     if provider.mode == "float":

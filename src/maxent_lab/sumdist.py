@@ -272,31 +272,38 @@ def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
 
 
 class SumTableProvider:
-    """Lazily grown cache of sum distributions for sizes 0..m.
+    """Lazily grown cache of sum distributions for sizes 0..m <= ``horizon``.
 
     It is the one source of the problem, the measure with its weights and
     the arithmetic for the conditioned marginals and predictors built on it.
+    Each table holds only its ``lattice._window`` at the horizon: every cell
+    that a conditioned predictor or marginal of a size <= horizon reads is
+    in it, with the mass of the full table bit for bit, and the cells
+    outside read as zero. A size past the horizon is refused.
 
-    The cached tables 0..m together must fit the cell budget; a request that
-    does not is refused before any table is built, so it leaves the cache as
-    it was.
+    The full-box tables 0..m together must fit the cell budget, as if no
+    cell were cut; a request that does not is refused before any table is
+    built, so it leaves the cache as it was.
 
     Not thread-safe; confine one provider to one thread of work. Concurrent
     runs should build independent providers, which compute identical values.
     """
 
     def __init__(self, space: SampleSpace, constraint: ConstraintSpec,
-                 measure="q", mode: str = "float"):
+                 horizon: int, measure="q", mode: str = "float"):
         self.mode = mode
         self.space = space
         self.constraint = constraint
+        self.horizon = horizon
         self.measure_id, self.weights = resolve_measure(space, measure, mode)
-        self._sweep = _sweep(constraint, self.measure_id, self.weights, mode)
+        self._sweep = _sweep(constraint, self.measure_id, self.weights, mode,
+                             horizon)
         self._tables = [next(self._sweep)]
 
     def table(self, m: int) -> SumDistribution:
-        if m < 0:
-            raise ValidationError("suffix size must be >= 0")
+        if not 0 <= m <= self.horizon:
+            raise ValidationError(
+                f"suffix size must be in 0..{self.horizon}, got {m}")
         if m >= len(self._tables):
             _check_budget((_tables_cells(self.constraint, m),),
                           f"cached sum tables to n={m}")

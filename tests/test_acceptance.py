@@ -93,7 +93,7 @@ def test_c03_oracle_equivalence():
                         / float(oracle.prob_constraint))
             if n >= 2:
                 marginal = conditional_marginal(
-                    SumTableProvider(space, constraint), 1, n)
+                    SumTableProvider(space, constraint, n), 1, n)
                 for key, mass in oracle.marginal(1).items():
                     got = float(marginal.masses[key])
                     worst = max(worst, abs(got - float(mass)) / float(mass))
@@ -171,7 +171,7 @@ def test_c06_corollary1(dice, dice_constraint, dice_solution):
 
 
 def test_c07_conditional_limit(dice, dice_constraint, dice_solution):
-    provider = SumTableProvider(dice, dice_constraint)
+    provider = SumTableProvider(dice, dice_constraint, 200)
     tvs = [conditional_marginal(provider, 1, n).tv_to_product(dice_solution.pmf)
            for n in (2, 10, 50, 200)]
     decreasing = all(b < a for a, b in zip(tvs, tvs[1:]))
@@ -262,8 +262,8 @@ def test_c12_property_suites(dice, dice_constraint, coin, coin_constraint,
 
     # prefix consistency, exact, exhaustive to length 6
     mixture = mixture_predictor(
-        SumTableProvider(coin, coin_constraint, mode="rational"),
-        rissanen_prior(3))
+        SumTableProvider(coin, coin_constraint, 6, mode="rational"),
+        rissanen_prior(3), [2, 4, 6])
     for m in range(1, 7):
         total = sum(mixture.sequence_mass(seq)
                     for seq in itertools.product(range(2), repeat=m))
@@ -280,7 +280,7 @@ def test_c12_property_suites(dice, dice_constraint, coin, coin_constraint,
     notes.append("convolution")
 
     # tower property, exact
-    exact = SumTableProvider(dice, dice_constraint, mode="rational")
+    exact = SumTableProvider(dice, dice_constraint, 6, mode="rational")
     larger = conditional_marginal(exact, 2, 6)
     smaller = conditional_marginal(exact, 1, 6)
     ok &= larger.marginalize_last().masses == smaller.masses

@@ -43,7 +43,7 @@ class TestMinimaxConstancy:
                                               coin03_solution):
         alternatives = [
             conditioned_prior_predictor(
-                SumTableProvider(coin, coin03_constraint), 10),
+                SumTableProvider(coin, coin03_constraint, 10), 10),
             IIDPredictor(coin, [0.5, 0.5], "prior"),
             IIDPredictor(coin, [0.9, 0.1], "skew"),
         ]
@@ -58,7 +58,7 @@ class TestMinimaxConstancy:
         # the conditioned prior beats the projection by exactly the all-n
         # concentration penalty, so its worst case sits on the bound
         alt = conditioned_prior_predictor(
-            SumTableProvider(coin, coin03_constraint), 10)
+            SumTableProvider(coin, coin03_constraint, 10), 10)
         report = verify_minimax_constancy(coin, coin03_constraint,
                                           coin03_solution, 10,
                                           alternatives=[alt])
@@ -185,7 +185,7 @@ class TestPlayCodingGame:
 
     def test_shared_sequences_and_gaps(self, coin, coin_constraint,
                                        coin_solution):
-        provider = SumTableProvider(coin, coin_constraint)
+        provider = SumTableProvider(coin, coin_constraint, 4)
         predictors = {
             "maxent": maxent_predictor(coin, coin_solution),
             "conditioned": lambda n: conditioned_prior_predictor(provider, n),

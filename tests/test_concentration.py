@@ -114,7 +114,7 @@ class TestConstants:
         assert starts.count("q") == 1
         for record in report.records:
             fresh = conditional_marginal(
-                SumTableProvider(dice, dice_constraint), 2, record.n)
+                SumTableProvider(dice, dice_constraint, record.n), 2, record.n)
             assert record.tv.hex() == fresh.tv_to_product(
                 dice_solution.pmf).hex()
 

@@ -141,23 +141,23 @@ class TestBigramDeviation:
 class TestConditionalMarginal:
     def test_coin_symmetry(self, coin, coin_constraint):
         marg = conditional_marginal(
-            SumTableProvider(coin, coin_constraint, mode="rational"), 1, 2)
+            SumTableProvider(coin, coin_constraint, 2, mode="rational"), 1, 2)
         assert marg.masses == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
 
     def test_rows_are_distributions(self, dice, dice_constraint):
-        provider = SumTableProvider(dice, dice_constraint)
+        provider = SumTableProvider(dice, dice_constraint, 8)
         for n in (2, 4, 8):
             marg = conditional_marginal(provider, 1, n)
             assert marg.total() == pytest.approx(1.0, abs=1e-9)
 
     def test_tower_property_exact(self, dice, dice_constraint):
-        provider = SumTableProvider(dice, dice_constraint, mode="rational")
+        provider = SumTableProvider(dice, dice_constraint, 6, mode="rational")
         larger = conditional_marginal(provider, 2, 6)
         smaller = conditional_marginal(provider, 1, 6)
         assert larger.marginalize_last().masses == smaller.masses
 
     def test_tower_property_float(self, pair, pair_constraint):
-        provider = SumTableProvider(pair, pair_constraint)
+        provider = SumTableProvider(pair, pair_constraint, 8)
         larger = conditional_marginal(provider, 2, 8)
         smaller = conditional_marginal(provider, 1, 8)
         folded = larger.marginalize_last().masses
@@ -168,7 +168,7 @@ class TestConditionalMarginal:
         oracle = enumerate_oracle(dice, dice_constraint, 6)
         want = oracle.marginal(2)
         got = conditional_marginal(
-            SumTableProvider(dice, dice_constraint, mode="rational"), 2, 6)
+            SumTableProvider(dice, dice_constraint, 6, mode="rational"), 2, 6)
         for key, mass in want.items():
             assert got.masses[key] == mass
         total_on_support = sum(want.values())
@@ -176,7 +176,7 @@ class TestConditionalMarginal:
 
     def test_tv_decreases_to_projection(self, dice, dice_constraint,
                                         dice_solution):
-        provider = SumTableProvider(dice, dice_constraint)
+        provider = SumTableProvider(dice, dice_constraint, 200)
         tvs = [conditional_marginal(provider, 1, n)
                .tv_to_product(dice_solution.pmf) for n in (2, 10, 50, 200)]
         assert all(b < a for a, b in zip(tvs, tvs[1:]))
@@ -184,22 +184,24 @@ class TestConditionalMarginal:
 
     def test_m_over_cap(self, dice, dice_constraint):
         with pytest.raises(EnumerationInfeasibleError):
-            conditional_marginal(SumTableProvider(dice, dice_constraint), 9, 20)
+            conditional_marginal(SumTableProvider(dice, dice_constraint, 20),
+                                 9, 20)
 
     def test_infeasible_n(self, dice, dice_constraint):
         with pytest.raises(ValidationError):
-            conditional_marginal(SumTableProvider(dice, dice_constraint), 1, 3)
+            conditional_marginal(SumTableProvider(dice, dice_constraint, 3),
+                                 1, 3)
 
     def test_provider_fixes_measure_and_mode(self, dice, dice_constraint):
         # prefix weights and suffix tables both come from the one provider
         tilt = ("tilt", [Fraction(i, 21) for i in range(1, 7)])
-        tables = SumTableProvider(dice, dice_constraint, measure=tilt,
+        tables = SumTableProvider(dice, dice_constraint, 4, measure=tilt,
                                   mode="rational")
         got = conditional_marginal(tables, 1, 4)
         assert (got.measure_id, got.mode) == ("tilt", "rational")
         assert got.total() == 1
         assert all(isinstance(m, Fraction) for m in got.masses.values())
-        floats = conditional_marginal(SumTableProvider(dice, dice_constraint),
+        floats = conditional_marginal(SumTableProvider(dice, dice_constraint, 4),
                                       1, 4)
         assert (floats.measure_id, floats.mode) == ("q", "float")
         assert all(isinstance(m, float) for m in floats.masses.values())

@@ -321,6 +321,58 @@ class TestCli:
         assert "experiments[1].predictors" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("statistic", [[["0"]], [["0", "1", "2"]]],
+                             ids=["short-row", "long-row"])
+    def test_box_row_length_exit_2(self, tmp_path, capsys, statistic):
+        # a box statistic row has one entry per outcome of the config
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_with(experiments=[
+            {"kind": "concentrate", "n_list": [2],
+             "events": [{"type": "box", "statistic": statistic,
+                         "lower": ["0"], "upper": ["1"]}]}])))
+        assert main(["validate", "-c", str(path)]) == 2
+        assert "experiments[0].events[0]" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 2
+        assert "experiments[0].events[0]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_box_statistic_follows_the_kept_outcomes(self, tmp_path):
+        # b has prior mass 0 and is dropped, so c keeps its own value 1 and
+        # not b's 100: on C_4 the average is exactly 1/2, inside the box
+        from fractions import Fraction
+        from maxent_lab import BoxEvent, enumerate_oracle
+        raw = {
+            "problem": {"outcomes": ["a", "b", "c"],
+                        "prior": ["1/2", "0", "1/2"],
+                        "T": [["0", "7", "1"]], "target": ["1/2"]},
+            "experiments": [{"kind": "concentrate", "n_list": [2, 4],
+                             "events": [{"type": "box",
+                                         "statistic": [[0, 100, 1]],
+                                         "lower": ["1/4"],
+                                         "upper": ["3/4"]}]}],
+        }
+        path = tmp_path / "dropped.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 0
+        header, *rows = [r.split(",") for r in
+                         next(out.glob("*.csv")).read_text().splitlines()]
+        space, constraint = load_config(raw).problem.build()
+        event = BoxEvent.make([[0], [1]], ["1/4"], ["3/4"])
+        half = ("p", [Fraction(1, 2)] * 2)
+        for row in rows:
+            n = int(row[header.index("n")])
+            under_q = enumerate_oracle(space, constraint, n,
+                                       events=[event]).event_results[0]
+            under_p = enumerate_oracle(space, constraint, n, measure=half,
+                                       events=[event]).event_results[0]
+            assert float(row[header.index("event_prob_q_given_C")]) == \
+                float(under_q.prob_joint / under_q.prob_constraint) == 1.0
+            assert float(row[header.index("event_prob_ptilde")]) == \
+                pytest.approx(float(under_p.prob_event), rel=1e-12)
+        assert [row[0] for row in rows] == ["2", "4"]
+
     def test_guard_abort_exit_3(self, tmp_path, capsys):
         raw = {
             "problem": {

@@ -128,7 +128,8 @@ def test_conditional_marginal_matches_oracle(problem, m):
     oracle = enumerate_oracle(space, constraint, n, measure=measure)
     assume(oracle.prob_constraint != 0)
     got = conditional_marginal(
-        SumTableProvider(space, constraint, measure=measure, mode="rational"),
+        SumTableProvider(space, constraint, n, measure=measure,
+                         mode="rational"),
         m, n)
     want = oracle.marginal(m)
     assert all(_exact(v) for v in got.masses.values())

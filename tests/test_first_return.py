@@ -22,6 +22,7 @@ from maxent_lab import (
     derive_lattice,
     enumerate_constraint_sequences,
     feasible_sizes,
+    first_feasible_sizes,
     maxent_predictor,
     mixture_gap_series,
     mixture_predictor,
@@ -76,8 +77,9 @@ def test_gap_series_with_zero_step_matches_direct_minimum():
     constraint = derive_lattice([[0], [1], [3]], [1])
     solution = solve_maxent(space, constraint)
     prior = rissanen_prior(8)
-    mixture = mixture_predictor(SumTableProvider(space, constraint), prior,
-                                n_cap=16)
+    sizes = first_feasible_sizes(space, constraint, prior.j_max, n_cap=16)
+    mixture = mixture_predictor(SumTableProvider(space, constraint, 16), prior,
+                                sizes)
     series = mixture_gap_series(space, constraint, solution, prior, n_max=6,
                                 horizon=16)
     assert [r.n for r in series] == [1, 2, 3, 4, 5, 6]

@@ -51,7 +51,7 @@ class TestFloatDpAgreement:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_coin_marginals(self, coin, coin_constraint, n):
         oracle = enumerate_oracle(coin, coin_constraint, n)
-        marg = conditional_marginal(SumTableProvider(coin, coin_constraint),
+        marg = conditional_marginal(SumTableProvider(coin, coin_constraint, n),
                                     1, n)
         for key, mass in oracle.marginal(1).items():
             assert marg.masses[key] == pytest.approx(float(mass), rel=1e-12)
@@ -59,7 +59,7 @@ class TestFloatDpAgreement:
     def test_dice_two_symbol_marginal(self, dice, dice_constraint):
         oracle = enumerate_oracle(dice, dice_constraint, 6)
         marg = conditional_marginal(
-            SumTableProvider(dice, dice_constraint), 2, 6)
+            SumTableProvider(dice, dice_constraint, 6), 2, 6)
         for key, mass in oracle.marginal(2).items():
             assert marg.masses[key] == pytest.approx(float(mass), rel=1e-12)
         # prefixes the oracle never saw carry no conditional mass

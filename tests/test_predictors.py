@@ -11,6 +11,7 @@ from maxent_lab import (
     constraint_prob,
     enumerate_constraint_sequences,
     enumerate_oracle,
+    first_feasible_sizes,
     maxent_predictor,
     mixture_gap_series,
     mixture_predictor,
@@ -22,9 +23,9 @@ from maxent_lab.errors import ValidationError
 from conftest import BRANDEIS_MASSES
 
 
-def _exact(space, constraint):
-    """Rational sum tables of the prior."""
-    return SumTableProvider(space, constraint, mode="rational")
+def _exact(space, constraint, horizon):
+    """Rational sum tables of the prior to ``horizon``."""
+    return SumTableProvider(space, constraint, horizon, mode="rational")
 
 
 class TestMaxentPredictor:
@@ -50,14 +51,16 @@ class TestMaxentPredictor:
 class TestConditionedPrior:
     def test_coin_two_step_masses(self, coin, coin_constraint):
         oracle = enumerate_oracle(coin, coin_constraint, 2)
-        predictor = conditioned_prior_predictor(_exact(coin, coin_constraint), 2)
+        predictor = conditioned_prior_predictor(
+            _exact(coin, coin_constraint, 2), 2)
         for seq in itertools.product(range(2), repeat=2):
             want = oracle.conditional.get(seq, Fraction(0))
             assert predictor.sequence_mass(seq) == want
 
     def test_codelength_is_conditioning_identity(self, dice, dice_constraint):
         n = 4
-        predictor = conditioned_prior_predictor(_exact(dice, dice_constraint), n)
+        predictor = conditioned_prior_predictor(
+            _exact(dice, dice_constraint, n), n)
         prob_c = constraint_prob(dice, dice_constraint, n, mode="rational")
         for seq in enumerate_constraint_sequences(dice, dice_constraint, n)[:20]:
             mass_q = Fraction(1, 6 ** n)
@@ -67,7 +70,8 @@ class TestConditionedPrior:
                 want, rel=1e-12)
 
     def test_killing_step_gets_zero_mass(self, coin, coin_constraint):
-        predictor = conditioned_prior_predictor(_exact(coin, coin_constraint), 4)
+        predictor = conditioned_prior_predictor(
+            _exact(coin, coin_constraint, 4), 4)
         # three heads cannot be balanced by one remaining symbol
         conds = []
         for idx in (1, 1):
@@ -78,13 +82,15 @@ class TestConditionedPrior:
         assert predictor.sequence_codelength((1, 1, 1, 0)) == math.inf
 
     def test_continues_iid_after_horizon(self, coin, coin_constraint):
-        predictor = conditioned_prior_predictor(_exact(coin, coin_constraint), 2)
+        predictor = conditioned_prior_predictor(
+            _exact(coin, coin_constraint, 2), 2)
         mass = predictor.sequence_mass((0, 1, 1, 1))
         assert mass == Fraction(1, 2) * Fraction(1, 4)
 
     def test_infeasible_horizon_rejected(self, dice, dice_constraint):
         with pytest.raises(ValidationError):
-            conditioned_prior_predictor(SumTableProvider(dice, dice_constraint), 3)
+            conditioned_prior_predictor(
+                SumTableProvider(dice, dice_constraint, 3), 3)
 
 
 def _prefix_consistency_exact(predictor, size, depth):
@@ -97,23 +103,26 @@ def _prefix_consistency_exact(predictor, size, depth):
 
 class TestPrefixConsistency:
     def test_conditioned_prior_exact(self, coin, coin_constraint):
-        predictor = conditioned_prior_predictor(_exact(coin, coin_constraint), 4)
+        predictor = conditioned_prior_predictor(
+            _exact(coin, coin_constraint, 4), 4)
         _prefix_consistency_exact(predictor, 2, 6)
 
     def test_mixture_exact(self, coin, coin_constraint):
-        predictor = mixture_predictor(_exact(coin, coin_constraint),
-                                      rissanen_prior(4))
+        # the coin's feasible sizes are the even ones
+        predictor = mixture_predictor(_exact(coin, coin_constraint, 8),
+                                      rissanen_prior(4), [2, 4, 6, 8])
         _prefix_consistency_exact(predictor, 2, 6)
 
     def test_renewal_exact(self, coin, coin_constraint):
-        provider = _exact(coin, coin_constraint)
-        factory = lambda: mixture_predictor(provider, rissanen_prior(3))
+        provider = _exact(coin, coin_constraint, 6)
+        factory = lambda: mixture_predictor(provider, rissanen_prior(3),
+                                            [2, 4, 6])
         predictor = renewal_compose(coin, coin_constraint, factory)
         _prefix_consistency_exact(predictor, 2, 6)
 
     def test_float_conditionals_sum_to_one(self, dice, dice_constraint,
                                            dice_solution):
-        provider = SumTableProvider(dice, dice_constraint)
+        provider = SumTableProvider(dice, dice_constraint, 8)
         predictor = conditioned_prior_predictor(provider, 8)
         for idx in (3, 4, 2):
             assert sum(predictor.conditionals()) == pytest.approx(1.0, abs=1e-9)
@@ -122,17 +131,17 @@ class TestPrefixConsistency:
 
 class TestMixture:
     def test_single_component_degenerates(self, coin, coin_constraint):
-        provider = _exact(coin, coin_constraint)
-        mixture = mixture_predictor(provider, rissanen_prior(1))
+        provider = _exact(coin, coin_constraint, 2)
+        mixture = mixture_predictor(provider, rissanen_prior(1), [2])
         conditioned = conditioned_prior_predictor(provider, 2)
         for seq in itertools.product(range(2), repeat=4):
             assert mixture.sequence_mass(seq) == conditioned.sequence_mass(seq)
 
     def test_mixture_lower_bound(self, coin, coin_constraint):
         prior = rissanen_prior(4)
-        provider = _exact(coin, coin_constraint)
-        mixture = mixture_predictor(provider, prior)
+        provider = _exact(coin, coin_constraint, 8)
         sizes = [2, 4, 6, 8]
+        mixture = mixture_predictor(provider, prior, sizes)
         for j, n_j in enumerate(sizes, start=1):
             component = conditioned_prior_predictor(provider, n_j)
             for seq in itertools.product(range(2), repeat=4):
@@ -141,8 +150,8 @@ class TestMixture:
 
     def test_arithmetic_follows_the_provider(self, coin, coin_constraint):
         # a rational provider makes the weights and every conditional exact
-        mixture = mixture_predictor(_exact(coin, coin_constraint),
-                                    rissanen_prior(3))
+        mixture = mixture_predictor(_exact(coin, coin_constraint, 6),
+                                    rissanen_prior(3), [2, 4, 6])
         seq = (0, 1, 1, 0)
         p = mixture.fresh()
         for idx in seq:
@@ -150,10 +159,34 @@ class TestMixture:
             p.push(idx)
         assert mixture.sequence_mass(seq) == Fraction(359940716346852413,
                                                       2772133847403501930)
-        floats = mixture_predictor(SumTableProvider(coin, coin_constraint),
-                                   rissanen_prior(3))
+        floats = mixture_predictor(SumTableProvider(coin, coin_constraint, 6),
+                                   rissanen_prior(3), [2, 4, 6])
         assert all(isinstance(c, float) for c in floats.conditionals())
         assert floats.sequence_mass(seq) == 0.12984247376222044
+
+    def test_a_step_reuses_the_component_conditionals(self, coin,
+                                                      coin_constraint,
+                                                      monkeypatch):
+        # scoring asks each component for its conditionals once per symbol;
+        # the step reads the ones the mixture's conditionals already took
+        from maxent_lab.predictors import ConditionedPriorPredictor
+        calls = []
+        conditionals = ConditionedPriorPredictor.conditionals
+        monkeypatch.setattr(
+            ConditionedPriorPredictor, "conditionals",
+            lambda self: calls.append(self.horizon) or conditionals(self))
+        mixture = mixture_predictor(_exact(coin, coin_constraint, 6),
+                                    rissanen_prior(3), [2, 4, 6])
+        seq = (0, 1, 1, 0, 0, 1)  # on target at 2, 4 and 6: no weight dies
+        scored = mixture.fresh()
+        scored.feed(seq)
+        assert sorted(calls) == sorted([2, 4, 6] * len(seq))
+        assert all(post > 0 for post in scored.posteriors)
+        # a step with no conditionals call before it computes the same
+        pushed = mixture.fresh()
+        for idx in seq:
+            pushed.push(idx)
+        assert pushed.posteriors == scored.posteriors
 
     @pytest.mark.parametrize("horizon,gaps", [(8, (0.86398, -0.86866)),
                                               (16, (0.83107, -0.77259))])
@@ -162,8 +195,10 @@ class TestMixture:
         # the gaps at a horizon are those of the mixture over the feasible
         # sizes up to it: 4 components at horizon 8, all 8 at horizon 16
         prior = rissanen_prior(8)
-        mixture = mixture_predictor(SumTableProvider(coin, coin_constraint),
-                                    prior, n_cap=horizon)
+        sizes = first_feasible_sizes(coin, coin_constraint, prior.j_max,
+                                     n_cap=horizon)
+        mixture = mixture_predictor(
+            SumTableProvider(coin, coin_constraint, horizon), prior, sizes)
         assert len(mixture.components) == horizon // 2
         series = mixture_gap_series(coin, coin_constraint, coin_solution,
                                     prior, n_max=4, horizon=horizon)
@@ -182,8 +217,10 @@ class TestMixture:
                                                coin_solution):
         # closed-form series against brute-force minimum over the constraint set
         prior = rissanen_prior(8)
-        mixture = mixture_predictor(SumTableProvider(coin, coin_constraint),
-                                    prior, n_cap=16)
+        sizes = first_feasible_sizes(coin, coin_constraint, prior.j_max,
+                                     n_cap=16)
+        mixture = mixture_predictor(
+            SumTableProvider(coin, coin_constraint, 16), prior, sizes)
         series = mixture_gap_series(coin, coin_constraint, coin_solution,
                                     prior, n_max=8, horizon=16)
         proj = maxent_predictor(coin, coin_solution)
@@ -207,8 +244,9 @@ class TestRenewal:
                 iid.sequence_codelength(seq), rel=1e-12)
 
     def test_masses_sum_to_one(self, coin, coin_constraint):
-        provider = _exact(coin, coin_constraint)
-        factory = lambda: mixture_predictor(provider, rissanen_prior(3))
+        provider = _exact(coin, coin_constraint, 6)
+        factory = lambda: mixture_predictor(provider, rissanen_prior(3),
+                                            [2, 4, 6])
         composed = renewal_compose(coin, coin_constraint, factory)
         for m in (1, 3, 6):
             total = sum(composed.sequence_mass(seq)
@@ -222,10 +260,10 @@ class TestRenewal:
         # with c'' measured as the challenger's worst gap on constraint blocks
         alpha = Fraction(3, 4)
         prior = rissanen_prior(4)
-        provider = _exact(coin, coin_constraint)
+        provider = _exact(coin, coin_constraint, 8)
 
         def challenger():
-            return mixture_predictor(provider, prior)
+            return mixture_predictor(provider, prior, [2, 4, 6, 8])
 
         # p_alpha = alpha * challenger + (1 - alpha) * projection
         from maxent_lab.predictors import MixturePredictor

@@ -100,7 +100,8 @@ class TestHypercompression:
                                           coin_constraint):
         base = maxent_predictor(coin, coin_solution)
         challenger = mixture_predictor(
-            SumTableProvider(coin, coin_constraint), rissanen_prior(4))
+            SumTableProvider(coin, coin_constraint, 8), rissanen_prior(4),
+            [2, 4, 6, 8])
         result = hypercompression_check(base, challenger, coin_solution,
                                         n=12, k_bits=2.0, samples=400, seed=17)
         assert result.within_bound

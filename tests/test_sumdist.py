@@ -139,7 +139,7 @@ class TestGuards:
 
     def test_provider_budget(self, pair, pair_constraint):
         # the tables to m = 10**4 would hold about 3.3e11 cells together
-        provider = SumTableProvider(pair, pair_constraint)
+        provider = SumTableProvider(pair, pair_constraint, 10 ** 4)
         with pytest.raises(LatticeBlowupError):
             provider.table(10 ** 4)
 
@@ -149,7 +149,7 @@ class TestGuards:
         dense_step = sumdist._dense_step
         monkeypatch.setattr(sumdist, "_dense_step",
                             lambda *args: steps.append(1) or dense_step(*args))
-        provider = SumTableProvider(dice, dice_constraint)
+        provider = SumTableProvider(dice, dice_constraint, 10 ** 4)
         for _ in range(2):
             with pytest.raises(LatticeBlowupError):
                 provider.table(10 ** 4)
@@ -159,11 +159,12 @@ class TestGuards:
 
 class TestProvider:
     def test_tables_match_direct(self, dice, dice_constraint):
-        provider = SumTableProvider(dice, dice_constraint)
+        # at horizon 20 the window of size 5 is its whole box
+        provider = SumTableProvider(dice, dice_constraint, 20)
         direct = sum_distribution(dice, dice_constraint, 5)
         for units, mass in direct.items():
             assert provider.mass(5, units) == pytest.approx(mass, rel=1e-12)
 
     def test_rational_provider(self, coin, coin_constraint):
-        provider = SumTableProvider(coin, coin_constraint, mode="rational")
+        provider = SumTableProvider(coin, coin_constraint, 4, mode="rational")
         assert provider.mass(4, (2,)) == Fraction(6, 16)

@@ -25,6 +25,7 @@ from maxent_lab import (
     sum_distribution,
 )
 from maxent_lab.errors import LatticeBlowupError
+from maxent_lab.lattice import _window
 
 weights_st = st.builds(Fraction, st.integers(1, 9), st.integers(2, 12))
 
@@ -54,24 +55,31 @@ def problems(draw):
     return space, constraint, measure, mode
 
 
-def _cells(table):
-    """Support cells with masses in a form that compares exactly: Fractions
-    as they are, floats by their bits."""
-    return [(u, m.hex() if isinstance(m, float) else m) for u, m in table.items()]
+def _masses(table, cells):
+    """The masses of ``cells`` in a form that compares exactly: Fractions as
+    they are, floats by their bits."""
+    return [(type(m), m.hex() if isinstance(m, float) else m)
+            for m in map(table.mass_units, cells)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(problems(), st.integers(0, 5))
 def test_provider_central_series_and_sum_distribution_agree(problem, n_max):
+    # the provider at horizon n_max keeps the cells of each table's window,
+    # and each of them holds the full table's mass
     space, constraint, measure, mode = problem
-    provider = SumTableProvider(space, constraint, measure=measure, mode=mode)
+    provider = SumTableProvider(space, constraint, n_max, measure=measure,
+                                mode=mode)
     series = central_series(space, constraint, n_max, measure=measure, mode=mode)
     assert len(series) == n_max + 1
     for n in range(n_max + 1):
         direct = sum_distribution(space, constraint, n, measure=measure, mode=mode)
         cached = provider.table(n)
         assert direct.n == cached.n == n
-        assert _cells(cached) == _cells(direct)
+        origin, shape = _window(constraint, n_max, n)
+        assert cached.origin == origin and cached.table.shape == shape
+        cells = list(product(*(range(o, o + s) for o, s in zip(origin, shape))))
+        assert _masses(cached, cells) == _masses(direct, cells)
         assert series[n] == direct.mass_at_target()
         assert type(series[n]) is type(direct.mass_at_target())
 
@@ -105,7 +113,7 @@ def test_walk_matches_brute_force_and_representative(problem, n):
 def test_provider_raises_again_after_a_sparse_blowup(dice, dice_constraint):
     # a block of sizes shares one provider and carries on past a failed size;
     # the tables to m = 10**4 (about 2.5e8 cells) are refused on every call
-    provider = SumTableProvider(dice, dice_constraint, mode="rational")
+    provider = SumTableProvider(dice, dice_constraint, 10 ** 4, mode="rational")
     for _ in range(2):
         with pytest.raises(LatticeBlowupError):
             provider.table(10 ** 4)

@@ -59,7 +59,7 @@ def test_traced_sum_table_cache():
     # the tracer counts provider hits by reading this list's length
     from maxent_lab import SumTableProvider, build_space, derive_lattice
     provider = SumTableProvider(build_space([0, 1], [1, 1]),
-                                derive_lattice([[0], [1]], ["1/2"]))
+                                derive_lattice([[0], [1]], ["1/2"]), 3)
     provider.table(3)
     assert len(provider._tables) == 4
 
