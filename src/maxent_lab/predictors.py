@@ -1,18 +1,21 @@
 """Sequential predictors with codelength accounting in bits.
 
-A predictor is a stateful object: it emits a conditional mass function for the
-next symbol, is advanced symbol by symbol, and accumulates -log2 of the
-conditionals it assigned. Masses may be exact rationals (rational mode) or
-floats; a mass of zero yields an infinite codelength and consumers must cope.
-Instances are single-threaded; run independent copies for parallel work.
+A predictor is a code over sequences: ``masses(sequence)`` yields the
+conditional mass of each symbol of ``sequence`` in turn, starting from the
+predictor's initial state, and the codelength is the sum of -log2 of those
+masses. Only the symbol that occurs is scored. A predictor holds no scoring
+state, so one instance scores any number of sequences. Masses may be exact
+rationals (rational mode) or floats; a mass of zero yields an infinite
+codelength and consumers must cope.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 
-from .errors import ValidationError
+from .errors import LatticeBlowupError, ValidationError
 from .lattice import ConstraintSpec, SampleSpace
 from .priors import IntegerPrior
 from .solver import MaxEntSolution
@@ -29,53 +32,26 @@ def neg_log2(mass) -> float:
 
 
 class Predictor:
-    """Base class: subclasses implement ``conditionals``, ``_step`` and
-    ``fresh``."""
+    """Base class: subclasses implement ``masses``."""
 
     def __init__(self, space: SampleSpace, tag: str):
         self.space = space
         self.tag = tag
-        self.codelength_bits = 0.0
-        self.steps = 0
 
-    def conditionals(self) -> list:
+    def masses(self, sequence):
+        """Yield the conditional mass of each symbol of ``sequence``."""
         raise NotImplementedError
-
-    def _step(self, idx: int) -> None:
-        raise NotImplementedError
-
-    def fresh(self) -> "Predictor":
-        raise NotImplementedError
-
-    def push(self, idx: int) -> None:
-        """Advance state without touching the codelength."""
-        self._step(idx)
-        self.steps += 1
-
-    def advance(self, idx: int):
-        mass = self.conditionals()[idx]
-        self.codelength_bits += neg_log2(mass)
-        self.push(idx)
-        return mass
-
-    def feed(self, sequence) -> float:
-        for idx in sequence:
-            self.advance(idx)
-        return self.codelength_bits
 
     def sequence_codelength(self, sequence) -> float:
-        return self.fresh().feed(sequence)
+        bits = 0.0
+        for mass in self.masses(sequence):
+            bits += neg_log2(mass)
+        return bits
 
     def sequence_mass(self, sequence):
-        """Product of conditionals along ``sequence`` from a fresh state;
-        exact when the predictor emits rationals."""
-        p = self.fresh()
-        mass = None
-        for idx in sequence:
-            c = p.conditionals()[idx]
-            mass = c if mass is None else mass * c
-            p.push(idx)
-        return 1 if mass is None else mass
+        """Product of the conditionals along ``sequence``; exact when the
+        predictor emits rationals."""
+        return math.prod(self.masses(sequence))
 
 
 class IIDPredictor(Predictor):
@@ -88,14 +64,9 @@ class IIDPredictor(Predictor):
             raise ValidationError("pmf length must match the outcome count")
         self.pmf = pmf
 
-    def conditionals(self) -> list:
-        return self.pmf
-
-    def _step(self, idx: int) -> None:
-        pass
-
-    def fresh(self) -> "IIDPredictor":
-        return IIDPredictor(self.space, self.pmf, self.tag)
+    def masses(self, sequence):
+        for idx in sequence:
+            yield self.pmf[idx]
 
 
 def maxent_predictor(space: SampleSpace, solution: MaxEntSolution) -> IIDPredictor:
@@ -106,48 +77,46 @@ def maxent_predictor(space: SampleSpace, solution: MaxEntSolution) -> IIDPredict
 class ConditionedPriorPredictor(Predictor):
     """The provider measure conditioned on hitting the target at ``horizon``.
 
-    Conditionals before the horizon weight each symbol by the suffix mass that
-    still reaches the target cell; prefixes that cannot reach it get mass zero
-    and the predictor goes dead (it keeps emitting the base measure so its
-    conditionals stay proper). Beyond the horizon it continues i.i.d.
+    Before the horizon, symbol x after a prefix of unit sum u gets
+    w(x) W_{r-1}(c - u - u(x)) / W_r(c - u), where W_r is the provider's
+    size-r table, r the steps left and c the target cell. The numerator's
+    suffix mass is the next step's denominator, so each symbol costs one
+    lookup. A prefix that cannot reach the target gets mass zero and the
+    predictor goes dead: it emits the base measure from then on, as it does
+    beyond the horizon. A float zero at a cell that some sequence reaches
+    is an underflow, not a dead prefix, and raises ``LatticeBlowupError``.
     """
 
     def __init__(self, provider: SumTableProvider, horizon: int):
         super().__init__(provider.space, f"conditioned[{horizon}]")
-        self.constraint = provider.constraint
         self.provider = provider
         self.horizon = horizon
-        self.center = self.constraint.center_units(horizon)
-        if self.center is None or \
-                provider.table(horizon).mass_units(self.center) == 0:
+        self.center = provider.constraint.center_units(horizon)
+        self.total = 0 if self.center is None \
+            else self._mass(horizon, self.center)
+        if self.total == 0:
             raise ValidationError(f"horizon n={horizon} is infeasible")
-        self.units = (0,) * self.constraint.dim
-        self.dead = False
 
-    def conditionals(self) -> list:
-        base = self.provider.weights
-        if self.dead or self.steps >= self.horizon:
-            return list(base)
-        remaining = self.horizon - self.steps
-        needed = tuple(c - u for c, u in zip(self.center, self.units))
-        denom = self.provider.mass(remaining, needed)
-        if denom == 0:
-            self.dead = True
-            return list(base)
-        suffix = self.provider.table(remaining - 1)
-        out = []
-        for w, u in zip(base, self.constraint.units):
-            rest = tuple(a - b for a, b in zip(needed, u))
-            out.append(w * suffix.mass_units(rest) / denom)
-        return out
+    def _mass(self, m: int, units):
+        """The provider's size-m mass at ``units``; zero only if exact."""
+        mass = self.provider.mass(m, units)
+        if mass == 0 and self.provider.reachable(m, units):
+            raise LatticeBlowupError(
+                f"conditioned prior at n={self.horizon}: the suffix mass of "
+                f"size {m} underflows the float range; reduce n")
+        return mass
 
-    def _step(self, idx: int) -> None:
-        if self.steps < self.horizon:
-            self.units = tuple(a + b for a, b in
-                               zip(self.units, self.constraint.units[idx]))
-
-    def fresh(self) -> "ConditionedPriorPredictor":
-        return ConditionedPriorPredictor(self.provider, self.horizon)
+    def masses(self, sequence):
+        base, units = self.provider.weights, self.provider.constraint.units
+        needed, denom = self.center, self.total
+        for t, idx in enumerate(sequence):
+            if t >= self.horizon or denom == 0:
+                yield base[idx]
+                continue
+            needed = tuple(map(sub, needed, units[idx]))
+            rest = self._mass(self.horizon - t - 1, needed)
+            yield base[idx] * rest / denom
+            denom = rest
 
 
 def conditioned_prior_predictor(provider: SumTableProvider, horizon: int
@@ -156,51 +125,38 @@ def conditioned_prior_predictor(provider: SumTableProvider, horizon: int
 
 
 class MixturePredictor(Predictor):
-    """Bayesian mixture of component predictors advanced in lockstep, with
-    the weights scaled to sum to one. A step reuses the component
-    conditionals that ``conditionals`` computed at the same state."""
+    """Bayesian mixture of component predictors run in lockstep, with the
+    weights scaled to sum to one. Each symbol's mass is the posterior
+    average of the component masses; a component's posterior is its weight
+    times its mass of the prefix."""
 
     def __init__(self, space: SampleSpace, components, weights, tag: str):
         super().__init__(space, tag)
         if len(components) != len(weights) or not components:
             raise ValidationError("need matching nonempty components and weights")
-        self._ctor = (list(components), list(weights))
-        self.components = [c.fresh() for c in components]
+        self.components = list(components)
         total = sum(weights)
-        self.posteriors = [w / total for w in weights]
-        # (steps, component conditionals) of the last ``conditionals`` call
-        self._conds = (None, None)
+        self.weights = [w / total for w in weights]
 
-    def conditionals(self) -> list:
-        total = sum(self.posteriors)
-        if total == 0:
-            flat = Fraction(1, self.space.size) \
-                if any(isinstance(w, Fraction) for w in self._ctor[1]) \
-                else 1.0 / self.space.size
-            return [flat] * self.space.size
-        conds = [c.conditionals() for c in self.components]
-        self._conds = (self.steps, conds)
-        out = []
-        for idx in range(self.space.size):
+    def masses(self, sequence):
+        posteriors = list(self.weights)
+        streams = [c.masses(sequence) for c in self.components]
+        for conds in zip(*streams):
+            total = sum(posteriors)
+            if total == 0:
+                yield Fraction(1, self.space.size) \
+                    if any(isinstance(w, Fraction) for w in self.weights) \
+                    else 1.0 / self.space.size
+                continue
             acc = None
-            for post, cond in zip(self.posteriors, conds):
+            for post, cond in zip(posteriors, conds):
                 if post == 0:
                     continue
-                term = post * cond[idx]
+                term = post * cond
                 acc = term if acc is None else acc + term
-            out.append(acc / total)
-        return out
-
-    def _step(self, idx: int) -> None:
-        steps, conds = self._conds
-        for i, comp in enumerate(self.components):
-            if self.posteriors[i] != 0:
-                cond = conds[i] if steps == self.steps else comp.conditionals()
-                self.posteriors[i] = self.posteriors[i] * cond[idx]
-            comp.push(idx)
-
-    def fresh(self) -> "MixturePredictor":
-        return MixturePredictor(self.space, *self._ctor, self.tag)
+            yield acc / total
+            posteriors = [post if post == 0 else post * cond
+                          for post, cond in zip(posteriors, conds)]
 
 
 def mixture_predictor(provider: SumTableProvider, prior: IntegerPrior,
@@ -235,22 +191,16 @@ class RenewalComposedPredictor(Predictor):
         super().__init__(space, tag)
         self.constraint = constraint
         self.block_factory = block_factory
-        self.block = block_factory()
-        self.units = (0,) * constraint.dim
 
-    def conditionals(self) -> list:
-        return self.block.conditionals()
-
-    def _step(self, idx: int) -> None:
-        self.block.push(idx)
-        self.units = tuple(a + b for a, b in
-                           zip(self.units, self.constraint.units[idx]))
-        if self.constraint.center_units(self.steps + 1) == self.units:
-            self.block = self.block_factory()
-
-    def fresh(self) -> "RenewalComposedPredictor":
-        return RenewalComposedPredictor(self.space, self.constraint,
-                                        self.block_factory, self.tag)
+    def masses(self, sequence):
+        block = self.block_factory()
+        stream = block.masses(sequence)
+        units = (0,) * self.constraint.dim
+        for t, idx in enumerate(sequence, start=1):
+            yield next(stream)
+            units = tuple(map(add, units, self.constraint.units[idx]))
+            if self.constraint.center_units(t) == units:
+                stream = block.masses(sequence[t:])
 
 
 def renewal_compose(space: SampleSpace, constraint: ConstraintSpec,

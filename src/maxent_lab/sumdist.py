@@ -28,6 +28,7 @@ from .lattice import (
     _check_budget,
     _dense_shape,
     _grow,
+    _reach_sweep,
     _shift_combine,
     _tables_cells,
     as_fraction,
@@ -299,6 +300,8 @@ class SumTableProvider:
         self._sweep = _sweep(constraint, self.measure_id, self.weights, mode,
                              horizon)
         self._tables = [next(self._sweep)]
+        self._reach = _reach_sweep(constraint, horizon)
+        self._reach_tables = []
 
     def table(self, m: int) -> SumDistribution:
         if not 0 <= m <= self.horizon:
@@ -313,3 +316,20 @@ class SumTableProvider:
 
     def mass(self, m: int, units):
         return self.table(m).mass_units(units)
+
+    def reachable(self, m: int, units) -> bool:
+        """Whether the exact ``mass(m, units)`` is nonzero, for m in
+        0..horizon, so a float 0.0 can be told from an underflow; the
+        measure must charge every outcome. A cell outside the m-step box
+        answers without a table; otherwise the boolean reachability tables,
+        cut to the windows of the sum tables, are swept on first use and only
+        to m."""
+        if not all(0 <= x <= m * u
+                   for x, u in zip(units, self.constraint.unit_max)):
+            return False
+        while len(self._reach_tables) <= m:
+            self._reach_tables.append(next(self._reach))
+        table, origin = self._reach_tables[m]
+        index = tuple(map(sub, units, origin))
+        return all(0 <= i < s for i, s in zip(index, table.shape)) \
+            and bool(table[index])

@@ -414,6 +414,33 @@ class TestCli:
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
         assert "n=1741" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n,code", [(200, 0), (1500, 3), (3000, 3)])
+    def test_paths_game_conditioned_underflow_exit_3(self, tmp_path, capsys,
+                                                     n, code):
+        # the die at target 5: the conditioned prior's suffix mass on the
+        # representative at n = 1500, and its horizon mass at n = 3000,
+        # underflow to 0.0 at cells that some sequence reaches. At n = 200
+        # the first symbol takes every mixture component (sizes 1..4) off
+        # target, so that zero is exact and the row reads inf
+        faces = [str(x) for x in range(1, 7)]
+        raw = {
+            "problem": {"outcomes": faces, "prior": ["1/6"] * 6,
+                        "T": [faces], "target": ["5"]},
+            "experiments": [{"kind": "game", "mode": "paths", "n_list": [n],
+                             "j_max": 4}],
+        }
+        path = tmp_path / "paths.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == code
+        if code == 3:
+            err = capsys.readouterr().err
+            assert f"n={n}" in err and "underflows" in err
+        else:
+            rows = next(out.glob("*.csv")).read_text().splitlines()
+            assert f"{n},mixture,inf,inf" in rows
+            assert f"{n},conditioned,inf,inf" not in rows
+
     @pytest.mark.parametrize("kind", ["concentrate", "corollary1"])
     def test_zero_mass_at_a_feasible_size_exit_3(self, tmp_path, capsys,
                                                   monkeypatch, kind):

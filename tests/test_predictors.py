@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxent_lab import (
     IIDPredictor,
@@ -21,6 +22,7 @@ from maxent_lab import (
 from maxent_lab.errors import ValidationError
 
 from conftest import BRANDEIS_MASSES
+from test_window import problems
 
 
 def _exact(space, constraint, horizon):
@@ -73,11 +75,9 @@ class TestConditionedPrior:
         predictor = conditioned_prior_predictor(
             _exact(coin, coin_constraint, 4), 4)
         # three heads cannot be balanced by one remaining symbol
-        conds = []
-        for idx in (1, 1):
-            conds.append(predictor.conditionals()[idx])
-            predictor.push(idx)
-        assert predictor.conditionals()[1] == 0
+        masses = list(predictor.masses((1, 1, 1, 0)))
+        assert all(m > 0 for m in masses[:2])
+        assert masses[2] == 0
         assert predictor.sequence_mass((1, 1, 1, 0)) == 0
         assert predictor.sequence_codelength((1, 1, 1, 0)) == math.inf
 
@@ -91,6 +91,24 @@ class TestConditionedPrior:
         with pytest.raises(ValidationError):
             conditioned_prior_predictor(
                 SumTableProvider(dice, dice_constraint, 3), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(), st.integers(1, 4))
+def test_conditioned_prior_matches_the_oracle(problem, n):
+    # exact: the product of the conditionals along each length-n sequence is
+    # its conditional mass given C_n, zero off the constraint set
+    space, constraint, measure, _ = problem
+    provider = SumTableProvider(space, constraint, n, measure=measure,
+                                mode="rational")
+    oracle = enumerate_oracle(space, constraint, n, measure=measure)
+    if oracle.prob_constraint == 0:
+        with pytest.raises(ValidationError):
+            conditioned_prior_predictor(provider, n)
+        return
+    predictor = conditioned_prior_predictor(provider, n)
+    for seq in itertools.product(range(space.size), repeat=n):
+        assert predictor.sequence_mass(seq) == oracle.conditional.get(seq, 0)
 
 
 def _prefix_consistency_exact(predictor, size, depth):
@@ -124,9 +142,11 @@ class TestPrefixConsistency:
                                            dice_solution):
         provider = SumTableProvider(dice, dice_constraint, 8)
         predictor = conditioned_prior_predictor(provider, 8)
-        for idx in (3, 4, 2):
-            assert sum(predictor.conditionals()) == pytest.approx(1.0, abs=1e-9)
-            predictor.push(idx)
+        seq = (3, 4, 2)
+        for t in range(len(seq)):
+            total = sum(list(predictor.masses(seq[:t] + (x,)))[-1]
+                        for x in range(dice.size))
+            assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMixture:
@@ -153,40 +173,39 @@ class TestMixture:
         mixture = mixture_predictor(_exact(coin, coin_constraint, 6),
                                     rissanen_prior(3), [2, 4, 6])
         seq = (0, 1, 1, 0)
-        p = mixture.fresh()
-        for idx in seq:
-            assert all(isinstance(c, Fraction) for c in p.conditionals())
-            p.push(idx)
+        assert all(isinstance(c, Fraction) for c in mixture.masses(seq))
         assert mixture.sequence_mass(seq) == Fraction(359940716346852413,
                                                       2772133847403501930)
         floats = mixture_predictor(SumTableProvider(coin, coin_constraint, 6),
                                    rissanen_prior(3), [2, 4, 6])
-        assert all(isinstance(c, float) for c in floats.conditionals())
+        assert all(isinstance(c, float) for c in floats.masses(seq))
         assert floats.sequence_mass(seq) == 0.12984247376222044
 
-    def test_a_step_reuses_the_component_conditionals(self, coin,
-                                                      coin_constraint,
-                                                      monkeypatch):
-        # scoring asks each component for its conditionals once per symbol;
-        # the step reads the ones the mixture's conditionals already took
-        from maxent_lab.predictors import ConditionedPriorPredictor
-        calls = []
-        conditionals = ConditionedPriorPredictor.conditionals
-        monkeypatch.setattr(
-            ConditionedPriorPredictor, "conditionals",
-            lambda self: calls.append(self.horizon) or conditionals(self))
+    def test_one_table_lookup_per_scored_symbol(self, coin, coin_constraint,
+                                                monkeypatch):
+        # each component reads its horizon mass once when it is built, then
+        # one suffix mass per symbol before its horizon, which is the next
+        # symbol's denominator; every table read goes through the provider
+        from maxent_lab.sumdist import SumDistribution
+        calls, reads = [], []
+        mass, mass_units = SumTableProvider.mass, SumDistribution.mass_units
+        monkeypatch.setattr(SumTableProvider, "mass", lambda self, m, units:
+                            calls.append(m) or mass(self, m, units))
+        monkeypatch.setattr(SumDistribution, "mass_units", lambda self, units:
+                            reads.append(self.n) or mass_units(self, units))
+        sizes = [2, 4, 6]
         mixture = mixture_predictor(_exact(coin, coin_constraint, 6),
-                                    rissanen_prior(3), [2, 4, 6])
-        seq = (0, 1, 1, 0, 0, 1)  # on target at 2, 4 and 6: no weight dies
-        scored = mixture.fresh()
-        scored.feed(seq)
-        assert sorted(calls) == sorted([2, 4, 6] * len(seq))
-        assert all(post > 0 for post in scored.posteriors)
-        # a step with no conditionals call before it computes the same
-        pushed = mixture.fresh()
-        for idx in seq:
-            pushed.push(idx)
-        assert pushed.posteriors == scored.posteriors
+                                    rissanen_prior(3), sizes)
+        assert sorted(calls) == sizes
+        seq = (0, 1, 1, 0, 0, 1, 1, 0)  # on target at 2, 4 and 6
+        scores = []
+        for _ in range(2):  # a predictor keeps no state between sequences
+            del calls[:]
+            scores.append(mixture.sequence_mass(seq))
+            assert sorted(calls) == sorted(n_j - t - 1 for n_j in sizes
+                                           for t in range(n_j))
+        assert scores[0] == scores[1] > 0
+        assert len(reads) == len(sizes) + 2 * len(calls)
 
     @pytest.mark.parametrize("horizon,gaps", [(8, (0.86398, -0.86866)),
                                               (16, (0.83107, -0.77259))])
