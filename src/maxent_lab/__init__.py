@@ -26,7 +26,6 @@ from .events import (
 )
 from .lattice import (
     ConstraintSpec,
-    FeasibilityTable,
     SampleSpace,
     build_space,
     derive_lattice,

@@ -15,7 +15,7 @@ from itertools import islice
 import numpy as np
 
 from .concentration import LocalClt, representative_sequence, sorted_sizes
-from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
+from .errors import EnumerationInfeasibleError, ValidationError
 from .lattice import (
     ConstraintSpec,
     SampleSpace,
@@ -141,7 +141,9 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
                                 mode="float")
     logp = np.log2(solution.pmf)
     logq = np.log2(space.prior)
-    feasible = set(_sizes_with_mass(space, constraint, central_p, n_list,
+    feasible = _sizes_with_mass(space, constraint, central_p, n_list,
+                                "corollary 1")
+    feasible = set(_sizes_with_mass(space, constraint, central_q, feasible,
                                     "corollary 1"))
     out = []
     for n in n_list:
@@ -155,10 +157,6 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
         rep = representative_sequence(space, constraint, n)
         counts = np.bincount(np.array(rep), minlength=space.size)
         p_q = float(central_q[n])
-        if p_q <= 0.0:
-            raise LatticeBlowupError(
-                f"corollary 1 at n={n}: the prior constraint mass underflows "
-                f"the float range while the projection gives {p_c:.3g}; reduce n")
         len_proj = -float(counts @ logp)
         len_cond = -float(counts @ logq) + math.log2(p_q)
         penalty = (k / 2.0) * math.log2(2.0 * math.pi * n) \
@@ -270,7 +268,8 @@ def play_coding_game(space: SampleSpace, constraint: ConstraintSpec,
     like. The gap baseline is the codelength of ``maxent_predictor``, so a
     projection entry scores a gap of exactly 0.0. A dict value may be a
     predictor or a callable building one from n (for horizon-dependent
-    predictors). Infeasible sizes are skipped and recorded.
+    predictors). A size with no constraint sequence is skipped and
+    recorded; a guard error is raised.
     """
     projection = maxent_predictor(space, solution)
     records = []
@@ -278,7 +277,7 @@ def play_coding_game(space: SampleSpace, constraint: ConstraintSpec,
     for n in sorted_sizes(n_list):
         try:
             rep = representative_sequence(space, constraint, n)
-        except (ValidationError, EnumerationInfeasibleError):
+        except ValidationError:
             skipped.append(n)
             continue
         baseline = projection.sequence_codelength(rep)
@@ -337,8 +336,7 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
         tail = 0.0
         for jp in range(j + 1, len(sizes)):
             gain = float(central_q[sizes[jp] - n_j])
-            if gain > 0.0:
-                tail += weights[jp] * gain / float(central_q[sizes[jp]])
+            tail += weights[jp] * gain / float(central_q[sizes[jp]])
         ratio_min = minima[n_j] + tail
         gap = math.log2(ratio_min) + n_j * entropy
         out.append(GapRecord(n=n_j, component=j + 1, gap_bits=gap,

@@ -303,7 +303,8 @@ def conditional_marginal(provider: SumTableProvider, m: int, n: int
     """Exact marginal of the first m symbols under the conditioned prior.
 
     Each prefix mass is weight(prefix) * W_{n-m}(needed suffix) / W_n(target),
-    where W are the provider's sum-distribution tables.
+    where W are the provider's masses; a mass that underflows raises
+    ``LatticeBlowupError`` from the provider.
     """
     space, constraint = provider.space, provider.constraint
     if not 1 <= m <= min(n - 1, MARGINAL_M_CAP):
@@ -316,17 +317,16 @@ def conditional_marginal(provider: SumTableProvider, m: int, n: int
             f"enumeration infeasible: {space.size}^{m} prefixes exceed the budget"
         )
     center = constraint.center_units(n)
-    denom = provider.table(n).mass_units(center) if center is not None else 0
+    denom = 0 if center is None else provider.mass(n, center)
     if denom == 0:
         raise ValidationError(f"n={n} is infeasible for this constraint")
     weights = provider.weights
-    suffix = provider.table(n - m)
     masses: dict = {}
 
     def descend(prefix, units, weight, depth):
         if depth == m:
             needed = tuple(c - uj for c, uj in zip(center, units))
-            masses[prefix] = weight * suffix.mass_units(needed) / denom
+            masses[prefix] = weight * provider.mass(n - m, needed) / denom
             return
         for idx in range(space.size):
             descend(prefix + (idx,),

@@ -20,7 +20,7 @@ from .analysis import corollary1_residuals, mixture_gap_series, play_coding_game
 from .concentration import concentration_constants
 from .conditional import conditional_marginal
 from .config import build_event, load_config
-from .errors import MaxentLabError
+from .errors import EnumerationInfeasibleError, ValidationError
 from .lattice import first_feasible_sizes
 from .predictors import (
     IIDPredictor,
@@ -159,7 +159,7 @@ def _run_condlimit(ctx, block, path):
         try:
             marg = conditional_marginal(provider, m, n)
             rows.append((m, n, marg.tv_to_product(ctx["solution"].pmf)))
-        except MaxentLabError:
+        except (ValidationError, EnumerationInfeasibleError):
             rows.append((m, n, None))
     _write_csv(path, ["m", "n", "tv"], rows)
     ctx["summary"].append(f"Conditional limit: m = {m}, sizes {block['n_list']}.")
@@ -184,7 +184,7 @@ def _run_game_paths(ctx, block, path):
     sizes = first_feasible_sizes(space, constraint, prior.j_max) \
         if "mixture" in block["predictors"] else []
     provider = SumTableProvider(space, constraint,
-                                max(block["n_list"][-1], *sizes),
+                                max([block["n_list"][-1], *sizes]),
                                 measure="q", mode="float")
     predictors = {}
     for tag in block["predictors"]:

@@ -349,22 +349,6 @@ def derive_lattice(values, target) -> ConstraintSpec:
                           position=position)
 
 
-@dataclass(frozen=True)
-class FeasibilityTable:
-    """Which sample sizes admit at least one constraint-satisfying sequence."""
-
-    n_max: int
-    flags: tuple[bool, ...]
-
-    def is_feasible(self, n: int) -> bool:
-        if not 1 <= n <= self.n_max:
-            raise ValidationError(f"n={n} outside table range 1..{self.n_max}")
-        return self.flags[n]
-
-    def sizes(self) -> list[int]:
-        return [n for n in range(1, self.n_max + 1) if self.flags[n]]
-
-
 def _dense_shape(n: int, unit_max: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(n * m + 1 for m in unit_max)
 
@@ -461,36 +445,54 @@ def _on_target(constraint: ConstraintSpec, n: int, reach: np.ndarray) -> bool:
     return center is not None and bool(reach[center])
 
 
+class _Reach:
+    """``reach(m, units)``: whether some length-m sequence, m <= ``horizon``,
+    has unit sum ``units``. A cell outside the m-step box answers without a
+    table; any other is read from ``_reach_sweep`` tables cut to their
+    ``_window`` at the horizon, swept on first use and only to m, so a cell
+    that reaches no target of a size up to the horizon reads False."""
+
+    def __init__(self, constraint: ConstraintSpec, horizon: int):
+        self.unit_max = constraint.unit_max
+        self._sweep = _reach_sweep(constraint, horizon)
+        self._tables = []
+
+    def __call__(self, m: int, units) -> bool:
+        if not all(0 <= x <= m * u for x, u in zip(units, self.unit_max)):
+            return False
+        while len(self._tables) <= m:
+            self._tables.append(next(self._sweep))
+        table, origin = self._tables[m]
+        index = tuple(map(sub, units, origin))
+        return all(0 <= i < s for i, s in zip(index, table.shape)) \
+            and bool(table[index])
+
+
 def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int):
     """Yield the length-n sequences (index tuples) whose statistic average is
     on target, in lexicographic order.
 
     A depth-first walk over the outcome indices that extends one prefix list
-    in place and enters a prefix only when the unit sum still needed is
-    reachable in the steps left, so it never meets a dead end and the first
-    sequence costs at most n * |X| probes. Each reachability table holds
-    only its ``_window`` at horizon n, which holds every unit sum still
-    needed that can be reached. The full tables for sizes 0..n together must
-    fit the cell budget; that is checked before any is built.
+    in place and enters a prefix only when ``_Reach`` at horizon n finds the
+    unit sum still needed reachable in the steps left, so it never meets a
+    dead end and the first sequence costs at most n * |X| probes. The full
+    tables for sizes 0..n together must fit the cell budget; that is checked
+    before any is built.
     """
     center = constraint.center_units(n)
     if center is None:
         return
     _check_budget((_tables_cells(constraint, n),), f"reachability tables to n={n}")
-    # per number of steps left: its table, and the center less the table's
-    # origin, so a prefix of unit sum s needs index goal - s
-    reach = [(table, tuple(c - o for c, o in zip(center, origin)))
-             for table, origin in islice(_reach_sweep(constraint, n), n)]
+    reach = _Reach(constraint, n)
     prefix: list[int] = []
     sums = [(0,) * constraint.dim]  # unit sum of each prefix of ``prefix``
 
     def extend(start: int) -> bool:
         """Append the first outcome >= start that leaves the prefix completable."""
-        table, goal = reach[n - len(prefix) - 1]
+        left = n - len(prefix) - 1
         for idx in range(start, space.size):
-            candidate = tuple(a + b for a, b in zip(sums[-1], constraint.units[idx]))
-            needed = tuple(c - u for c, u in zip(goal, candidate))
-            if all(0 <= x < s for x, s in zip(needed, table.shape)) and table[needed]:
+            candidate = tuple(map(add, sums[-1], constraint.units[idx]))
+            if reach(left, tuple(map(sub, center, candidate))):
                 prefix.append(idx)
                 sums.append(candidate)
                 return True
@@ -510,9 +512,9 @@ def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int)
 
 
 def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec,
-                   n_max: int) -> FeasibilityTable:
-    """Tabulate, for n = 1..n_max, whether some length-n sequence has its
-    statistic average exactly on target.
+                   n_max: int) -> list[int]:
+    """The sizes n in 1..n_max, in increasing order, at which some length-n
+    sequence has its statistic average exactly on target.
 
     Reachability runs as a boolean sweep over unit sums; a size is feasible
     when the target cell is on the lattice and reachable.
@@ -522,8 +524,8 @@ def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec,
     _check_budget(_dense_shape(n_max, constraint.unit_max),
                   f"feasibility table to n={n_max}")
     sweep = islice(_reach_sweep(constraint), n_max + 1)
-    return FeasibilityTable(n_max=n_max, flags=tuple(
-        _on_target(constraint, n, reach) for n, (reach, _) in enumerate(sweep)))
+    return [n for n, (reach, _) in enumerate(sweep)
+            if _on_target(constraint, n, reach)]
 
 
 def _sizes_with_mass(space: SampleSpace, constraint: ConstraintSpec, masses,
@@ -536,8 +538,8 @@ def _sizes_with_mass(space: SampleSpace, constraint: ConstraintSpec, masses,
     zeros = [n for n in sizes
              if masses[n] == 0.0 and constraint.center_units(n) is not None]
     if zeros:
-        flags = feasible_sizes(space, constraint, zeros[-1]).flags
-        lost = next((n for n in zeros if flags[n]), None)
+        feasible = set(feasible_sizes(space, constraint, zeros[-1]))
+        lost = next((n for n in zeros if n in feasible), None)
         if lost is not None:
             raise LatticeBlowupError(
                 f"{what} at n={lost}: the constraint mass underflows the "

@@ -5,8 +5,9 @@ conditional mass of each symbol of ``sequence`` in turn, starting from the
 predictor's initial state, and the codelength is the sum of -log2 of those
 masses. Only the symbol that occurs is scored. A predictor holds no scoring
 state, so one instance scores any number of sequences. Masses may be exact
-rationals (rational mode) or floats; a mass of zero yields an infinite
-codelength and consumers must cope.
+rationals (rational mode) or floats. A mass of zero is exact, because the
+provider's masses are (a float that underflows raises
+``LatticeBlowupError`` there), and yields an infinite codelength.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from fractions import Fraction
 from operator import add, sub
 
-from .errors import LatticeBlowupError, ValidationError
+from .errors import ValidationError
 from .lattice import ConstraintSpec, SampleSpace
 from .priors import IntegerPrior
 from .solver import MaxEntSolution
@@ -81,10 +82,9 @@ class ConditionedPriorPredictor(Predictor):
     w(x) W_{r-1}(c - u - u(x)) / W_r(c - u), where W_r is the provider's
     size-r table, r the steps left and c the target cell. The numerator's
     suffix mass is the next step's denominator, so each symbol costs one
-    lookup. A prefix that cannot reach the target gets mass zero and the
-    predictor goes dead: it emits the base measure from then on, as it does
-    beyond the horizon. A float zero at a cell that some sequence reaches
-    is an underflow, not a dead prefix, and raises ``LatticeBlowupError``.
+    lookup. The provider's zeros are exact, so a prefix that gets mass zero
+    cannot reach the target and the predictor goes dead: it emits the base
+    measure from then on, as it does beyond the horizon.
     """
 
     def __init__(self, provider: SumTableProvider, horizon: int):
@@ -93,18 +93,9 @@ class ConditionedPriorPredictor(Predictor):
         self.horizon = horizon
         self.center = provider.constraint.center_units(horizon)
         self.total = 0 if self.center is None \
-            else self._mass(horizon, self.center)
+            else provider.mass(horizon, self.center)
         if self.total == 0:
             raise ValidationError(f"horizon n={horizon} is infeasible")
-
-    def _mass(self, m: int, units):
-        """The provider's size-m mass at ``units``; zero only if exact."""
-        mass = self.provider.mass(m, units)
-        if mass == 0 and self.provider.reachable(m, units):
-            raise LatticeBlowupError(
-                f"conditioned prior at n={self.horizon}: the suffix mass of "
-                f"size {m} underflows the float range; reduce n")
-        return mass
 
     def masses(self, sequence):
         base, units = self.provider.weights, self.provider.constraint.units
@@ -114,7 +105,7 @@ class ConditionedPriorPredictor(Predictor):
                 yield base[idx]
                 continue
             needed = tuple(map(sub, needed, units[idx]))
-            rest = self._mass(self.horizon - t - 1, needed)
+            rest = self.provider.mass(self.horizon - t - 1, needed)
             yield base[idx] * rest / denom
             denom = rest
 
@@ -128,7 +119,9 @@ class MixturePredictor(Predictor):
     """Bayesian mixture of component predictors run in lockstep, with the
     weights scaled to sum to one. Each symbol's mass is the posterior
     average of the component masses; a component's posterior is its weight
-    times its mass of the prefix."""
+    times its mass of the prefix, rescaled after each symbol by one power of
+    two shared by all components. That keeps the posteriors from underflowing
+    on long prefixes and moves no bit where they would stay normal floats."""
 
     def __init__(self, space: SampleSpace, components, weights, tag: str):
         super().__init__(space, tag)
@@ -155,7 +148,9 @@ class MixturePredictor(Predictor):
                 term = post * cond
                 acc = term if acc is None else acc + term
             yield acc / total
-            posteriors = [post if post == 0 else post * cond
+            # 2**1023 is the largest power of two that is a finite float
+            scale = 2 ** min(max(0, -math.frexp(acc)[1]), 1023)
+            posteriors = [post if post == 0 else post * cond * scale
                           for post, cond in zip(posteriors, conds)]
 
 

@@ -21,14 +21,14 @@ from operator import sub
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import LatticeBlowupError, ValidationError
 from .lattice import (
     ConstraintSpec,
     SampleSpace,
     _check_budget,
     _dense_shape,
     _grow,
-    _reach_sweep,
+    _Reach,
     _shift_combine,
     _tables_cells,
     as_fraction,
@@ -282,6 +282,10 @@ class SumTableProvider:
     in it, with the mass of the full table bit for bit, and the cells
     outside read as zero. A size past the horizon is refused.
 
+    ``mass`` returns only exact zeros: a 0.0 at a cell that ``lattice._Reach``
+    finds reachable is an underflow and raises ``LatticeBlowupError``. The
+    measure must charge every outcome.
+
     The full-box tables 0..m together must fit the cell budget, as if no
     cell were cut; a request that does not is refused before any table is
     built, so it leaves the cache as it was.
@@ -300,8 +304,7 @@ class SumTableProvider:
         self._sweep = _sweep(constraint, self.measure_id, self.weights, mode,
                              horizon)
         self._tables = [next(self._sweep)]
-        self._reach = _reach_sweep(constraint, horizon)
-        self._reach_tables = []
+        self._reach = _Reach(constraint, horizon)
 
     def table(self, m: int) -> SumDistribution:
         if not 0 <= m <= self.horizon:
@@ -315,21 +318,10 @@ class SumTableProvider:
         return self._tables[m]
 
     def mass(self, m: int, units):
-        return self.table(m).mass_units(units)
-
-    def reachable(self, m: int, units) -> bool:
-        """Whether the exact ``mass(m, units)`` is nonzero, for m in
-        0..horizon, so a float 0.0 can be told from an underflow; the
-        measure must charge every outcome. A cell outside the m-step box
-        answers without a table; otherwise the boolean reachability tables,
-        cut to the windows of the sum tables, are swept on first use and only
-        to m."""
-        if not all(0 <= x <= m * u
-                   for x, u in zip(units, self.constraint.unit_max)):
-            return False
-        while len(self._reach_tables) <= m:
-            self._reach_tables.append(next(self._reach))
-        table, origin = self._reach_tables[m]
-        index = tuple(map(sub, units, origin))
-        return all(0 <= i < s for i, s in zip(index, table.shape)) \
-            and bool(table[index])
+        """The size-m mass at unit cell ``units``, zero only if exact."""
+        mass = self.table(m).mass_units(units)
+        if mass == 0 and self._reach(m, units):
+            raise LatticeBlowupError(
+                f"sum tables to n={self.horizon}: a size-{m} mass "
+                "underflows the float range; reduce n")
+        return mass

@@ -31,6 +31,14 @@ def _with(problem=None, experiments=None, **extra):
     return raw
 
 
+def _die_at(target, block):
+    """The uniform die with mean ``target`` and one experiment block."""
+    faces = [str(x) for x in range(1, 7)]
+    return {"problem": {"outcomes": faces, "prior": ["1/6"] * 6,
+                        "T": [faces], "target": [target]},
+            "experiments": [block]}
+
+
 class TestLoadConfig:
     def test_fixtures_all_parse_and_validate(self):
         for name in fixture_names():
@@ -440,6 +448,87 @@ class TestCli:
             rows = next(out.glob("*.csv")).read_text().splitlines()
             assert f"{n},mixture,inf,inf" in rows
             assert f"{n},conditioned,inf,inf" not in rows
+
+    @pytest.mark.parametrize("kind", ["condlimit", "concentrate"])
+    def test_marginal_underflow_exit_3(self, tmp_path, capsys, kind):
+        # the die at target 5: every size is feasible, but the conditioned
+        # marginal's denominator W_3000(c) underflows to 0.0, which is not
+        # an infeasible size
+        block = {"kind": kind, "n_list": [200, 1500, 3000]}
+        block.update({"m": 1} if kind == "condlimit" else {"tv_m": 1})
+        path = tmp_path / "die.json"
+        path.write_text(json.dumps(_die_at("5", block)))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "n=3000" in err and "underflows" in err
+
+    @pytest.mark.parametrize("kind,body", [
+        ("condlimit", "m,n,tv\n1,200,0.0012163545399092365\n"
+                      "1,1500,0.00016175952955111393\n"),
+        ("concentrate",
+         'n,P(C_n),c_n,d_n,event,event_prob_q_given_C,event_prob_ptilde,'
+         'theorem1_slack,"TV(m,n)"\n'
+         "200,0.022428112653500906,0.3171814109301261,0.9988914939081117,"
+         ",,,,0.0012163545399092365\n"
+         "1500,0.008197466787311914,0.3174865234834746,0.9998523772503312,"
+         ",,,,0.00016175952955111393\n"),
+    ], ids=["condlimit", "concentrate"])
+    def test_marginals_below_the_underflow_keep_their_bytes(self, tmp_path,
+                                                            kind, body):
+        block = {"kind": kind, "n_list": [200, 1500]}
+        block.update({"m": 1} if kind == "condlimit" else {"tv_m": 1})
+        path = tmp_path / "die.json"
+        path.write_text(json.dumps(_die_at("5", block)))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 0
+        assert next(out.glob("*.csv")).read_text() == body
+
+    def test_condlimit_past_the_cell_budget_exit_3(self, tmp_path, capsys):
+        # n = 120 is feasible for cube3; its sum tables 0..120 exceed the
+        # budget, which is a guard abort, not a blank row
+        raw = load_fixture("cube3")
+        raw["experiments"] = [{"kind": "condlimit", "m": 1,
+                               "n_list": [4, 120]}]
+        path = tmp_path / "cube3.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
+        assert "lattice blow-up" in capsys.readouterr().err
+
+    def test_condlimit_infeasible_size_is_blank(self, tmp_path):
+        # the die at mean 9/2 has no sequence of odd length on target
+        path = tmp_path / "die.json"
+        path.write_text(json.dumps(_die_at(
+            "9/2", {"kind": "condlimit", "m": 1, "n_list": [4, 5]})))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 0
+        rows = next(out.glob("*.csv")).read_text().splitlines()
+        assert rows[1].startswith("1,4,") and rows[1] != "1,4,"
+        assert rows[2] == "1,5,"
+
+    def test_paths_game_without_mixture(self, tmp_path):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(_with(experiments=[
+            {"kind": "game", "mode": "paths", "n_list": [2, 4],
+             "predictors": ["maxent", "conditioned"]}])))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 0
+        rows = next(out.glob("*.csv")).read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["2", "maxent"], ["2", "conditioned"],
+            ["4", "maxent"], ["4", "conditioned"]]
+
+    def test_paths_game_without_representative_exit_3(self, tmp_path, capsys):
+        # n = 11600 = 400 * 29 is feasible at mean 1/29, but its walk tables
+        # exceed the budget and no feasible block of size <= 24 exists: a
+        # guard abort, not a skipped size
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(_with(
+            problem={"target": ["1/29"]},
+            experiments=[{"kind": "game", "mode": "paths",
+                          "n_list": [29, 11600], "j_max": 2,
+                          "predictors": ["maxent", "mixture"]}])))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
+        assert "no representative for n=11600" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["concentrate", "corollary1"])
     def test_zero_mass_at_a_feasible_size_exit_3(self, tmp_path, capsys,

@@ -60,7 +60,7 @@ def problems(draw):
 @given(problems(), st.integers(1, 8), st.integers(0, 3), st.data())
 def test_closed_form_matches_sweep(problem, n_max, extra, data):
     space, constraint = problem
-    sizes = feasible_sizes(space, constraint, n_max + extra).sizes()
+    sizes = feasible_sizes(space, constraint, n_max + extra)
     sizes = sizes[: data.draw(st.integers(0, len(sizes)))]
     costs = {m: data.draw(costs_st) for m in sizes}
     sweep = min_hit_cost_series(constraint, costs, n_max)

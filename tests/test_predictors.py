@@ -3,13 +3,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from maxent_lab import (
     IIDPredictor,
     SumTableProvider,
+    build_space,
     conditioned_prior_predictor,
     constraint_prob,
+    derive_lattice,
     enumerate_constraint_sequences,
     enumerate_oracle,
     first_feasible_sizes,
@@ -17,6 +19,7 @@ from maxent_lab import (
     mixture_gap_series,
     mixture_predictor,
     renewal_compose,
+    representative_sequence,
     rissanen_prior,
 )
 from maxent_lab.errors import ValidationError
@@ -251,6 +254,64 @@ class TestMixture:
                     coin, coin_constraint, record.n)
             )
             assert record.gap_bits == pytest.approx(direct, abs=1e-9)
+
+
+    def test_long_prefix_matches_the_log_domain_sum(self):
+        # eight outcomes with T = 0..7 at mean 7/2: 210 components condition
+        # on n = 2, 4, ..., 420. On the representative at n = 400 only the
+        # 11 of sizes 400..420 stay live, and unscaled posteriors of weight
+        # times prefix mass underflow about 1074 bits in
+        space = build_space([f"x{i}" for i in range(8)], [1] * 8)
+        constraint = derive_lattice([[i] for i in range(8)], ["7/2"])
+        prior = rissanen_prior(210)
+        sizes = first_feasible_sizes(space, constraint, prior.j_max)
+        mixture = mixture_predictor(
+            SumTableProvider(space, constraint, sizes[-1]), prior, sizes)
+        seq = representative_sequence(space, constraint, 400)
+        live = [(w, bits) for w, c in zip(mixture.weights, mixture.components)
+                if (bits := c.sequence_codelength(seq)) < math.inf]
+        assert len(live) == 11
+        low = min(bits for _, bits in live)
+        expected = low - math.log2(sum(w * 2.0 ** (low - bits)
+                                       for w, bits in live))
+        assert expected == pytest.approx(1206.6143, abs=1e-4)
+        assert mixture.sequence_codelength(seq) == \
+            pytest.approx(expected, rel=1e-12)
+
+
+def _unscaled_mixture_masses(mixture, sequence):
+    """The mixture recursion with plain posteriors, weight times prefix
+    mass, which underflow on long prefixes."""
+    posteriors = list(mixture.weights)
+    streams = [c.masses(sequence) for c in mixture.components]
+    for conds in zip(*streams):
+        total = sum(posteriors)
+        if total == 0:
+            yield 1.0 / mixture.space.size
+            continue
+        acc = None
+        for post, cond in zip(posteriors, conds):
+            if post != 0:
+                acc = post * cond if acc is None else acc + post * cond
+        yield acc / total
+        posteriors = [post if post == 0 else post * cond
+                      for post, cond in zip(posteriors, conds)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems(), st.integers(1, 6), st.data())
+def test_mixture_scaling_keeps_every_bit(problem, j_max, data):
+    # on short sequences the plain posteriors stay normal floats, and there
+    # the shared power-of-two scale must not move any bit of any mass
+    space, constraint, _, _ = problem
+    sizes = first_feasible_sizes(space, constraint, j_max, n_cap=12)
+    assume(sizes)
+    mixture = mixture_predictor(SumTableProvider(space, constraint, sizes[-1]),
+                                rissanen_prior(j_max), sizes)
+    seq = data.draw(st.lists(st.integers(0, space.size - 1),
+                             max_size=2 * sizes[-1] + 2))
+    assert [m.hex() for m in mixture.masses(seq)] == \
+        [m.hex() for m in _unscaled_mixture_masses(mixture, seq)]
 
 
 class TestRenewal:

@@ -88,7 +88,7 @@ def test_provider_central_series_and_sum_distribution_agree(problem, n_max):
 @given(problems(), st.integers(1, 8), st.data())
 def test_first_feasible_sizes_prefix_of_feasible_sizes(problem, n_max, data):
     space, constraint, _, _ = problem
-    sizes = feasible_sizes(space, constraint, n_max).sizes()
+    sizes = feasible_sizes(space, constraint, n_max)
     count = data.draw(st.integers(0, len(sizes) + 1))
     assert first_feasible_sizes(space, constraint, count, n_cap=n_max) \
         == sizes[:count]
@@ -105,7 +105,7 @@ def test_walk_matches_brute_force_and_representative(problem, n):
                  sum(constraint.units[i][j] for i in seq) for j in range(constraint.dim)
              ) == center]
     assert enumerate_constraint_sequences(space, constraint, n) == brute
-    assert bool(brute) == feasible_sizes(space, constraint, n).is_feasible(n)
+    assert bool(brute) == (n in feasible_sizes(space, constraint, n))
     if brute:
         assert representative_sequence(space, constraint, n) == brute[0]
 
