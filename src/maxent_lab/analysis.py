@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from operator import sub
 
 import numpy as np
 
@@ -19,9 +20,9 @@ from .errors import EnumerationInfeasibleError, ValidationError
 from .lattice import (
     ConstraintSpec,
     SampleSpace,
+    _Reach,
     _check_budget,
     _dense_shape,
-    _reach_sweep,
     _sequences_on_target,
     _shift_combine,
     _sizes_with_mass,
@@ -217,15 +218,10 @@ def _hit_cost_minima(constraint: ConstraintSpec, costs: dict,
     if zero in constraint.units:
         # n0 is the first size whose target cell a nonzero last step reaches
         others = set(constraint.units) - {zero}
-        n0 = n_max + 1
-        sweep = islice(_reach_sweep(constraint), n_max)
-        for n, (reach, _) in enumerate(sweep, start=1):
-            center = constraint.center_units(n)
-            lasts = (tuple(c - uj for c, uj in zip(center, u)) for u in others)
-            if any(all(0 <= x < s for x, s in zip(cell, reach.shape))
-                   and reach[cell] for cell in lasts):
-                n0 = n
-                break
+        reach = _Reach(constraint, n_max)
+        n0 = next((n for n in range(1, n_max + 1) if any(
+            reach(n - 1, tuple(map(sub, constraint.center_units(n), u)))
+            for u in others)), n_max + 1)
     out: dict = {}
     total = 0.0
     for n in sorted(m for m in costs if m <= n_max):

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import conditional_event_prob, conditional_marginal
-from .errors import EnumerationInfeasibleError, ValidationError
+from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
 from .lattice import (
-    CELL_BUDGET,
     ConstraintSpec,
     SampleSpace,
     _sequences_on_target,
     _sizes_with_mass,
-    _tables_cells,
     first_feasible_sizes,
 )
 from .solver import MaxEntSolution
@@ -66,12 +64,11 @@ def clt_limit(constraint: ConstraintSpec, solution: MaxEntSolution) -> float:
 
 @dataclass
 class EventCheck:
-    event_kind: str
     n: int
-    conditional_q: float | None
+    conditional_q: float
     prob_maxent: float
-    slack_item1: float | None
-    residual_item2: float | None
+    slack_item1: float
+    residual_item2: float
 
 
 @dataclass
@@ -99,7 +96,8 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
     """Fill per-n concentration records for the given sizes.
 
     Infeasible sizes produce records flagged infeasible with undefined
-    constants instead of raising, so n sweeps run whole.
+    constants instead of raising, so n sweeps run whole. A prior constraint
+    mass that underflows in an event DP raises ``LatticeBlowupError``.
     """
     n_list = sorted_sizes(n_list)
     k = constraint.dim
@@ -128,16 +126,15 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                                              measure=solution, mode="float")
             cond_q = under_q.conditional
             if cond_q is None:
-                slack = residual = None
-            else:
-                rhs = n ** (-k / 2.0) * c_n * float(cond_q)
-                slack = float(under_p.prob_event) - rhs
-                residual = float(under_p.prob_joint) - rhs
+                raise LatticeBlowupError(
+                    f"event checks at n={n}: the prior's constraint mass "
+                    "underflows the float range; reduce n")
+            rhs = n ** (-k / 2.0) * c_n * float(cond_q)
             checks.append(EventCheck(
-                event_kind=event.kind, n=n,
-                conditional_q=None if cond_q is None else float(cond_q),
+                n=n, conditional_q=float(cond_q),
                 prob_maxent=float(under_p.prob_event),
-                slack_item1=slack, residual_item2=residual))
+                slack_item1=float(under_p.prob_event) - rhs,
+                residual_item2=float(under_p.prob_joint) - rhs))
         tv = None
         if tv_m is not None and 1 <= tv_m < n:
             marg = conditional_marginal(provider, tv_m, n)
@@ -156,15 +153,15 @@ def representative_sequence(space: SampleSpace, constraint: ConstraintSpec,
     The lexicographically first one when the reachability tables fit the
     budget, otherwise a concatenation of short feasible blocks.
     """
-    if constraint.center_units(n) is None:
-        raise ValidationError(f"n={n} is infeasible for this constraint")
-    if _tables_cells(constraint, n) <= CELL_BUDGET:
+    try:
         first = next(_sequences_on_target(space, constraint, n), None)
+    except LatticeBlowupError:
+        pass  # the walk's tables exceed the budget: compose small blocks
+    else:
         if first is None:
             raise ValidationError(f"n={n} is infeasible for this constraint")
         return first
 
-    # Large instance: compose small feasible blocks.
     small = first_feasible_sizes(space, constraint, count=4, n_cap=24)
     for n1 in small:
         if n % n1 == 0:

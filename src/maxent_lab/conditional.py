@@ -36,7 +36,6 @@ class EventProbabilityResult:
     """Unconditional, joint, and constraint probabilities of one event."""
 
     n: int
-    event_kind: str
     measure_id: str
     mode: str
     prob_event: object
@@ -75,11 +74,13 @@ def _binomial_weight_vector(n: int, nu: int, w: float) -> np.ndarray:
         raise LatticeBlowupError(
             "count DP coefficients exceed the float range; reduce n"
         )
+    m = np.arange(n, nu, -1, dtype=float)
     try:
         start = float(math.comb(n, nu)) * math.exp(nu * math.log(w))
     except OverflowError:
-        start = math.exp(log_start)
-    m = np.arange(n, nu, -1, dtype=float)
+        # the chain would run below 1/C(n, nu), out of the float range;
+        # from the start value each partial product is a coefficient
+        return np.cumprod(np.concatenate(([math.exp(log_start)], (m - nu) / m)))
     return start * np.concatenate(([1.0], np.cumprod((m - nu) / m)))
 
 
@@ -257,10 +258,8 @@ def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
         raise ValidationError(f"unknown event type {type(event).__name__}")
     prob_event, prob_joint, prob_constraint = out
     return EventProbabilityResult(
-        n=n, event_kind=event.kind, measure_id=measure_id, mode=mode,
-        prob_event=prob_event, prob_joint=prob_joint,
-        prob_constraint=prob_constraint,
-    )
+        n=n, measure_id=measure_id, mode=mode, prob_event=prob_event,
+        prob_joint=prob_joint, prob_constraint=prob_constraint)
 
 
 @dataclass

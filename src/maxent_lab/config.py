@@ -230,7 +230,8 @@ def build_event(spec: dict, space, solution=None):
         ref = _require(spec, "reference", "event")
         if ref == "maxent":
             if solution is None:
-                raise ValidationError("event references 'maxent' but no solve ran")
+                raise ValidationError("event references 'maxent', but the problem "
+                                      "has no max-ent solution")
             ref = list(solution.pmf)
         elif ref == "prior":
             ref = list(space.prior_fractions)
@@ -241,8 +242,10 @@ def build_event(spec: dict, space, solution=None):
                              _require(spec, "upper", "event"),
                              inside=spec.get("inside", True))
     if etype == "bigram_deviation":
-        return BigramDeviationEvent.make(_require(spec, "j", "event"),
-                                         _require(spec, "jprime", "event"),
+        labels = _require(spec, "j", "event"), _require(spec, "jprime", "event")
+        for label in labels:
+            space.index(label)  # a kept outcome, or ValidationError
+        return BigramDeviationEvent.make(*labels,
                                          _require(spec, "epsilon", "event"))
     raise ValidationError(f"unknown event type {etype!r}")
 
@@ -277,8 +280,9 @@ def validate_config(source) -> list[Diagnostic]:
 
     # Condition pre-checks: a trial solve surfaces boundary targets and
     # affinely dependent coordinates before any experiment runs.
+    solution = None
     try:
-        config.problem.solve()
+        solution = config.problem.solve()
     except BoundaryTargetError:
         diagnostics.append(Diagnostic(
             "problem.target",
@@ -296,14 +300,17 @@ def validate_config(source) -> list[Diagnostic]:
             "experiments will have nothing to condition on"))
 
     for i, block in enumerate(config.experiments):
-        kind = block.get("kind")
-        if kind == "concentrate":
+        if block["kind"] == "concentrate":
             for j, espec in enumerate(block.get("events", [])):
-                if espec.get("reference") == "maxent":
-                    continue  # needs the runtime solution; shape checked at run
                 try:
-                    build_event(espec, space)
+                    build_event(espec, space, solution)
                 except ValidationError as exc:
                     diagnostics.append(Diagnostic(
                         f"experiments[{i}].events[{j}]", str(exc)))
+        elif block["kind"] == "game" and block["mode"] == "gaps":
+            horizon = block.get("horizon") or 2 * block["n_max"]
+            if not first_feasible_sizes(space, constraint, 1, n_cap=horizon):
+                diagnostics.append(Diagnostic(
+                    f"experiments[{i}]",
+                    f"no feasible sample sizes up to the horizon {horizon}"))
     return diagnostics

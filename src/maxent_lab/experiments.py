@@ -89,10 +89,6 @@ class RunManifest:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -116,7 +112,7 @@ def _run_solve(ctx, block, path):
     masses = ", ".join(f"{label}: {p:.5f}"
                        for label, p in zip(space.outcomes, solution.pmf))
     ctx["summary"].append(
-        f"Solve: beta = {[round(b, 8) for b in solution.beta]}, "
+        f"Solve: beta = {[round(float(b), 8) for b in solution.beta]}, "
         f"ln Z = {solution.logz:.10f}, entropy = {solution.entropy_bits:.10f} "
         f"bits, residual = {solution.residual:.3e}, iterations = "
         f"{solution.iterations}.\n\nMasses: {masses}."

@@ -439,12 +439,6 @@ def _reach_sweep(constraint: ConstraintSpec, horizon: int | None = None):
         reach = _reach_step(reach, shape, unit_cells)[cut]
 
 
-def _on_target(constraint: ConstraintSpec, n: int, reach: np.ndarray) -> bool:
-    """Whether size n >= 1 is feasible, given its reachability table."""
-    center = constraint.center_units(n) if n > 0 else None
-    return center is not None and bool(reach[center])
-
-
 class _Reach:
     """``reach(m, units)``: whether some length-m sequence, m <= ``horizon``,
     has unit sum ``units``. A cell outside the m-step box answers without a
@@ -514,18 +508,14 @@ def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int)
 def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec,
                    n_max: int) -> list[int]:
     """The sizes n in 1..n_max, in increasing order, at which some length-n
-    sequence has its statistic average exactly on target.
-
-    Reachability runs as a boolean sweep over unit sums; a size is feasible
-    when the target cell is on the lattice and reachable.
+    sequence has its statistic average exactly on target: the stream of
+    ``first_feasible_sizes`` to n_max, once its last table fits the budget.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     _check_budget(_dense_shape(n_max, constraint.unit_max),
                   f"feasibility table to n={n_max}")
-    sweep = islice(_reach_sweep(constraint), n_max + 1)
-    return [n for n, (reach, _) in enumerate(sweep)
-            if _on_target(constraint, n, reach)]
+    return first_feasible_sizes(space, constraint, n_max, n_cap=n_max)
 
 
 def _sizes_with_mass(space: SampleSpace, constraint: ConstraintSpec, masses,
@@ -549,10 +539,12 @@ def _sizes_with_mass(space: SampleSpace, constraint: ConstraintSpec, masses,
 
 def first_feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, count: int,
                          n_cap: int = 100_000) -> list[int]:
-    """First ``count`` feasible sizes in increasing order (stops at n_cap)."""
-    sweep = islice(_reach_sweep(constraint), n_cap + 1)
-    feasible = (n for n, (reach, _) in enumerate(sweep)
-                if _on_target(constraint, n, reach))
+    """First ``count`` feasible sizes in increasing order (stops at n_cap):
+    those whose target cell is on the lattice and reached by the sweep."""
+    sweep = islice(_reach_sweep(constraint), 1, n_cap + 1)
+    feasible = (n for n, (reach, _) in enumerate(sweep, start=1)
+                if (center := constraint.center_units(n)) is not None
+                and reach[center])
     return list(islice(feasible, count))
 
 

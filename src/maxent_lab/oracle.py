@@ -123,12 +123,12 @@ def enumerate_oracle(space: SampleSpace, constraint: ConstraintSpec, n: int,
         if total_c else {}
     results = tuple(
         EventProbabilityResult(
-            n=n, event_kind=ev.kind, measure_id=measure_id, mode="rational",
-            prob_event=Fraction(event_num[i], denom ** n),
-            prob_joint=Fraction(event_joint_num[i], denom ** n),
+            n=n, measure_id=measure_id, mode="rational",
+            prob_event=Fraction(num, denom ** n),
+            prob_joint=Fraction(joint, denom ** n),
             prob_constraint=total_mass,
         )
-        for i, ev in enumerate(event_list)
+        for num, joint in zip(event_num, event_joint_num)
     )
     return EnumerationOracle(n=n, measure_id=measure_id,
                              prob_constraint=total_mass,

@@ -56,12 +56,6 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
     checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
     if any(c < 1 or c > steps for c in checkpoints):
         raise ValidationError("checkpoints must lie in 1..steps")
-    # visit at n needs n * center_step integral; representable sizes must exist
-    lat = 1
-    for sigma in constraint.center_step:
-        lat = lat * sigma.denominator // math.gcd(lat, sigma.denominator)
-    if constraint.center_units(lat) is None:
-        raise ValidationError("target is not lattice-representable at any n")
 
     k = constraint.dim
     units = np.array(constraint.units, dtype=np.int64)
@@ -91,11 +85,8 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
 @dataclass
 class HypercompressionResult:
     n: int
-    k_bits: float
     samples: int
     seed: int
-    base_tag: str
-    challenger_tag: str
     frequency: float
     bound: float
     sigma: float
@@ -139,9 +130,7 @@ def hypercompression_check(base: Predictor, challenger: Predictor,
         frequency = hits / samples
     bound = 2.0 ** (-k_bits)
     sigma = math.sqrt(bound * (1.0 - bound) / samples)
-    return HypercompressionResult(n=n, k_bits=float(k_bits), samples=samples,
-                                  seed=seed, base_tag=base.tag,
-                                  challenger_tag=challenger.tag,
+    return HypercompressionResult(n=n, samples=samples, seed=seed,
                                   frequency=frequency, bound=bound, sigma=sigma)
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from maxent_lab import (
     enumerate_oracle,
     never_event,
 )
+from maxent_lab.conditional import _binomial_weight_vector
 from maxent_lab.errors import (
     EnumerationInfeasibleError,
     LatticeBlowupError,
@@ -76,6 +78,21 @@ class TestFrequencyDeviation:
             with pytest.raises(LatticeBlowupError):
                 conditional_event_prob(dice, dice_constraint, event, 10 ** 4,
                                        mode=mode)
+
+    @pytest.mark.parametrize("n", [1030, 1100, 1400])
+    def test_coefficients_past_the_float_binomial(self, n):
+        # C(n, n/2) overflows a float, but every coefficient
+        # C(n - used, n/2) 2^-(n/2) is a normal float and keeps its digits
+        nu = n // 2
+        got = _binomial_weight_vector(n, nu, 0.5)
+        want = [float(Fraction(math.comb(n - used, nu), 2 ** nu))
+                for used in range(n - nu + 1)]
+        assert max(abs(g / w - 1.0) for g, w in zip(got, want)) <= 1e-11
+
+    def test_coefficients_beyond_the_float_range(self):
+        # C(3000, 1500) 2^-1500 is about e^1035
+        with pytest.raises(LatticeBlowupError, match="float range"):
+            _binomial_weight_vector(3000, 1500, 0.5)
 
     def test_multidim_constraint(self, pair, pair_constraint):
         event = FrequencyDeviationEvent.make(Fraction(1, 5),

@@ -188,6 +188,16 @@ class TestRunConfig:
         body = (tmp_path / "00_solve_solve.csv").read_text()
         assert body.startswith("outcome,prior,maxent\n")
 
+    def test_summary_prints_plain_floats(self, tmp_path):
+        for name in fixture_names():
+            raw = load_fixture(name)
+            raw["experiments"] = [{"kind": "solve"}]
+            run_config(raw, tmp_path / name)
+            summary = (tmp_path / name / "summary.md").read_text()
+            assert "np." not in summary, name
+            if name == "brandeis":
+                assert "Solve: beta = [-0.37104894]," in summary
+
     def test_rerun_byte_identical(self, tmp_path):
         raw = _with(experiments=[
             {"kind": "recur", "steps": 2000, "reps": 4, "seed": 2024,
@@ -380,6 +390,76 @@ class TestCli:
             assert float(row[header.index("event_prob_ptilde")]) == \
                 pytest.approx(float(under_p.prob_event), rel=1e-12)
         assert [row[0] for row in rows] == ["2", "4"]
+
+    @pytest.mark.parametrize("problem,block,where", [
+        ({}, {"kind": "concentrate", "n_list": [2],
+              "events": [{"type": "freq_deviation", "epsilon": "0",
+                          "reference": "maxent"}]},
+         "experiments[2].events[0]"),
+        ({"outcomes": ["a", "b", "c"], "prior": ["0", "1", "1"],
+          "T": [["0", "1", "2"]], "target": ["3/2"]},
+         {"kind": "concentrate", "n_list": [2],
+          "events": [{"type": "bigram_deviation", "j": "a", "jprime": "b",
+                      "epsilon": "1/10"}]},
+         "experiments[2].events[0]"),
+        ({"target": ["1/7"]}, {"kind": "game", "mode": "gaps", "n_max": 3},
+         "experiments[2]: no feasible sample sizes up to the horizon 6"),
+    ], ids=["maxent-epsilon-zero", "bigram-dropped-label", "gaps-horizon"])
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys,
+                                               problem, block, where):
+        # the solve and corollary1 blocks come first, so a refusal at run
+        # time would leave their files behind
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_with(problem=problem, experiments=[
+            {"kind": "solve"}, {"kind": "corollary1", "n_list": [14]},
+            block])))
+        assert main(["validate", "-c", str(path)]) == 2
+        assert where in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_frequency_event_past_the_float_binomial(self, tmp_path):
+        # C(n, n/2) overflows a float from n = 1030 on, where the count DP's
+        # coefficients are still normal floats: the coin's event masses are
+        # binomial tails, and the rows before the overflow keep their bytes
+        import math
+        from fractions import Fraction
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(_with(experiments=[
+            {"kind": "concentrate", "n_list": [1000, 1070, 1100],
+             "events": [{"type": "freq_deviation", "epsilon": "1/50",
+                         "reference": "maxent"}]}])))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 0
+        rows = next(out.glob("*.csv")).read_text().splitlines()
+        assert rows[1] == (
+            "1000,0.025225018178360804,0.7976851146277163,0.9997500312890522,"
+            "0:freq_deviation,0.0,0.19476632846177055,0.19476632846177055,")
+        for row in rows[2:]:
+            n, _, _, _, _, cond_q, ptilde, slack, _ = row.split(",")
+            n = int(n)
+            tail = Fraction(sum(
+                math.comb(n, k) for k in range(n + 1)
+                if abs(Fraction(k, n) - Fraction(1, 2)) > Fraction(1, 50)),
+                2 ** n)
+            assert abs(float(ptilde) - float(tail)) <= 1e-11
+            assert cond_q == "0.0" and slack == ptilde
+
+    def test_event_constraint_mass_underflow_exit_3(self, tmp_path, capsys):
+        # under the prior 1/1000 : 999/1000, P_q(C_600) underflows in the q
+        # event DP at a size that the projection finds feasible
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps(_with(
+            problem={"prior": ["1", "999"]},
+            experiments=[{"kind": "concentrate", "n_list": [600],
+                          "events": [{"type": "freq_deviation",
+                                      "epsilon": "1/50",
+                                      "reference": "maxent"}]}])))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "n=600" in err and "underflows" in err
 
     def test_guard_abort_exit_3(self, tmp_path, capsys):
         raw = {

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from maxent_lab import (
@@ -113,3 +114,10 @@ class TestHypercompression:
         a = hypercompression_check(base, challenger, dice_solution, **kwargs)
         b = hypercompression_check(base, challenger, dice_solution, **kwargs)
         assert a.frequency == b.frequency
+
+    def test_zero_mass_symbol_costs_inf_only_where_it_occurs(self):
+        from maxent_lab.simulate import _iid_codelengths
+        counts = np.array([[2, 1, 0], [1, 1, 1], [0, 0, 3]])
+        lengths = _iid_codelengths(counts, [0.5, 0.5, 0.0])
+        assert lengths[0] == 3.0
+        assert np.isinf(lengths[1:]).all() and not np.isnan(lengths).any()
