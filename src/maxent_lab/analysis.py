@@ -25,7 +25,6 @@ from .lattice import (
     _dense_shape,
     _sequences_on_target,
     _shift_combine,
-    _sizes_with_mass,
 )
 from .predictors import maxent_predictor
 from .priors import IntegerPrior
@@ -142,10 +141,10 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
                                 mode="float")
     logp = np.log2(solution.pmf)
     logq = np.log2(space.prior)
-    feasible = _sizes_with_mass(space, constraint, central_p, n_list,
-                                "corollary 1")
-    feasible = set(_sizes_with_mass(space, constraint, central_q, feasible,
-                                    "corollary 1"))
+    reach = _Reach(constraint, n_max)
+    feasible = {n for n in n_list for c in [constraint.center_units(n)]
+                if reach.exact(n, c, central_p[n], "corollary 1")
+                and reach.exact(n, c, central_q[n], "corollary 1")}
     out = []
     for n in n_list:
         p_c = float(central_p[n])
@@ -289,8 +288,7 @@ def play_coding_game(space: SampleSpace, constraint: ConstraintSpec,
 
 def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
                        solution: MaxEntSolution, prior: IntegerPrior,
-                       n_max: int, horizon: int | None = None
-                       ) -> list[GapRecord]:
+                       n_max: int, horizon: int) -> list[GapRecord]:
     """Worst-case codelength gap of the mixture over the projection, per n.
 
     For each feasible n up to n_max this computes min over constraint
@@ -307,15 +305,14 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     the prior normalized over at most j_max feasible sizes up to the
     horizon, so a short horizon measures fewer.
     """
-    if horizon is None:
-        horizon = 2 * n_max
     if horizon < n_max:
         raise ValidationError("horizon must cover n_max")
     central_q = _central_masses(space, constraint, horizon, measure="q",
                                 mode="float")
-    sizes = _sizes_with_mass(space, constraint, central_q,
-                             range(1, horizon + 1), "mixture gaps",
-                             "reduce the horizon")[: prior.j_max]
+    reach = _Reach(constraint, horizon)
+    sizes = [n for n in range(1, horizon + 1)
+             if reach.exact(n, constraint.center_units(n), central_q[n],
+                            "mixture gaps")][: prior.j_max]
     if not sizes:
         raise ValidationError("no feasible sizes below the horizon")
     weights = [float(prior.mass(j)) for j in range(1, len(sizes) + 1)]

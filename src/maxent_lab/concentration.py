@@ -10,6 +10,7 @@ events inside the constraint set) with c_n taken from the same run.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,8 @@ from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationEr
 from .lattice import (
     ConstraintSpec,
     SampleSpace,
+    _Reach,
     _sequences_on_target,
-    _sizes_with_mass,
     first_feasible_sizes,
 )
 from .solver import MaxEntSolution
@@ -95,9 +96,9 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                             ) -> ConcentrationReport:
     """Fill per-n concentration records for the given sizes.
 
-    Infeasible sizes produce records flagged infeasible with undefined
-    constants instead of raising, so n sweeps run whole. A prior constraint
-    mass that underflows in an event DP raises ``LatticeBlowupError``.
+    Infeasible sizes produce records flagged infeasible, and a TV that the
+    marginal cannot enumerate is None, so n sweeps run whole. A float mass
+    that underflows to 0.0 raises ``LatticeBlowupError``.
     """
     n_list = sorted_sizes(n_list)
     k = constraint.dim
@@ -107,8 +108,10 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
     # one provider serves the marginals of every size: its tables only grow
     provider = None if tv_m is None else SumTableProvider(
         space, constraint, n_list[-1], measure="q", mode="float")
-    feasible = set(_sizes_with_mass(space, constraint, centrals, n_list,
-                                    "concentration constants"))
+    reach = _Reach(constraint, n_list[-1])
+    feasible = {n for n in n_list
+                if reach.exact(n, constraint.center_units(n), centrals[n],
+                               "concentration constants")}
     records = []
     for n in n_list:
         p_c = float(centrals[n])
@@ -124,11 +127,9 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                                              measure="q", mode=mode)
             under_p = conditional_event_prob(space, constraint, event, n,
                                              measure=solution, mode="float")
+            reach.exact(n, constraint.center_units(n),
+                        under_q.prob_constraint, "event checks under the prior")
             cond_q = under_q.conditional
-            if cond_q is None:
-                raise LatticeBlowupError(
-                    f"event checks at n={n}: the prior's constraint mass "
-                    "underflows the float range; reduce n")
             rhs = n ** (-k / 2.0) * c_n * float(cond_q)
             checks.append(EventCheck(
                 n=n, conditional_q=float(cond_q),
@@ -136,9 +137,10 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                 slack_item1=float(under_p.prob_event) - rhs,
                 residual_item2=float(under_p.prob_joint) - rhs))
         tv = None
-        if tv_m is not None and 1 <= tv_m < n:
-            marg = conditional_marginal(provider, tv_m, n)
-            tv = marg.tv_to_product(solution.pmf)
+        if tv_m is not None:
+            with suppress(EnumerationInfeasibleError):
+                tv = conditional_marginal(provider, tv_m, n).tv_to_product(
+                    solution.pmf)
         records.append(ConcentrationRecord(
             n=n, feasible=True, prob_constraint=p_c, c_n=c_n, d_n=d_n,
             events=tuple(checks), tv=tv))

@@ -128,9 +128,10 @@ def load_config(source) -> ExperimentConfig:
 
 
 def _checked_block(block: dict, i: int) -> dict:
-    """A copy of experiment block i with the game defaults filled in and a
-    scalar ``K`` made a one-element list (JSON types kept), once its kind and
-    fields are checked."""
+    """A copy of experiment block i with the game defaults filled in, a
+    gaps ``horizon`` of 2 n_max where it has none and a scalar ``K`` made a
+    one-element list (JSON types kept), once its kind and fields are
+    checked."""
     kind = _require(block, "kind", f"experiments[{i}]")
     if kind not in EXPERIMENT_KINDS:
         raise ValidationError(
@@ -141,6 +142,8 @@ def _checked_block(block: dict, i: int) -> dict:
     if isinstance(out.get("K"), (int, float)):
         out["K"] = [out["K"]]
     _validate_block_shape(out, i)
+    if kind == "game" and out["mode"] == "gaps" and out.get("horizon") is None:
+        out["horizon"] = 2 * out["n_max"]
     return out
 
 
@@ -293,10 +296,15 @@ def validate_config(source) -> list[Diagnostic]:
     except MaxentLabError as exc:
         diagnostics.append(Diagnostic("problem", f"trial solve failed: {exc}"))
 
-    if not first_feasible_sizes(space, constraint, count=1, n_cap=64):
+    # the largest size any block reads: its gaps horizon or its n_list's end
+    cap = max([64] + [
+        b["horizon"] if b["kind"] == "game" and b["mode"] == "gaps"
+        else b["n_list"][-1] for b in config.experiments
+        if b["kind"] in ("concentrate", "condlimit", "corollary1", "game")])
+    if not first_feasible_sizes(space, constraint, count=1, n_cap=cap):
         diagnostics.append(Diagnostic(
             "problem.target",
-            "no feasible sample sizes up to 64: empirical-constraint "
+            f"no feasible sample sizes up to {cap}: empirical-constraint "
             "experiments will have nothing to condition on"))
 
     for i, block in enumerate(config.experiments):
@@ -308,7 +316,7 @@ def validate_config(source) -> list[Diagnostic]:
                     diagnostics.append(Diagnostic(
                         f"experiments[{i}].events[{j}]", str(exc)))
         elif block["kind"] == "game" and block["mode"] == "gaps":
-            horizon = block.get("horizon") or 2 * block["n_max"]
+            horizon = block["horizon"]
             if not first_feasible_sizes(space, constraint, 1, n_cap=horizon):
                 diagnostics.append(Diagnostic(
                     f"experiments[{i}]",

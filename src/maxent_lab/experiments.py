@@ -50,10 +50,10 @@ COLUMN_REFERENCE = """\
 - corollary1.csv: `n`, `c_n`, `d_n` as above; `residual_direct` codelength
   residual of a representative constraint sequence; `residual_identity`
   -log2 d_n (the two agree up to float rounding).
-- game_paths.csv: `n` sample size, `predictor` tag, `codelength_bits` on the
+- game.csv (mode paths): `n` sample size, `predictor` tag, `codelength_bits` on the
   shared representative sequence, `gap_vs_maxent_bits` codelength minus the
   projection codelength on the same sequence.
-- game_gaps.csv: `n` sample size, `component` mixture component index,
+- game.csv (mode gaps): `n` sample size, `component` mixture component index,
   `gap_bits` minimum over constraint sequences of log2(mixture/projection),
   `gap_per_log2n` that gap divided by log2 n.
 - recurrence.csv: `checkpoint` step count, `mean_visits` origin visits of the
@@ -208,7 +208,7 @@ def _run_game_gaps(ctx, block, path):
     prior = rissanen_prior(block["j_max"])
     records = mixture_gap_series(
         ctx["space"], ctx["constraint"], ctx["solution"], prior,
-        n_max=block["n_max"], horizon=block.get("horizon"))
+        n_max=block["n_max"], horizon=block["horizon"])
     rows = [(r.n, r.component, r.gap_bits, r.gap_per_log2n) for r in records]
     _write_csv(path, ["n", "component", "gap_bits", "gap_per_log2n"], rows)
     alpha = float(block["alpha"])

@@ -461,6 +461,16 @@ class _Reach:
         return all(0 <= i < s for i, s in zip(index, table.shape)) \
             and bool(table[index])
 
+    def exact(self, m: int, units, mass, where: str):
+        """``mass``, a size-m mass at ``units`` (None: off the lattice) under
+        a measure that charges every outcome, once known exact: a zero at a
+        cell some length-m sequence reaches has underflowed, and raises."""
+        if mass == 0 and units is not None and self(m, units):
+            raise LatticeBlowupError(
+                f"{where}: the mass at n={m} underflows the float range; "
+                "reduce n")
+        return mass
+
 
 def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int):
     """Yield the length-n sequences (index tuples) whose statistic average is
@@ -516,25 +526,6 @@ def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec,
     _check_budget(_dense_shape(n_max, constraint.unit_max),
                   f"feasibility table to n={n_max}")
     return first_feasible_sizes(space, constraint, n_max, n_cap=n_max)
-
-
-def _sizes_with_mass(space: SampleSpace, constraint: ConstraintSpec, masses,
-                     sizes, what: str, remedy: str = "reduce n") -> list[int]:
-    """The feasible sizes among ``sizes``, given their float constraint
-    masses ``masses[n]`` under a measure that charges every outcome: those
-    with a mass > 0.0. A mass of 0.0 at an on-lattice target is settled by
-    one ``feasible_sizes`` sweep; where that reaches the target, the mass
-    has underflowed and ``LatticeBlowupError`` names ``what``."""
-    zeros = [n for n in sizes
-             if masses[n] == 0.0 and constraint.center_units(n) is not None]
-    if zeros:
-        feasible = set(feasible_sizes(space, constraint, zeros[-1]))
-        lost = next((n for n in zeros if n in feasible), None)
-        if lost is not None:
-            raise LatticeBlowupError(
-                f"{what} at n={lost}: the constraint mass underflows the "
-                f"float range; {remedy}")
-    return [n for n in sizes if masses[n] > 0.0]
 
 
 def first_feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, count: int,

@@ -21,7 +21,7 @@ from operator import sub
 
 import numpy as np
 
-from .errors import LatticeBlowupError, ValidationError
+from .errors import ValidationError
 from .lattice import (
     ConstraintSpec,
     SampleSpace,
@@ -282,9 +282,9 @@ class SumTableProvider:
     in it, with the mass of the full table bit for bit, and the cells
     outside read as zero. A size past the horizon is refused.
 
-    ``mass`` returns only exact zeros: a 0.0 at a cell that ``lattice._Reach``
-    finds reachable is an underflow and raises ``LatticeBlowupError``. The
-    measure must charge every outcome.
+    ``mass`` returns only exact zeros, by ``lattice._Reach.exact``: a 0.0 at
+    a cell that some sequence reaches is an underflow and raises
+    ``LatticeBlowupError``. The measure must charge every outcome.
 
     The full-box tables 0..m together must fit the cell budget, as if no
     cell were cut; a request that does not is refused before any table is
@@ -319,9 +319,5 @@ class SumTableProvider:
 
     def mass(self, m: int, units):
         """The size-m mass at unit cell ``units``, zero only if exact."""
-        mass = self.table(m).mass_units(units)
-        if mass == 0 and self._reach(m, units):
-            raise LatticeBlowupError(
-                f"sum tables to n={self.horizon}: a size-{m} mass "
-                "underflows the float range; reduce n")
-        return mass
+        return self._reach.exact(m, units, self.table(m).mass_units(units),
+                                 f"sum tables to n={self.horizon}")

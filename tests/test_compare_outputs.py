@@ -43,3 +43,22 @@ def test_changed_float_format_is_reported(tool, tmp_path, capsys):
     assert ("fixture-brandeis-combined/01_concentrate_concentrate.csv: "
             "contents differ") in out
     assert "0 differences" not in out
+
+
+def test_changed_summary_line_is_shown(tool, tmp_path, capsys):
+    mutant = tmp_path / "mutant"
+    shutil.copytree(ROOT / "src", mutant / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    experiments = mutant / "src" / "maxent_lab" / "experiments.py"
+    text = experiments.read_text()
+    old = "- solve.csv: `outcome` label,"
+    assert text.count(old) == 1
+    experiments.write_text(text.replace(old, "- solve.csv: `outcome` name,"))
+    assert tool.main([str(ROOT), str(mutant)]) == 1
+    out = capsys.readouterr().out
+    # "# Run summary", a blank line, "## Column reference", a blank line
+    assert "fixture-brandeis-combined/summary.md: contents differ at line 5\n" \
+        in out
+    assert "parent: '- solve.csv: `outcome` label, `prior` mass," in out
+    assert "change: '- solve.csv: `outcome` name, `prior` mass," in out
+    assert "1 differences" in out

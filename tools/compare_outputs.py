@@ -14,8 +14,9 @@ that root's ``src``, so the two sides share nothing but the inputs:
 
 For every run the exit codes, the set of files written and the bytes of each
 CSV and ``summary.md`` must agree; ``manifest.json`` holds timings and is left
-out. Prints the number of runs and files compared and every difference, and
-exits 1 on any difference.
+out. Prints the number of runs and files compared and every difference, with
+the first differing line of each file that differs, and exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ SEEDS = (1, 2)
 FIXTURES = ("brandeis", "brandeis-combined", "coin", "cube3", "two-constraint")
 RATIONAL_FIXTURES = ("brandeis", "two-constraint", "brandeis-combined")
 SKIPPED = {"manifest.json"}
+# the most characters of a differing line that a report shows
+LINE_WIDTH = 100
 
 
 def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
@@ -70,8 +73,22 @@ def _outputs(outdir: Path) -> dict[str, bytes]:
             if p.name not in SKIPPED}
 
 
+def _first_difference(a: bytes, b: bytes) -> str:
+    """Where two differing files part: the 1-based number of the first line
+    that differs and that line from each side, cut to ``LINE_WIDTH``
+    characters. A missing line reads as empty."""
+    lines_a = a.decode(errors="replace").splitlines(keepends=True)
+    lines_b = b.decode(errors="replace").splitlines(keepends=True)
+    number = next((i for i, pair in enumerate(zip(lines_a, lines_b))
+                   if pair[0] != pair[1]), min(len(lines_a), len(lines_b)))
+    line_a, line_b = (lines[number][:LINE_WIDTH] if number < len(lines) else ""
+                      for lines in (lines_a, lines_b))
+    return (f" at line {number + 1}\n    parent: {line_a!r}"
+            f"\n    change: {line_b!r}")
+
+
 def compare(parent_root: Path, change_root: Path) -> list[str]:
-    """Differences between the two trees' outputs, one line each."""
+    """Differences between the two trees' outputs, one entry each."""
     differences = []
     files = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -93,7 +110,9 @@ def compare(parent_root: Path, change_root: Path) -> list[str]:
             for fname in sorted(set(out_a) & set(out_b)):
                 files += 1
                 if out_a[fname] != out_b[fname]:
-                    differences.append(f"{name}/{fname}: contents differ")
+                    differences.append(f"{name}/{fname}: contents differ"
+                                       + _first_difference(out_a[fname],
+                                                           out_b[fname]))
             print(f"{name}: exit {code_a}/{code_b}, {len(out_a)} files", flush=True)
     print(f"compared {len(runs)} runs, {files} files: "
           f"{len(differences)} differences")
