@@ -21,25 +21,19 @@ from .events import (
     BigramDeviationEvent,
     BoxEvent,
     FrequencyDeviationEvent,
-    always_event,
-    never_event,
 )
 from .lattice import (
     ConstraintSpec,
     SampleSpace,
     build_space,
     derive_lattice,
-    exact_mean,
     feasible_sizes,
     first_feasible_sizes,
     hull_position,
 )
 from .oracle import enumerate_oracle
 from .predictors import (
-    ConditionedPriorPredictor,
     IIDPredictor,
-    MixturePredictor,
-    RenewalComposedPredictor,
     conditioned_prior_predictor,
     maxent_predictor,
     mixture_predictor,
@@ -51,7 +45,7 @@ from .simulate import (
     hypercompression_exact_prob,
     recurrence_simulation,
 )
-from .solver import MaxEntSolution, covariance, entropy_bits, rational_tilt, solve_maxent
+from .solver import MaxEntSolution, entropy_bits, rational_tilt, solve_maxent
 from .sumdist import (
     SumDistribution,
     SumTableProvider,

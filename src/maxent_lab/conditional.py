@@ -273,19 +273,6 @@ class ConditionalMarginal:
     mode: str
     masses: dict
 
-    def total(self):
-        return sum(self.masses.values())
-
-    def marginalize_last(self) -> "ConditionalMarginal":
-        out: dict = {}
-        for prefix, mass in self.masses.items():
-            key = prefix[:-1]
-            prev = out.get(key)
-            out[key] = mass if prev is None else prev + mass
-        return ConditionalMarginal(m=self.m - 1, n=self.n,
-                                   measure_id=self.measure_id, mode=self.mode,
-                                   masses=out)
-
     def tv_to_product(self, pmf) -> float:
         """Total-variation distance to the i.i.d. product of ``pmf``."""
         tv = 0.0

@@ -226,7 +226,7 @@ def build_event(spec: dict, space, solution=None):
     """Build an event object from its config block.
 
     Frequency references may name 'maxent' (the solved projection) or 'prior',
-    or list explicit masses.
+    or list explicit masses, one per outcome left after the zero-mass drop.
     """
     etype = _require(spec, "type", "event")
     if etype == "freq_deviation":
@@ -238,6 +238,10 @@ def build_event(spec: dict, space, solution=None):
             ref = list(solution.pmf)
         elif ref == "prior":
             ref = list(space.prior_fractions)
+        elif not isinstance(ref, list) or len(ref) != space.size:
+            raise ValidationError(
+                f"reference must be 'maxent', 'prior' or a list of "
+                f"{space.size} masses, one per outcome of nonzero prior mass")
         return FrequencyDeviationEvent.make(_require(spec, "epsilon", "event"), ref)
     if etype == "box":
         values = space.columns(_require(spec, "statistic", "event"))
@@ -301,7 +305,8 @@ def validate_config(source) -> list[Diagnostic]:
         b["horizon"] if b["kind"] == "game" and b["mode"] == "gaps"
         else b["n_list"][-1] for b in config.experiments
         if b["kind"] in ("concentrate", "condlimit", "corollary1", "game")])
-    if not first_feasible_sizes(space, constraint, count=1, n_cap=cap):
+    first = first_feasible_sizes(space, constraint, 1, n_cap=cap)
+    if not first:
         diagnostics.append(Diagnostic(
             "problem.target",
             f"no feasible sample sizes up to {cap}: empirical-constraint "
@@ -316,9 +321,15 @@ def validate_config(source) -> list[Diagnostic]:
                     diagnostics.append(Diagnostic(
                         f"experiments[{i}].events[{j}]", str(exc)))
         elif block["kind"] == "game" and block["mode"] == "gaps":
-            horizon = block["horizon"]
-            if not first_feasible_sizes(space, constraint, 1, n_cap=horizon):
+            # the cap covers every horizon, which covers its n_max
+            horizon, n_max = block["horizon"], block["n_max"]
+            if not first or first[0] > horizon:
                 diagnostics.append(Diagnostic(
                     f"experiments[{i}]",
                     f"no feasible sample sizes up to the horizon {horizon}"))
+            elif first[0] > n_max:
+                diagnostics.append(Diagnostic(
+                    f"experiments[{i}]",
+                    f"no feasible sample sizes up to n_max {n_max}, so no "
+                    f"gap is measured; the first is {first[0]}"))
     return diagnostics

@@ -101,18 +101,6 @@ class BoxEvent:
         return in_box if self.inside else not in_box
 
 
-def always_event(space: SampleSpace) -> BoxEvent:
-    """Event that holds for every nonempty sequence."""
-    return BoxEvent(statistic=((Fraction(0),),) * space.size,
-                    lower=(None,), upper=(None,), inside=True)
-
-
-def never_event(space: SampleSpace) -> BoxEvent:
-    """Event that holds for no sequence."""
-    return BoxEvent(statistic=((Fraction(0),),) * space.size,
-                    lower=(Fraction(1),), upper=(Fraction(2),), inside=True)
-
-
 @dataclass(frozen=True)
 class BigramDeviationEvent:
     """Holds when the frequency of ``j`` differs by more than epsilon from the

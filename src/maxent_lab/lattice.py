@@ -444,16 +444,28 @@ class _Reach:
     has unit sum ``units``. A cell outside the m-step box answers without a
     table; any other is read from ``_reach_sweep`` tables cut to their
     ``_window`` at the horizon, swept on first use and only to m, so a cell
-    that reaches no target of a size up to the horizon reads False."""
+    that reaches no target of a size up to the horizon reads False. The
+    tables it keeps together must fit the cell budget: a sweep that would
+    take them past it is refused before it starts, and the kept tables stay
+    as they were."""
 
     def __init__(self, constraint: ConstraintSpec, horizon: int):
+        self.constraint = constraint
+        self.horizon = horizon
         self.unit_max = constraint.unit_max
         self._sweep = _reach_sweep(constraint, horizon)
         self._tables = []
+        self._cells = 0
 
     def __call__(self, m: int, units) -> bool:
         if not all(0 <= x <= m * u for x, u in zip(units, self.unit_max)):
             return False
+        if len(self._tables) <= m:
+            cells = self._cells + sum(
+                prod(_window(self.constraint, self.horizon, size)[1])
+                for size in range(len(self._tables), m + 1))
+            _check_budget((cells,), f"reachability tables to n={m}")
+            self._cells = cells
         while len(self._tables) <= m:
             self._tables.append(next(self._sweep))
         table, origin = self._tables[m]
@@ -537,14 +549,3 @@ def first_feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, count: 
                 if (center := constraint.center_units(n)) is not None
                 and reach[center])
     return list(islice(feasible, count))
-
-
-def exact_mean(space: SampleSpace, values) -> tuple[Fraction, ...]:
-    """Exact prior mean of a rational statistic, handy for building targets."""
-    rows = [tuple(as_fraction(v) for v in (row if isinstance(row, (list, tuple)) else (row,)))
-            for row in values]
-    dim = len(rows[0])
-    return tuple(
-        sum(w * row[j] for w, row in zip(space.prior_fractions, rows))
-        for j in range(dim)
-    )

@@ -49,11 +49,6 @@ class Predictor:
             bits += neg_log2(mass)
         return bits
 
-    def sequence_mass(self, sequence):
-        """Product of the conditionals along ``sequence``; exact when the
-        predictor emits rationals."""
-        return math.prod(self.masses(sequence))
-
 
 class IIDPredictor(Predictor):
     """Memoryless predictor emitting one fixed mass function every step."""

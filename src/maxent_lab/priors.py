@@ -24,10 +24,6 @@ class IntegerPrior:
             raise ValidationError(f"j={j} outside prior support 1..{self.j_max}")
         return self.masses[j - 1]
 
-    def neg_log2(self, j: int) -> float:
-        m = self.mass(j)
-        return math.log2(m.denominator) - math.log2(m.numerator)
-
 
 def rissanen_prior(j_max: int = 4096) -> IntegerPrior:
     """Prior proportional to 1 / (j * (log2(j + 1))^2), truncated at j_max.

@@ -91,10 +91,6 @@ class HypercompressionResult:
     bound: float
     sigma: float
 
-    @property
-    def within_bound(self) -> bool:
-        return self.frequency <= self.bound + 3.0 * self.sigma
-
 
 def hypercompression_check(base: Predictor, challenger: Predictor,
                            solution: MaxEntSolution, n: int, k_bits: float,

@@ -60,11 +60,6 @@ def covariance_matrix(pmf: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (centered * pmf[:, None]).T @ centered
 
 
-def covariance(solution: MaxEntSolution, constraint: ConstraintSpec) -> np.ndarray:
-    """Recompute the T-covariance of a solution from its masses."""
-    return covariance_matrix(solution.pmf, constraint.values_float)
-
-
 def _entropy_sum_bits(pmf: np.ndarray, prior: np.ndarray) -> float:
     return -float(np.sum(pmf * (np.log(pmf) - np.log(prior)))) / LN2
 

@@ -161,9 +161,6 @@ class SumDistribution:
         center = self.constraint.center_units(self.n)
         return self._mass(0) if center is None else self.mass_units(center)
 
-    def total(self):
-        return self._mass(self.table.sum(keepdims=True).item())
-
     def _stored(self):
         """Support cells with their stored (unscaled) nonzero values."""
         for i in map(tuple, np.argwhere(self.table > 0).tolist()):

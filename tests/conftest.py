@@ -8,6 +8,15 @@ from maxent_lab import build_space, derive_lattice, solve_maxent
 BRANDEIS_MASSES = (0.05435, 0.07877, 0.11416, 0.16545, 0.23977, 0.34749)
 
 
+def fold_last(masses: dict) -> dict:
+    """A marginal of the first m symbols, {prefix: mass}, summed over its
+    last symbol: the marginal of the first m - 1."""
+    out: dict = {}
+    for prefix, mass in masses.items():
+        out[prefix[:-1]] = out.get(prefix[:-1], 0) + mass
+    return out
+
+
 @pytest.fixture(scope="session")
 def dice():
     return build_space([1, 2, 3, 4, 5, 6], [1] * 6)

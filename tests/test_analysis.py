@@ -11,7 +11,6 @@ from maxent_lab import (
     conditioned_prior_predictor,
     corollary1_residuals,
     derive_lattice,
-    exact_mean,
     maxent_predictor,
     mixture_gap_series,
     play_coding_game,
@@ -32,8 +31,7 @@ class TestMinimaxConstancy:
         assert report.constant == coin03_solution.entropy_bits
 
     def test_prior_projection_constant_zero(self, dice):
-        target = exact_mean(dice, [[x] for x in range(1, 7)])
-        cons = derive_lattice([[x] for x in range(1, 7)], target)
+        cons = derive_lattice([[x] for x in range(1, 7)], ["7/2"])
         sol = solve_maxent(dice, cons)
         report = verify_minimax_constancy(dice, cons, sol, 4)
         assert abs(report.constant) < 1e-12

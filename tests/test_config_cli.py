@@ -147,6 +147,18 @@ class TestValidateConfig:
     def test_clean_fixture_no_diagnostics(self):
         assert validate_config(_with()) == []
 
+    def test_reference_lists_the_kept_outcomes(self):
+        # b has prior mass 0 and is dropped: the reference gives a and c
+        raw = _with(problem={"outcomes": ["a", "b", "c"],
+                             "prior": ["1/2", "0", "1/2"],
+                             "T": [["0", "7", "1"]], "target": ["1/2"]},
+                    experiments=[{"kind": "concentrate", "n_list": [2],
+                                  "events": [{"type": "freq_deviation",
+                                              "epsilon": "1/10",
+                                              "reference": ["1/2", "1/2"]}]}])
+        assert [d.message for d in validate_config(raw)] == \
+            ["note: dropped zero-mass outcomes: b"]
+
     def test_no_feasible_size_diagnostic(self, tmp_path, capsys, monkeypatch):
         # the coin at mean 1/67 hits its target only at multiples of 67; one
         # sweep to the first feasible size, capped at 64, settles that
@@ -404,7 +416,24 @@ class TestCli:
          "experiments[2].events[0]"),
         ({"target": ["1/7"]}, {"kind": "game", "mode": "gaps", "n_max": 3},
          "experiments[2]: no feasible sample sizes up to the horizon 6"),
-    ], ids=["maxent-epsilon-zero", "bigram-dropped-label", "gaps-horizon"])
+        ({"target": ["1/7"]},
+         {"kind": "game", "mode": "gaps", "n_max": 5, "horizon": 20},
+         "experiments[2]: no feasible sample sizes up to n_max 5"),
+        ({"outcomes": [str(x) for x in range(1, 7)], "prior": ["1/6"] * 6,
+          "T": [[str(x) for x in range(1, 7)]], "target": ["9/2"]},
+         {"kind": "concentrate", "n_list": [2],
+          "events": [{"type": "freq_deviation", "epsilon": "1/10",
+                      "reference": ["1/2", "1/2"]}]},
+         "experiments[2].events[0]"),
+        # one mass per label, where b is dropped
+        ({"outcomes": ["a", "b", "c"], "prior": ["1/2", "0", "1/2"],
+          "T": [["0", "7", "1"]], "target": ["1/2"]},
+         {"kind": "concentrate", "n_list": [2],
+          "events": [{"type": "freq_deviation", "epsilon": "1/10",
+                      "reference": ["1/2", "0", "1/2"]}]},
+         "experiments[2].events[0]"),
+    ], ids=["maxent-epsilon-zero", "bigram-dropped-label", "gaps-horizon",
+            "gaps-n-max", "reference-short", "reference-per-label"])
     def test_validate_refuses_what_run_refuses(self, tmp_path, capsys,
                                                problem, block, where):
         # the solve and corollary1 blocks come first, so a refusal at run

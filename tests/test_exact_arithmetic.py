@@ -80,7 +80,8 @@ def test_sum_tables_match_oracle(problem):
         assert table.mass_at_target() == want
     direct = sum_distribution(space, constraint, n, measure=measure,
                               mode="rational")
-    assert direct.total() == sum(_measure_weights(measure, space)) ** n
+    assert sum(m for _, m in direct.items()) == \
+        sum(_measure_weights(measure, space)) ** n
     for n1 in range(n + 1):
         a = sum_distribution(space, constraint, n1, measure=measure,
                              mode="rational")

@@ -13,6 +13,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxent_lab import (
+    build_space,
+    derive_lattice,
+    lattice,
+    mixture_gap_series,
+    rissanen_prior,
+    solve_maxent,
+)
 from maxent_lab.errors import LatticeBlowupError
 from maxent_lab.lattice import _Reach, feasible_sizes
 
@@ -46,3 +54,27 @@ def test_a_nonzero_mass_comes_back_unchanged(problem, horizon, mass):
     for n in range(1, horizon + 1):
         for units in (constraint.center_units(n), None):
             assert reach.exact(n, units, mass, "where") is mass
+
+
+def test_kept_tables_fit_the_cell_budget(monkeypatch):
+    # only sizes divisible by 3 reach the target (1, 1), so the gaps ask the
+    # one _Reach about the 0.0 central mass of every other size and it keeps
+    # a table per size: at most 5.9e5 cells at horizon 120, and past 1e6 by
+    # n = 91 at horizon 200, while no table holds more than 4.1e4
+    space = build_space(["a", "b", "c"], [1, 1, 1])
+    constraint = derive_lattice([[0, 0], [2, 1], [1, 2]], [1, 1])
+    solution = solve_maxent(space, constraint)
+    prior = rissanen_prior(8)
+    monkeypatch.setattr(lattice, "CELL_BUDGET", 1_000_000)
+    gaps = mixture_gap_series(space, constraint, solution, prior, 60, 120)
+    assert [r.n for r in gaps] == [3, 6, 9, 12, 15, 18, 21, 24]
+    with pytest.raises(LatticeBlowupError,
+                       match="reachability tables to n=91 needs"):
+        mixture_gap_series(space, constraint, solution, prior, 100, 200)
+    # a refused sweep leaves the kept tables as they were
+    reach = _Reach(constraint, 200)
+    assert reach(30, constraint.center_units(30))
+    with pytest.raises(LatticeBlowupError):
+        reach(150, constraint.center_units(150))
+    assert reach(30, constraint.center_units(30))
+    assert not reach(31, (31, 31))

@@ -86,7 +86,7 @@ def test_gap_series_with_zero_step_matches_direct_minimum():
     proj = maxent_predictor(space, solution)
     for record in series:
         direct = min(
-            math.log2(float(mixture.sequence_mass(seq)))
+            math.log2(float(math.prod(mixture.masses(seq))))
             - (-proj.sequence_codelength(seq))
             for seq in enumerate_constraint_sequences(space, constraint,
                                                       record.n)

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from maxent_lab import (
     build_space,
     derive_lattice,
-    exact_mean,
     feasible_sizes,
     first_feasible_sizes,
     hull_position,
@@ -252,7 +251,3 @@ class TestHullPositionProperties:
         push = data.draw(st.fractions(min_value=Fraction(1, 1000), max_value=2))
         target = [t + push * cj for t, cj in zip(_combine(face, weights), c)]
         assert hull_position(points, target) == "outside"
-
-
-def test_exact_mean(dice):
-    assert exact_mean(dice, [[x] for x in range(1, 7)]) == (Fraction(7, 2),)

@@ -60,7 +60,7 @@ class TestConditionedPrior:
             _exact(coin, coin_constraint, 2), 2)
         for seq in itertools.product(range(2), repeat=2):
             want = oracle.conditional.get(seq, Fraction(0))
-            assert predictor.sequence_mass(seq) == want
+            assert math.prod(predictor.masses(seq)) == want
 
     def test_codelength_is_conditioning_identity(self, dice, dice_constraint):
         n = 4
@@ -81,13 +81,13 @@ class TestConditionedPrior:
         masses = list(predictor.masses((1, 1, 1, 0)))
         assert all(m > 0 for m in masses[:2])
         assert masses[2] == 0
-        assert predictor.sequence_mass((1, 1, 1, 0)) == 0
+        assert math.prod(predictor.masses((1, 1, 1, 0))) == 0
         assert predictor.sequence_codelength((1, 1, 1, 0)) == math.inf
 
     def test_continues_iid_after_horizon(self, coin, coin_constraint):
         predictor = conditioned_prior_predictor(
             _exact(coin, coin_constraint, 2), 2)
-        mass = predictor.sequence_mass((0, 1, 1, 1))
+        mass = math.prod(predictor.masses((0, 1, 1, 1)))
         assert mass == Fraction(1, 2) * Fraction(1, 4)
 
     def test_infeasible_horizon_rejected(self, dice, dice_constraint):
@@ -111,13 +111,14 @@ def test_conditioned_prior_matches_the_oracle(problem, n):
         return
     predictor = conditioned_prior_predictor(provider, n)
     for seq in itertools.product(range(space.size), repeat=n):
-        assert predictor.sequence_mass(seq) == oracle.conditional.get(seq, 0)
+        assert math.prod(predictor.masses(seq)) == \
+            oracle.conditional.get(seq, 0)
 
 
 def _prefix_consistency_exact(predictor, size, depth):
     """Sum of masses over X^m equals 1 for every m <= depth (exact)."""
     for m in range(1, depth + 1):
-        total = sum(predictor.sequence_mass(seq)
+        total = sum(math.prod(predictor.masses(seq))
                     for seq in itertools.product(range(size), repeat=m))
         assert total == 1
 
@@ -158,7 +159,8 @@ class TestMixture:
         mixture = mixture_predictor(provider, rissanen_prior(1), [2])
         conditioned = conditioned_prior_predictor(provider, 2)
         for seq in itertools.product(range(2), repeat=4):
-            assert mixture.sequence_mass(seq) == conditioned.sequence_mass(seq)
+            assert math.prod(mixture.masses(seq)) == \
+                math.prod(conditioned.masses(seq))
 
     def test_mixture_lower_bound(self, coin, coin_constraint):
         prior = rissanen_prior(4)
@@ -168,8 +170,8 @@ class TestMixture:
         for j, n_j in enumerate(sizes, start=1):
             component = conditioned_prior_predictor(provider, n_j)
             for seq in itertools.product(range(2), repeat=4):
-                assert mixture.sequence_mass(seq) >= \
-                    prior.mass(j) * component.sequence_mass(seq)
+                assert math.prod(mixture.masses(seq)) >= \
+                    prior.mass(j) * math.prod(component.masses(seq))
 
     def test_arithmetic_follows_the_provider(self, coin, coin_constraint):
         # a rational provider makes the weights and every conditional exact
@@ -177,12 +179,12 @@ class TestMixture:
                                     rissanen_prior(3), [2, 4, 6])
         seq = (0, 1, 1, 0)
         assert all(isinstance(c, Fraction) for c in mixture.masses(seq))
-        assert mixture.sequence_mass(seq) == Fraction(359940716346852413,
-                                                      2772133847403501930)
+        assert math.prod(mixture.masses(seq)) == Fraction(359940716346852413,
+                                                          2772133847403501930)
         floats = mixture_predictor(SumTableProvider(coin, coin_constraint, 6),
                                    rissanen_prior(3), [2, 4, 6])
         assert all(isinstance(c, float) for c in floats.masses(seq))
-        assert floats.sequence_mass(seq) == 0.12984247376222044
+        assert math.prod(floats.masses(seq)) == 0.12984247376222044
 
     def test_one_table_lookup_per_scored_symbol(self, coin, coin_constraint,
                                                 monkeypatch):
@@ -204,7 +206,7 @@ class TestMixture:
         scores = []
         for _ in range(2):  # a predictor keeps no state between sequences
             del calls[:]
-            scores.append(mixture.sequence_mass(seq))
+            scores.append(math.prod(mixture.masses(seq)))
             assert sorted(calls) == sorted(n_j - t - 1 for n_j in sizes
                                            for t in range(n_j))
         assert scores[0] == scores[1] > 0
@@ -227,7 +229,7 @@ class TestMixture:
         proj = maxent_predictor(coin, coin_solution)
         for record, gap in zip(series, gaps):
             direct = min(
-                math.log2(float(mixture.sequence_mass(seq)))
+                math.log2(float(math.prod(mixture.masses(seq))))
                 + proj.sequence_codelength(seq)
                 for seq in enumerate_constraint_sequences(
                     coin, coin_constraint, record.n))
@@ -248,7 +250,7 @@ class TestMixture:
         proj = maxent_predictor(coin, coin_solution)
         for record in series:
             direct = min(
-                math.log2(float(mixture.sequence_mass(seq)))
+                math.log2(float(math.prod(mixture.masses(seq))))
                 - (-proj.sequence_codelength(seq))
                 for seq in enumerate_constraint_sequences(
                     coin, coin_constraint, record.n)
@@ -329,7 +331,7 @@ class TestRenewal:
                                             [2, 4, 6])
         composed = renewal_compose(coin, coin_constraint, factory)
         for m in (1, 3, 6):
-            total = sum(composed.sequence_mass(seq)
+            total = sum(math.prod(composed.masses(seq))
                         for seq in itertools.product(range(2), repeat=m))
             assert total == 1
 
@@ -360,8 +362,8 @@ class TestRenewal:
         # measure c'' over constraint blocks up to length 6
         chall = challenger()
         c2 = min(
-            math.log2(float(chall.sequence_mass(seq))) -
-            math.log2(float(proj.sequence_mass(seq)))
+            math.log2(float(math.prod(chall.masses(seq)))) -
+            math.log2(float(math.prod(proj.masses(seq))))
             for n in (2, 4, 6)
             for seq in enumerate_constraint_sequences(coin, coin_constraint, n)
         )
@@ -373,5 +375,6 @@ class TestRenewal:
                 if 2 * units == i:
                     hits += 1
             lower = float(alpha) ** hits * float(1 - alpha) \
-                * 2.0 ** (hits * c2) * float(proj.sequence_mass(seq))
-            assert float(composed.sequence_mass(seq)) >= lower * (1 - 1e-12)
+                * 2.0 ** (hits * c2) * float(math.prod(proj.masses(seq)))
+            assert float(math.prod(composed.masses(seq))) >= \
+                lower * (1 - 1e-12)

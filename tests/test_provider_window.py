@@ -10,6 +10,7 @@ provider's tables depend on the window; a window narrowed by one cell on
 either side must break the agreement.
 """
 
+import math
 from itertools import product
 
 import pytest
@@ -52,7 +53,7 @@ def _scores(provider, horizon):
         conditioned = conditioned_prior_predictor(provider, n)
         for seq in _constraint_sequences(space, constraint, n):
             for predictor in (conditioned, mixture):
-                out.append((n, seq, _exact(predictor.sequence_mass(seq)),
+                out.append((n, seq, _exact(math.prod(predictor.masses(seq))),
                             _exact(predictor.sequence_codelength(seq))))
         for m in range(1, n):
             marginal = conditional_marginal(provider, m, n)
