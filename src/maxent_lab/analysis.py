@@ -300,10 +300,10 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     term (``_hit_cost_minima``). Raises ``LatticeBlowupError`` when the prior
     mass of a feasible size at or below the horizon underflows to 0.0.
 
-    The mixture is the one ``mixture_predictor`` builds from the sizes
-    ``first_feasible_sizes(space, constraint, prior.j_max, n_cap=horizon)``:
-    the prior normalized over at most j_max feasible sizes up to the
-    horizon, so a short horizon measures fewer.
+    The mixture is the one ``mixture_predictor`` builds on a provider at
+    the horizon, by the same rule: the first j_max sizes up to the horizon
+    whose target mass is exactly nonzero, with the prior normalized over
+    them, so a short horizon measures fewer.
     """
     if horizon < n_max:
         raise ValidationError("horizon must cover n_max")

@@ -148,7 +148,8 @@ def _checked_block(block: dict, i: int) -> dict:
 
 
 def _check_int(value, key: str, where: str, low: int = 1) -> None:
-    if not isinstance(value, int) or value < low:
+    # type() tells a JSON true or false, a bool, from an integer
+    if type(value) is not int or value < low:
         raise ValidationError(f"{where}: {key} must be an integer >= {low}")
 
 
@@ -158,7 +159,7 @@ def _validate_block_shape(block: dict, i: int) -> None:
     paths = kind == "game" and block["mode"] == "paths"
     if kind in ("concentrate", "condlimit", "corollary1") or paths:
         n_list = _require(block, "n_list", where)
-        if not n_list or any(not isinstance(n, int) or n < 1 for n in n_list):
+        if not n_list or any(type(n) is not int or n < 1 for n in n_list):
             raise ValidationError(f"{where}: n_list must hold integers >= 1")
         if sorted(n_list) != n_list:
             raise ValidationError(f"{where}: n_list must be sorted ascending")
@@ -199,20 +200,20 @@ def _validate_block_shape(block: dict, i: int) -> None:
     if kind == "recur" and block.get("checkpoints") is not None:
         points = block["checkpoints"]
         if not isinstance(points, list) or not points or any(
-                not isinstance(c, int) or not 1 <= c <= block["steps"]
+                type(c) is not int or not 1 <= c <= block["steps"]
                 for c in points):
             raise ValidationError(f"{where}: checkpoints must be a nonempty "
                                   "list of integers in 1..steps")
     if kind == "hypercomp":
         ks = _require(block, "K", where)
-        if not ks or any(not isinstance(k, (int, float)) or k <= 0 for k in ks):
+        if not ks or any(type(k) not in (int, float) or k <= 0 for k in ks):
             raise ValidationError(f"{where}: K values must be positive numbers")
 
 
 def _check_box_shape(spec: dict, where: str) -> None:
-    """A box event's statistic is a list of rows and its bounds are lists;
-    their entries, and a missing field, are reported when the event is
-    built."""
+    """A box event's statistic is a list of rows, its bounds are lists and
+    ``inside`` is a bool; their entries, and a missing field, are reported
+    when the event is built."""
     statistic = spec.get("statistic", [[]])
     if not isinstance(statistic, list) or not statistic or \
             any(not isinstance(row, list) for row in statistic):
@@ -220,6 +221,8 @@ def _check_box_shape(spec: dict, where: str) -> None:
     for key in ("lower", "upper"):
         if not isinstance(spec.get(key, []), list):
             raise ValidationError(f"{where}: {key} must be a list")
+    if not isinstance(spec.get("inside", True), bool):
+        raise ValidationError(f"{where}: inside must be true or false")
 
 
 def build_event(spec: dict, space, solution=None):
@@ -227,6 +230,7 @@ def build_event(spec: dict, space, solution=None):
 
     Frequency references may name 'maxent' (the solved projection) or 'prior',
     or list explicit masses, one per outcome left after the zero-mass drop.
+    The event constructors parse every other number exactly.
     """
     etype = _require(spec, "type", "event")
     if etype == "freq_deviation":

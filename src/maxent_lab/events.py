@@ -3,7 +3,9 @@
 The event language is closed: sup-norm frequency deviation, a box on an
 auxiliary additive statistic, and the bigram-deviation event. Each event can
 be checked literally on an explicit sequence (``holds``), which is what the
-enumeration oracle uses; the DP routes live in ``conditional``.
+enumeration oracle uses; the DP routes live in ``conditional``. Thresholds,
+statistics and bounds are exact rationals (``as_fraction``); only the
+reference masses of a frequency event may be floats.
 """
 
 from __future__ import annotations
@@ -13,14 +15,6 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .lattice import SampleSpace, as_fraction
-
-
-def _exact(value) -> Fraction:
-    # Float inputs (projection masses) are taken at their exact binary value
-    # so DP readouts and the enumeration oracle compare identically.
-    if isinstance(value, float):
-        return Fraction(value)
-    return as_fraction(value)
 
 
 @dataclass(frozen=True)
@@ -35,10 +29,14 @@ class FrequencyDeviationEvent:
 
     @classmethod
     def make(cls, epsilon, reference) -> "FrequencyDeviationEvent":
-        eps = _exact(epsilon)
+        eps = as_fraction(epsilon)
         if eps <= 0:
             raise ValidationError("epsilon must be positive")
-        return cls(epsilon=eps, reference=tuple(_exact(r) for r in reference))
+        # float masses (the projection's) are taken at their exact binary
+        # value, so DP readouts and the enumeration oracle compare identically
+        return cls(epsilon=eps, reference=tuple(
+            Fraction(r) if isinstance(r, float) else as_fraction(r)
+            for r in reference))
 
     def holds(self, sequence, space: SampleSpace) -> bool:
         n = len(sequence)
@@ -70,12 +68,12 @@ class BoxEvent:
         rows = []
         for row in statistic:
             if isinstance(row, (list, tuple)):
-                rows.append(tuple(_exact(v) for v in row))
+                rows.append(tuple(as_fraction(v) for v in row))
             else:
-                rows.append((_exact(row),))
+                rows.append((as_fraction(row),))
         dim = len(rows[0])
-        lo = tuple(None if b is None else _exact(b) for b in lower)
-        hi = tuple(None if b is None else _exact(b) for b in upper)
+        lo = tuple(None if b is None else as_fraction(b) for b in lower)
+        hi = tuple(None if b is None else as_fraction(b) for b in upper)
         if len(lo) != dim or len(hi) != dim:
             raise ValidationError("box bounds must match the statistic dimension")
         return cls(statistic=tuple(rows), lower=lo, upper=hi, inside=inside)
@@ -118,7 +116,7 @@ class BigramDeviationEvent:
 
     @classmethod
     def make(cls, j, jprime, epsilon) -> "BigramDeviationEvent":
-        eps = _exact(epsilon)
+        eps = as_fraction(epsilon)
         if eps <= 0:
             raise ValidationError("epsilon must be positive")
         return cls(j=j, jprime=jprime, epsilon=eps)

@@ -175,12 +175,14 @@ def _run_corollary1(ctx, block, path):
 def _run_game_paths(ctx, block, path):
     space, constraint, solution = ctx["space"], ctx["constraint"], ctx["solution"]
     prior = rissanen_prior(block["j_max"])
-    # the mixture's component sizes, swept once; the provider serves them and
+    # multiples of the first feasible size are feasible, so the mixture's
+    # j_max sizes lie within j_max times it; the provider serves them and
     # every size of the block
-    sizes = first_feasible_sizes(space, constraint, prior.j_max) \
+    first = first_feasible_sizes(space, constraint, 1) \
         if "mixture" in block["predictors"] else []
     provider = SumTableProvider(space, constraint,
-                                max([block["n_list"][-1], *sizes]),
+                                max([block["n_list"][-1],
+                                     *(prior.j_max * n for n in first)]),
                                 measure="q", mode="float")
     predictors = {}
     for tag in block["predictors"]:
@@ -189,7 +191,7 @@ def _run_game_paths(ctx, block, path):
         elif tag == "conditioned":
             predictors[tag] = lambda n: conditioned_prior_predictor(provider, n)
         else:
-            predictors[tag] = mixture_predictor(provider, prior, sizes)
+            predictors[tag] = mixture_predictor(provider, prior)
     report = play_coding_game(space, constraint, solution, predictors,
                               block["n_list"])
     rows = [(r.n, r.predictor, r.codelength_bits, r.gap_vs_maxent_bits)

@@ -31,11 +31,12 @@ CELL_BUDGET = 50_000_000
 def as_fraction(value) -> Fraction:
     """Parse an exact rational: Fraction, int, or a string like '1/6' or '0.25'.
 
-    Floats are rejected; lattice derivation is not float-safe.
+    Floats are rejected; lattice derivation is not float-safe. So are bools,
+    which type() tells from ints.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         try:

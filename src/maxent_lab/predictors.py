@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from operator import add, sub
 
 from .errors import ValidationError
@@ -79,7 +80,9 @@ class ConditionedPriorPredictor(Predictor):
     suffix mass is the next step's denominator, so each symbol costs one
     lookup. The provider's zeros are exact, so a prefix that gets mass zero
     cannot reach the target and the predictor goes dead: it emits the base
-    measure from then on, as it does beyond the horizon.
+    measure from then on, as it does beyond the horizon. At an infeasible
+    horizon ``total`` is 0: ``conditioned_prior_predictor`` refuses it and
+    ``mixture_predictor`` skips it.
     """
 
     def __init__(self, provider: SumTableProvider, horizon: int):
@@ -89,8 +92,6 @@ class ConditionedPriorPredictor(Predictor):
         self.center = provider.constraint.center_units(horizon)
         self.total = 0 if self.center is None \
             else provider.mass(horizon, self.center)
-        if self.total == 0:
-            raise ValidationError(f"horizon n={horizon} is infeasible")
 
     def masses(self, sequence):
         base, units = self.provider.weights, self.provider.constraint.units
@@ -107,7 +108,10 @@ class ConditionedPriorPredictor(Predictor):
 
 def conditioned_prior_predictor(provider: SumTableProvider, horizon: int
                                 ) -> ConditionedPriorPredictor:
-    return ConditionedPriorPredictor(provider, horizon)
+    predictor = ConditionedPriorPredictor(provider, horizon)
+    if predictor.total == 0:
+        raise ValidationError(f"horizon n={horizon} is infeasible")
+    return predictor
 
 
 class MixturePredictor(Predictor):
@@ -149,20 +153,22 @@ class MixturePredictor(Predictor):
                           for post, cond in zip(posteriors, conds)]
 
 
-def mixture_predictor(provider: SumTableProvider, prior: IntegerPrior,
-                      sizes) -> MixturePredictor:
-    """Mixture of conditioned priors at the given feasible sizes.
+def mixture_predictor(provider: SumTableProvider,
+                      prior: IntegerPrior) -> MixturePredictor:
+    """Mixture of conditioned priors at the first feasible sizes.
 
-    ``sizes`` are the first feasible sizes in increasing order, as
-    ``first_feasible_sizes(space, constraint, prior.j_max)`` gives them, all
-    within the provider's horizon. Component j (1-based) conditions on
-    ``sizes[j - 1]`` and carries prior mass pi(j), normalized over the
-    components built.
+    The components condition on the first ``prior.j_max`` sizes n up to the
+    provider's horizon whose target mass is nonzero; the provider's zeros
+    are exact, so these are the feasible sizes. Component j (1-based)
+    carries prior mass pi(j), normalized over the components built.
     """
-    if not sizes:
+    probes = (ConditionedPriorPredictor(provider, n)
+              for n in range(1, provider.horizon + 1))
+    components = list(islice((c for c in probes if c.total != 0),
+                             prior.j_max))
+    if not components:
         raise ValidationError("no feasible sizes for the mixture")
-    components = [ConditionedPriorPredictor(provider, n_j) for n_j in sizes]
-    weights = [prior.mass(j) for j in range(1, len(sizes) + 1)]
+    weights = [prior.mass(j) for j in range(1, len(components) + 1)]
     if provider.mode == "float":
         weights = [float(w) for w in weights]
     return MixturePredictor(provider.space, components, weights, "mixture")

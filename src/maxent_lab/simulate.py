@@ -12,16 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationInfeasibleError, ValidationError
-from .lattice import ConstraintSpec, SampleSpace
-from .predictors import IIDPredictor, Predictor
+from .errors import ValidationError
+from .lattice import ConstraintSpec, SampleSpace, _check_budget
+from .predictors import IIDPredictor
 from .solver import MaxEntSolution
 from .sumdist import sum_distribution
 
 LN2 = math.log(2.0)
-# most symbols (samples * n) a hypercompression check codes one at a time
-# with stateful predictors
-STATEFUL_SYMBOL_BUDGET = 10 ** 7
 
 
 def _streams(seed: int, count: int):
@@ -46,7 +43,8 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
 
     Draws i.i.d. symbols from the projection and counts the times n at which
     the running statistic average sits exactly on target, averaged over
-    ``reps`` independently seeded replicas.
+    ``reps`` independently seeded replicas. Each replica's steps x k table of
+    running sums must fit the cell budget.
     """
     if steps < 1 or reps < 1:
         raise ValidationError("steps and reps must be >= 1")
@@ -58,6 +56,7 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
         raise ValidationError("checkpoints must lie in 1..steps")
 
     k = constraint.dim
+    _check_budget((steps, k), f"recurrence sums of {steps} steps")
     units = np.array(constraint.units, dtype=np.int64)
     nums = np.array([s.numerator for s in constraint.center_step], dtype=np.int64)
     dens = np.array([s.denominator for s in constraint.center_step], dtype=np.int64)
@@ -92,38 +91,28 @@ class HypercompressionResult:
     sigma: float
 
 
-def hypercompression_check(base: Predictor, challenger: Predictor,
+def hypercompression_check(base: IIDPredictor, challenger: IIDPredictor,
                            solution: MaxEntSolution, n: int, k_bits: float,
                            samples: int, seed: int) -> HypercompressionResult:
     """Frequency with which the challenger saves at least ``k_bits`` over the
     base code on projection-sampled sequences of length n.
 
-    For data sampled from the base's own distribution this frequency obeys the
-    2^-K bound up to binomial sampling slack.
+    Both codes are i.i.d., so each sample is scored from its symbol counts;
+    the samples x |X| table of counts must fit the cell budget. For data
+    sampled from the base's own distribution this frequency obeys the 2^-K
+    bound up to binomial sampling slack.
     """
     if k_bits <= 0 or samples < 1 or n < 1:
         raise ValidationError("need K > 0, samples >= 1, n >= 1")
+    if not (isinstance(base, IIDPredictor)
+            and isinstance(challenger, IIDPredictor)):
+        raise ValidationError("hypercompression needs two i.i.d. codes")
     pmf = solution.pmf / solution.pmf.sum()
-    rng = _streams(seed, 1)[0]
-    if isinstance(base, IIDPredictor) and isinstance(challenger, IIDPredictor):
-        counts = rng.multinomial(n, pmf, size=samples)
-        len_base = _iid_codelengths(counts, base.pmf)
-        len_chall = _iid_codelengths(counts, challenger.pmf)
-        exceed = len_base >= len_chall + k_bits
-        frequency = float(np.mean(exceed))
-    else:
-        if samples * n > STATEFUL_SYMBOL_BUDGET:
-            raise EnumerationInfeasibleError(
-                "stateful predictors over this many samples exceed the budget; "
-                "use i.i.d. predictors or fewer samples"
-            )
-        hits = 0
-        for _ in range(samples):
-            seq = rng.choice(len(pmf), size=n, p=pmf)
-            if base.sequence_codelength(seq) >= \
-                    challenger.sequence_codelength(seq) + k_bits:
-                hits += 1
-        frequency = hits / samples
+    _check_budget((samples, len(pmf)), f"counts of {samples} samples")
+    counts = _streams(seed, 1)[0].multinomial(n, pmf, size=samples)
+    exceed = _iid_codelengths(counts, base.pmf) >= \
+        _iid_codelengths(counts, challenger.pmf) + k_bits
+    frequency = float(np.mean(exceed))
     bound = 2.0 ** (-k_bits)
     sigma = math.sqrt(bound * (1.0 - bound) / samples)
     return HypercompressionResult(n=n, samples=samples, seed=seed,

@@ -263,7 +263,7 @@ def test_c12_property_suites(dice, dice_constraint, coin, coin_constraint,
     # prefix consistency, exact, exhaustive to length 6
     mixture = mixture_predictor(
         SumTableProvider(coin, coin_constraint, 6, mode="rational"),
-        rissanen_prior(3), [2, 4, 6])
+        rissanen_prior(3))
     for m in range(1, 7):
         total = sum(math.prod(mixture.masses(seq))
                     for seq in itertools.product(range(2), repeat=m))

@@ -449,6 +449,49 @@ class TestCli:
         assert where in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw,where", [
+        # a float epsilon would be taken at its binary value: 0.3 writes
+        # event_prob_ptilde 0.109375 where "3/10" writes 0.021484375
+        (_with(experiments=[{"kind": "concentrate", "n_list": [10],
+                             "events": [{"type": "freq_deviation",
+                                         "epsilon": 0.3,
+                                         "reference": "maxent"}]}]),
+         "experiments[0].events[0]"),
+        # the string "false" would run as inside
+        (_die_at("9/2", {"kind": "concentrate", "n_list": [8],
+                         "events": [{"type": "box",
+                                     "statistic": [["1"] + ["0"] * 5],
+                                     "lower": ["1/4"], "upper": ["1"],
+                                     "inside": "false"}]}),
+         "experiments[0].events[0]: inside"),
+        # JSON true would pass as the integer 1
+        (_die_at("9/2", {"kind": "condlimit", "m": True, "n_list": [True, 4]}),
+         "experiments[0] (condlimit): n_list"),
+        (_die_at("9/2", {"kind": "condlimit", "m": True, "n_list": [4]}),
+         "experiments[0] (condlimit): m"),
+        (_with(experiments=[{"kind": "hypercomp", "n": 10, "K": True,
+                             "samples": 10, "seed": 0}]),
+         "experiments[0] (hypercomp): K"),
+    ], ids=["float-epsilon", "inside-string", "bool-n-list", "bool-m",
+            "bool-k"])
+    def test_numbers_and_flags_parse_exactly_or_are_refused(
+            self, tmp_path, capsys, raw, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "-c", str(path)]) == 2
+        assert where in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_bool_prior_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_with(problem={"prior": [True, True]},
+                                         experiments=[{"kind": "solve"}])))
+        assert main(["validate", "-c", str(path)]) == 2
+        assert "got bool" in capsys.readouterr().out
+
     def test_frequency_event_past_the_float_binomial(self, tmp_path):
         # C(n, n/2) overflows a float from n = 1030 on, where the count DP's
         # coefficients are still normal floats: the coin's event masses are

@@ -22,7 +22,6 @@ from maxent_lab import (
     derive_lattice,
     enumerate_constraint_sequences,
     feasible_sizes,
-    first_feasible_sizes,
     maxent_predictor,
     mixture_gap_series,
     mixture_predictor,
@@ -77,9 +76,7 @@ def test_gap_series_with_zero_step_matches_direct_minimum():
     constraint = derive_lattice([[0], [1], [3]], [1])
     solution = solve_maxent(space, constraint)
     prior = rissanen_prior(8)
-    sizes = first_feasible_sizes(space, constraint, prior.j_max, n_cap=16)
-    mixture = mixture_predictor(SumTableProvider(space, constraint, 16), prior,
-                                sizes)
+    mixture = mixture_predictor(SumTableProvider(space, constraint, 16), prior)
     series = mixture_gap_series(space, constraint, solution, prior, n_max=6,
                                 horizon=16)
     assert [r.n for r in series] == [1, 2, 3, 4, 5, 6]

@@ -132,13 +132,12 @@ class TestPrefixConsistency:
     def test_mixture_exact(self, coin, coin_constraint):
         # the coin's feasible sizes are the even ones
         predictor = mixture_predictor(_exact(coin, coin_constraint, 8),
-                                      rissanen_prior(4), [2, 4, 6, 8])
+                                      rissanen_prior(4))
         _prefix_consistency_exact(predictor, 2, 6)
 
     def test_renewal_exact(self, coin, coin_constraint):
         provider = _exact(coin, coin_constraint, 6)
-        factory = lambda: mixture_predictor(provider, rissanen_prior(3),
-                                            [2, 4, 6])
+        factory = lambda: mixture_predictor(provider, rissanen_prior(3))
         predictor = renewal_compose(coin, coin_constraint, factory)
         _prefix_consistency_exact(predictor, 2, 6)
 
@@ -156,7 +155,7 @@ class TestPrefixConsistency:
 class TestMixture:
     def test_single_component_degenerates(self, coin, coin_constraint):
         provider = _exact(coin, coin_constraint, 2)
-        mixture = mixture_predictor(provider, rissanen_prior(1), [2])
+        mixture = mixture_predictor(provider, rissanen_prior(1))
         conditioned = conditioned_prior_predictor(provider, 2)
         for seq in itertools.product(range(2), repeat=4):
             assert math.prod(mixture.masses(seq)) == \
@@ -166,7 +165,7 @@ class TestMixture:
         prior = rissanen_prior(4)
         provider = _exact(coin, coin_constraint, 8)
         sizes = [2, 4, 6, 8]
-        mixture = mixture_predictor(provider, prior, sizes)
+        mixture = mixture_predictor(provider, prior)
         for j, n_j in enumerate(sizes, start=1):
             component = conditioned_prior_predictor(provider, n_j)
             for seq in itertools.product(range(2), repeat=4):
@@ -176,13 +175,13 @@ class TestMixture:
     def test_arithmetic_follows_the_provider(self, coin, coin_constraint):
         # a rational provider makes the weights and every conditional exact
         mixture = mixture_predictor(_exact(coin, coin_constraint, 6),
-                                    rissanen_prior(3), [2, 4, 6])
+                                    rissanen_prior(3))
         seq = (0, 1, 1, 0)
         assert all(isinstance(c, Fraction) for c in mixture.masses(seq))
         assert math.prod(mixture.masses(seq)) == Fraction(359940716346852413,
                                                           2772133847403501930)
         floats = mixture_predictor(SumTableProvider(coin, coin_constraint, 6),
-                                   rissanen_prior(3), [2, 4, 6])
+                                   rissanen_prior(3))
         assert all(isinstance(c, float) for c in floats.masses(seq))
         assert math.prod(floats.masses(seq)) == 0.12984247376222044
 
@@ -200,7 +199,7 @@ class TestMixture:
                             reads.append(self.n) or mass_units(self, units))
         sizes = [2, 4, 6]
         mixture = mixture_predictor(_exact(coin, coin_constraint, 6),
-                                    rissanen_prior(3), sizes)
+                                    rissanen_prior(3))
         assert sorted(calls) == sizes
         seq = (0, 1, 1, 0, 0, 1, 1, 0)  # on target at 2, 4 and 6
         scores = []
@@ -219,10 +218,8 @@ class TestMixture:
         # the gaps at a horizon are those of the mixture over the feasible
         # sizes up to it: 4 components at horizon 8, all 8 at horizon 16
         prior = rissanen_prior(8)
-        sizes = first_feasible_sizes(coin, coin_constraint, prior.j_max,
-                                     n_cap=horizon)
         mixture = mixture_predictor(
-            SumTableProvider(coin, coin_constraint, horizon), prior, sizes)
+            SumTableProvider(coin, coin_constraint, horizon), prior)
         assert len(mixture.components) == horizon // 2
         series = mixture_gap_series(coin, coin_constraint, coin_solution,
                                     prior, n_max=4, horizon=horizon)
@@ -241,10 +238,8 @@ class TestMixture:
                                                coin_solution):
         # closed-form series against brute-force minimum over the constraint set
         prior = rissanen_prior(8)
-        sizes = first_feasible_sizes(coin, coin_constraint, prior.j_max,
-                                     n_cap=16)
         mixture = mixture_predictor(
-            SumTableProvider(coin, coin_constraint, 16), prior, sizes)
+            SumTableProvider(coin, coin_constraint, 16), prior)
         series = mixture_gap_series(coin, coin_constraint, coin_solution,
                                     prior, n_max=8, horizon=16)
         proj = maxent_predictor(coin, coin_solution)
@@ -268,7 +263,7 @@ class TestMixture:
         prior = rissanen_prior(210)
         sizes = first_feasible_sizes(space, constraint, prior.j_max)
         mixture = mixture_predictor(
-            SumTableProvider(space, constraint, sizes[-1]), prior, sizes)
+            SumTableProvider(space, constraint, sizes[-1]), prior)
         seq = representative_sequence(space, constraint, 400)
         live = [(w, bits) for w, c in zip(mixture.weights, mixture.components)
                 if (bits := c.sequence_codelength(seq)) < math.inf]
@@ -309,7 +304,7 @@ def test_mixture_scaling_keeps_every_bit(problem, j_max, data):
     sizes = first_feasible_sizes(space, constraint, j_max, n_cap=12)
     assume(sizes)
     mixture = mixture_predictor(SumTableProvider(space, constraint, sizes[-1]),
-                                rissanen_prior(j_max), sizes)
+                                rissanen_prior(j_max))
     seq = data.draw(st.lists(st.integers(0, space.size - 1),
                              max_size=2 * sizes[-1] + 2))
     assert [m.hex() for m in mixture.masses(seq)] == \
@@ -327,8 +322,7 @@ class TestRenewal:
 
     def test_masses_sum_to_one(self, coin, coin_constraint):
         provider = _exact(coin, coin_constraint, 6)
-        factory = lambda: mixture_predictor(provider, rissanen_prior(3),
-                                            [2, 4, 6])
+        factory = lambda: mixture_predictor(provider, rissanen_prior(3))
         composed = renewal_compose(coin, coin_constraint, factory)
         for m in (1, 3, 6):
             total = sum(math.prod(composed.masses(seq))
@@ -345,7 +339,7 @@ class TestRenewal:
         provider = _exact(coin, coin_constraint, 8)
 
         def challenger():
-            return mixture_predictor(provider, prior, [2, 4, 6, 8])
+            return mixture_predictor(provider, prior)
 
         # p_alpha = alpha * challenger + (1 - alpha) * projection
         from maxent_lab.predictors import MixturePredictor

@@ -5,9 +5,10 @@ Every cell that a conditioned predictor, a mixture of them or a conditioned
 marginal of a size <= H reads lies in that window, so a provider at H and one
 at a larger horizon give the same numbers bit for bit: equal floats, or equal
 ``Fraction``s in rational mode. Constraint sequences come from brute force and
-the mixture sizes from the unwindowed reachability sweep, so only the
-provider's tables depend on the window; a window narrowed by one cell on
-either side must break the agreement.
+the sizes scored from the unwindowed reachability sweep, so only the
+provider's tables depend on the window; the mixture finds its sizes in the
+provider, so its prior counts only the sizes up to H. A window narrowed by
+one cell on either side must break the agreement.
 """
 
 import math
@@ -44,9 +45,8 @@ def _scores(provider, horizon):
     codelength on each constraint sequence of size n, and every
     conditioned marginal mass of the first m < n symbols."""
     space, constraint = provider.space, provider.constraint
-    prior = rissanen_prior(3)
     sizes = first_feasible_sizes(space, constraint, horizon, n_cap=horizon)
-    mixture = mixture_predictor(provider, prior, sizes[:prior.j_max]) \
+    mixture = mixture_predictor(provider, rissanen_prior(min(3, len(sizes)))) \
         if sizes else None
     out = []
     for n in sizes:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,12 +9,14 @@ from maxent_lab import (
     SumTableProvider,
     hypercompression_check,
     hypercompression_exact_prob,
+    lattice,
     maxent_predictor,
     mixture_predictor,
     recurrence_simulation,
     rissanen_prior,
 )
-from maxent_lab.errors import ValidationError
+from maxent_lab.cli import main
+from maxent_lab.errors import LatticeBlowupError, ValidationError
 
 
 def binomial_visit_sum(steps):
@@ -97,15 +100,15 @@ class TestHypercompression:
         sigma = math.sqrt(max(exact, 1e-12) * (1 - exact) / result.samples)
         assert abs(result.frequency - exact) <= 4 * sigma + 1e-6
 
-    def test_stateful_predictor_slow_path(self, coin, coin_solution,
-                                          coin_constraint):
+    def test_a_code_that_is_not_iid_is_refused(self, coin, coin_solution,
+                                               coin_constraint):
         base = maxent_predictor(coin, coin_solution)
         challenger = mixture_predictor(
-            SumTableProvider(coin, coin_constraint, 8), rissanen_prior(4),
-            [2, 4, 6, 8])
-        result = hypercompression_check(base, challenger, coin_solution,
-                                        n=12, k_bits=2.0, samples=400, seed=17)
-        assert result.frequency <= result.bound + 3.0 * result.sigma
+            SumTableProvider(coin, coin_constraint, 8), rissanen_prior(4))
+        for pair in ((base, challenger), (challenger, base)):
+            with pytest.raises(ValidationError, match="two i.i.d. codes"):
+                hypercompression_check(*pair, coin_solution, n=12, k_bits=2.0,
+                                       samples=400, seed=17)
 
     def test_deterministic_given_seed(self, dice, dice_solution):
         base = maxent_predictor(dice, dice_solution)
@@ -121,3 +124,41 @@ class TestHypercompression:
         lengths = _iid_codelengths(counts, [0.5, 0.5, 0.0])
         assert lengths[0] == 3.0
         assert np.isinf(lengths[1:]).all() and not np.isnan(lengths).any()
+
+
+class TestBudget:
+    # the tables are checked before they are drawn, so a low budget stands
+    # in for a large block and nothing large is allocated
+    def test_counts_past_the_budget_are_refused(self, dice, dice_solution,
+                                                monkeypatch):
+        monkeypatch.setattr(lattice, "CELL_BUDGET", 60)
+        base = maxent_predictor(dice, dice_solution)
+        challenger = IIDPredictor(dice, [1 / 6] * 6, "prior")
+        kwargs = dict(n=40, k_bits=2.0, seed=101)
+        hypercompression_check(base, challenger, dice_solution, samples=10,
+                               **kwargs)
+        with pytest.raises(LatticeBlowupError, match="counts of 11 samples"):
+            hypercompression_check(base, challenger, dice_solution,
+                                   samples=11, **kwargs)
+
+    def test_recurrence_sums_past_the_budget_are_refused(
+            self, cube3_solution, cube3_constraint, monkeypatch):
+        monkeypatch.setattr(lattice, "CELL_BUDGET", 300)
+        recurrence_simulation(cube3_solution, cube3_constraint, steps=100,
+                              reps=2, seed=5)
+        with pytest.raises(LatticeBlowupError,
+                           match="recurrence sums of 101 steps"):
+            recurrence_simulation(cube3_solution, cube3_constraint, steps=101,
+                                  reps=2, seed=5)
+
+    def test_an_oversized_block_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(lattice, "CELL_BUDGET", 1000)
+        config = tmp_path / "recur.json"
+        config.write_text(json.dumps({
+            "problem": {"outcomes": ["0", "1"], "prior": ["1", "1"],
+                        "T": [["0", "1"]], "target": ["1/2"]},
+            "experiments": [{"kind": "recur", "steps": 1001, "reps": 1,
+                             "seed": 0}]}))
+        assert main(["run", "-c", str(config), "-o",
+                     str(tmp_path / "out")]) == 3
+        assert "recurrence sums of 1001 steps" in capsys.readouterr().err

@@ -9,6 +9,9 @@ that root's ``src``, so the two sides share nothing but the inputs:
 - the configs of seeds 1 and 2 of the gaps-k3, events-float and events-exact
   benchmark workloads, and all 100 many-small configs of seed 1, all
   generated by CHANGE_ROOT's ``perfbench/workloads.py``;
+- ``PATHS_GAME``, a paths-mode game whose mixture sizes end below j_max
+  times the first feasible size, so a provider window wider than the
+  sizes need is run too;
 - all five shipped fixtures in float mode;
 - brandeis, two-constraint and brandeis-combined in rational mode.
 
@@ -34,6 +37,14 @@ RATIONAL_FIXTURES = ("brandeis", "two-constraint", "brandeis-combined")
 SKIPPED = {"manifest.json"}
 # the most characters of a differing line that a report shows
 LINE_WIDTH = 100
+# T in {0, 3, 5} at mean 1: the feasible sizes are 3, 5, 6, 8, 9, 10, ..., so
+# the six mixture sizes end at 10 and j_max times the first size is 18
+PATHS_GAME = {
+    "problem": {"outcomes": ["a", "b", "c"], "prior": ["1", "1", "1"],
+                "T": [["0", "3", "5"]], "target": ["1"]},
+    "experiments": [{"kind": "game", "mode": "paths", "n_list": [3, 5, 8, 9],
+                     "j_max": 6}],
+}
 
 
 def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
@@ -45,6 +56,7 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
                for w in SINGLE_WORKLOADS for s in SEEDS}
     for i, cfg in enumerate(workloads.generate("many-small", 1)):
         configs[f"many-small-seed1-{i:02d}"] = cfg
+    configs["paths-game-t035"] = PATHS_GAME
     runs = []
     for name, cfg in configs.items():
         path = config_dir / f"{name}.json"
