@@ -18,6 +18,7 @@ import numpy as np
 from .concentration import LocalClt, representative_sequence, sorted_sizes
 from .errors import EnumerationInfeasibleError, ValidationError
 from .lattice import (
+    REDUCE_N,
     ConstraintSpec,
     SampleSpace,
     _Reach,
@@ -40,7 +41,7 @@ def enumerate_constraint_sequences(space: SampleSpace, constraint: ConstraintSpe
     """All length-n sequences (as index tuples) satisfying the constraint, in
     lexicographic order, from the reachability-pruned walk that also gives
     ``representative_sequence``. Raises ``LatticeBlowupError`` before any
-    table is built when the reachability tables exceed the cell budget, and
+    table is built when the reachability windows exceed the cell budget, and
     ``EnumerationInfeasibleError`` past ``SEQUENCE_LIMIT`` sequences."""
     walk = _sequences_on_target(space, constraint, n)
     out = list(islice(walk, SEQUENCE_LIMIT + 1))
@@ -182,7 +183,7 @@ def min_hit_cost_series(constraint: ConstraintSpec, costs: dict,
     is kept because the benchmark's tracer and self-tests name it.
     """
     _check_budget(_dense_shape(n_max, constraint.unit_max),
-                  f"min-cost sweep to n={n_max}")
+                  f"min-cost sweep to n={n_max}; {REDUCE_N}")
     cells = [(u, None) for u in sorted(set(constraint.units))]
     table = np.zeros((1,) * constraint.dim)
     out: dict = {}

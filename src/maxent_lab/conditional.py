@@ -18,6 +18,7 @@ from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationEr
 from .events import BigramDeviationEvent, BoxEvent, FrequencyDeviationEvent
 from .lattice import (
     CELL_BUDGET,
+    REDUCE_N,
     ConstraintSpec,
     LatticeGeometry,
     SampleSpace,
@@ -102,7 +103,7 @@ def _freq_layer(constraint, n, weights, bounds, mode):
     skipped term is an exact zero, so the results keep their bits."""
     shape_t = _dense_shape(n, constraint.unit_max)
     shape = (n + 1,) + shape_t
-    _check_budget(shape, f"frequency count DP at n={n}")
+    _check_budget(shape, f"frequency count DP at n={n}; {REDUCE_N}")
     coefficients = _exact_weight_vector if mode == "rational" \
         else _binomial_weight_vector
     table = np.zeros(shape, dtype=TABLE_DTYPE[mode])

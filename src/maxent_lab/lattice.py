@@ -24,8 +24,10 @@ from .errors import (
     ValidationError,
 )
 
-# the most cells any lattice table, or set of tables kept together, may hold
+# the most cells any lattice table, or set of tables kept together, may hold,
+# and the advice of a refusal whose table grows with the sample size n
 CELL_BUDGET = 50_000_000
+REDUCE_N = "reduce n or coarsen the statistic"
 
 
 def as_fraction(value) -> Fraction:
@@ -356,18 +358,13 @@ def _dense_shape(n: int, unit_max: tuple[int, ...]) -> tuple[int, ...]:
 
 def _check_budget(shape: tuple[int, ...], what: str) -> None:
     """Raise ``LatticeBlowupError`` when a table of ``shape`` would hold more
-    than ``CELL_BUDGET`` cells."""
+    than ``CELL_BUDGET`` cells; ``what`` is "<table>; <the caller's advice>"."""
     cells = prod(shape)
     if cells > CELL_BUDGET:
+        table, sep, advice = what.partition(";")
         raise LatticeBlowupError(
-            f"lattice blow-up: {what} needs {cells} cells (budget {CELL_BUDGET}); "
-            "reduce n or coarsen the statistic"
-        )
-
-
-def _tables_cells(constraint: ConstraintSpec, n: int) -> int:
-    """Cells of the dense lattice tables for sizes 0..n together."""
-    return sum(prod(_dense_shape(m, constraint.unit_max)) for m in range(n + 1))
+            f"lattice blow-up: {table} needs {cells} cells "
+            f"(budget {CELL_BUDGET}){sep}{advice}")
 
 
 def _window(constraint: ConstraintSpec, horizon: int,
@@ -394,15 +391,17 @@ def _grow(constraint: ConstraintSpec, horizon: int | None, n: int,
           shape: tuple[int, ...], origin: tuple[int, ...]):
     """One step of a sweep to ``horizon`` from a size n - 1 table of
     ``shape`` whose index 0 is unit cell ``origin``: the shape of the box it
-    grows to, the index that cuts that box to the size n ``_window``, and
-    the window's origin. With no horizon the sweep keeps the full box and
-    nothing is cut."""
+    grows to, which must fit the cell budget, a function that cuts it to a
+    copy of the size n ``_window``, so only the window's cells are kept, and
+    the window's origin. With no horizon nothing is cut."""
     grown = tuple(map(add, shape, constraint.unit_max))
+    _check_budget(grown, f"sweep step to n={n}; {REDUCE_N}")
     if horizon is None:
-        return grown, (), origin
+        return grown, lambda table: table, origin
     new_origin, new_shape = _window(constraint, horizon, n)
     starts = tuple(map(sub, new_origin, origin))
-    return grown, tuple(map(slice, starts, map(add, starts, new_shape))), new_origin
+    index = tuple(map(slice, starts, map(add, starts, new_shape)))
+    return grown, lambda table: table[index].copy(), new_origin
 
 
 def _shift_combine(new: np.ndarray, table: np.ndarray, cells, combine,
@@ -426,8 +425,7 @@ def _reach_sweep(constraint: ConstraintSpec, horizon: int | None = None):
     """Yield (table, origin) for n = 0, 1, 2, ...: index i of boolean table n
     is True when some length-n sequence has unit sum origin + i. With a
     horizon each table is cut to its ``_window``; without, every origin is
-    the zero cell. Each table is checked against the cell budget before it
-    is built."""
+    the zero cell. ``_grow`` checks each step against the cell budget."""
     unit_cells = sorted(set(constraint.units))
     reach = np.ones((1,) * constraint.dim, dtype=bool)
     origin = (0,) * constraint.dim
@@ -436,40 +434,56 @@ def _reach_sweep(constraint: ConstraintSpec, horizon: int | None = None):
         yield reach, origin
         n += 1
         shape, cut, origin = _grow(constraint, horizon, n, reach.shape, origin)
-        _check_budget(shape, f"feasibility sweep at n={n}")
-        reach = _reach_step(reach, shape, unit_cells)[cut]
+        reach = cut(_reach_step(reach, shape, unit_cells))
 
 
-class _Reach:
-    """``reach(m, units)``: whether some length-m sequence, m <= ``horizon``,
-    has unit sum ``units``. A cell outside the m-step box answers without a
-    table; any other is read from ``_reach_sweep`` tables cut to their
-    ``_window`` at the horizon, swept on first use and only to m, so a cell
-    that reaches no target of a size up to the horizon reads False. The
-    tables it keeps together must fit the cell budget: a sweep that would
-    take them past it is refused before it starts, and the kept tables stay
-    as they were."""
+class _WindowCache:
+    """``_kept(m)``: table m <= ``horizon`` of a sweep, cut to its ``_window``,
+    swept on first use and kept. The windows kept together, and each box a
+    step grows (``_grow``), must fit the cell budget: a growth that would not
+    is refused before it sweeps, and the kept tables stay as they were.
+    ``what`` names the tables in a refusal."""
 
-    def __init__(self, constraint: ConstraintSpec, horizon: int):
+    def __init__(self, constraint: ConstraintSpec, horizon: int, sweep,
+                 what: str):
         self.constraint = constraint
         self.horizon = horizon
-        self.unit_max = constraint.unit_max
-        self._sweep = _reach_sweep(constraint, horizon)
-        self._tables = []
-        self._cells = 0
+        self._sweep = sweep
+        self._what = what
+        self._tables, self._cells = [next(sweep)], 1  # size 0: one cell
+
+    def _kept(self, m: int):
+        if not 0 <= m <= self.horizon:
+            raise ValidationError(f"suffix size must be in 0..{self.horizon}, got {m}")
+        have = len(self._tables)
+        if have <= m:
+            shapes = [_window(self.constraint, self.horizon, size)[1]
+                      for size in range(have - 1, m + 1)]
+            cells = self._cells + sum(map(prod, shapes[1:]))
+            _check_budget((cells,), f"{self._what} to n={m}; {REDUCE_N}")
+            # widths peak at size horizon // 2: the step from there grows most
+            step = max(have, min(m, self.horizon // 2 + 1))
+            _grow(self.constraint, None, step, shapes[step - have], ())
+            self._cells = cells
+            self._tables.extend(islice(self._sweep, m + 1 - have))
+        return self._tables[m]
+
+
+class _Reach(_WindowCache):
+    """``reach(m, units)``: whether some length-m sequence, m <= ``horizon``,
+    has unit sum ``units``. A cell outside the m-step box answers without a
+    table; any other is read from the kept ``_reach_sweep`` tables, so a
+    cell that reaches no target of a size up to the horizon reads False."""
+
+    def __init__(self, constraint: ConstraintSpec, horizon: int):
+        super().__init__(constraint, horizon, _reach_sweep(constraint, horizon),
+                         "reachability tables")
 
     def __call__(self, m: int, units) -> bool:
-        if not all(0 <= x <= m * u for x, u in zip(units, self.unit_max)):
+        if not all(0 <= x <= m * u
+                   for x, u in zip(units, self.constraint.unit_max)):
             return False
-        if len(self._tables) <= m:
-            cells = self._cells + sum(
-                prod(_window(self.constraint, self.horizon, size)[1])
-                for size in range(len(self._tables), m + 1))
-            _check_budget((cells,), f"reachability tables to n={m}")
-            self._cells = cells
-        while len(self._tables) <= m:
-            self._tables.append(next(self._sweep))
-        table, origin = self._tables[m]
+        table, origin = self._kept(m)
         index = tuple(map(sub, units, origin))
         return all(0 <= i < s for i, s in zip(index, table.shape)) \
             and bool(table[index])
@@ -492,14 +506,12 @@ def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int)
     A depth-first walk over the outcome indices that extends one prefix list
     in place and enters a prefix only when ``_Reach`` at horizon n finds the
     unit sum still needed reachable in the steps left, so it never meets a
-    dead end and the first sequence costs at most n * |X| probes. The full
-    tables for sizes 0..n together must fit the cell budget; that is checked
-    before any is built.
+    dead end and the first sequence costs at most n * |X| probes. A walk
+    whose windows do not fit the cell budget is refused before any sweep.
     """
     center = constraint.center_units(n)
     if center is None:
         return
-    _check_budget((_tables_cells(constraint, n),), f"reachability tables to n={n}")
     reach = _Reach(constraint, n)
     prefix: list[int] = []
     sums = [(0,) * constraint.dim]  # unit sum of each prefix of ``prefix``
@@ -537,7 +549,7 @@ def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec,
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     _check_budget(_dense_shape(n_max, constraint.unit_max),
-                  f"feasibility table to n={n_max}")
+                  f"feasibility table to n={n_max}; {REDUCE_N}")
     return first_feasible_sizes(space, constraint, n_max, n_cap=n_max)
 
 

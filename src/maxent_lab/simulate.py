@@ -56,7 +56,7 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
         raise ValidationError("checkpoints must lie in 1..steps")
 
     k = constraint.dim
-    _check_budget((steps, k), f"recurrence sums of {steps} steps")
+    _check_budget((steps, k), f"recurrence sums of {steps} steps; reduce steps")
     units = np.array(constraint.units, dtype=np.int64)
     nums = np.array([s.numerator for s in constraint.center_step], dtype=np.int64)
     dens = np.array([s.denominator for s in constraint.center_step], dtype=np.int64)
@@ -108,7 +108,7 @@ def hypercompression_check(base: IIDPredictor, challenger: IIDPredictor,
             and isinstance(challenger, IIDPredictor)):
         raise ValidationError("hypercompression needs two i.i.d. codes")
     pmf = solution.pmf / solution.pmf.sum()
-    _check_budget((samples, len(pmf)), f"counts of {samples} samples")
+    _check_budget((samples, len(pmf)), f"counts of {samples} samples; reduce samples")
     counts = _streams(seed, 1)[0].multinomial(n, pmf, size=samples)
     exceed = _iid_codelengths(counts, base.pmf) >= \
         _iid_codelengths(counts, challenger.pmf) + k_bits

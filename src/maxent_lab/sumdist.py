@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lattice import (
+    REDUCE_N,
     ConstraintSpec,
     SampleSpace,
     _check_budget,
@@ -30,7 +31,8 @@ from .lattice import (
     _grow,
     _Reach,
     _shift_combine,
-    _tables_cells,
+    _window,
+    _WindowCache,
     as_fraction,
 )
 from .solver import MaxEntSolution
@@ -122,7 +124,7 @@ def _sparse_step(table: dict, moves) -> dict:
             key = base + d
             prev = new.get(key)
             new[key] = m * w if prev is None else prev + m * w
-    _check_budget((len(new),), "dict DP states")
+    _check_budget((len(new),), f"dict DP states; {REDUCE_N}")
     return new
 
 
@@ -150,10 +152,8 @@ class SumDistribution:
 
     def mass_units(self, units):
         index = tuple(map(sub, units, self.origin))
-        for i, s in zip(index, self.table.shape):
-            if i < 0 or i >= s:
-                return self._mass(0)
-        return self._mass(self.table.item(index))
+        inside = all(0 <= i < s for i, s in zip(index, self.table.shape))
+        return self._mass(self.table.item(index) if inside else 0)
 
     def mass_at_target(self):
         """Mass of the cell where the n-sample average equals the target;
@@ -189,8 +189,8 @@ def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str,
     ``next`` take exactly the sizes they need. With a horizon each table
     is cut to its ``lattice._window``, whose cells carry the masses of the
     full sweep bit for bit; the target masses up to the horizon are all in
-    it. The sweep does not check the cell budget: each caller checks the
-    tables it asks for before it asks.
+    it. ``lattice._grow`` checks each step; a caller checks the tables it
+    keeps, or the largest it streams, before it asks.
     """
     cells, unit = _one_step_cells(constraint, weights, mode)
     sd = _initial(constraint, measure_id, mode, unit)
@@ -200,7 +200,7 @@ def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str,
                                    sd.table.shape, sd.origin)
         sd = SumDistribution(n=sd.n + 1, measure_id=measure_id, mode=mode,
                              constraint=constraint, scale=sd.scale * unit,
-                             table=_dense_step(sd.table, shape, cells)[cut],
+                             table=cut(_dense_step(sd.table, shape, cells)),
                              origin=origin)
 
 
@@ -210,7 +210,8 @@ def sum_distribution(space: SampleSpace, constraint: ConstraintSpec, n: int,
     if n < 0:
         raise ValidationError("n must be >= 0")
     measure_id, weights = resolve_measure(space, measure, mode)
-    _check_budget(_dense_shape(n, constraint.unit_max), f"sum distribution at n={n}")
+    _check_budget(_dense_shape(n, constraint.unit_max),
+                  f"sum distribution at n={n}; {REDUCE_N}")
     return next(islice(_sweep(constraint, measure_id, weights, mode), n, None))
 
 
@@ -221,7 +222,7 @@ def convolve(a: SumDistribution, b: SumDistribution) -> SumDistribution:
         raise ValidationError("can only convolve tables of one statistic and measure")
     n = a.n + b.n
     shape = _dense_shape(n, a.constraint.unit_max)
-    _check_budget(shape, f"convolution at n={n}")
+    _check_budget(shape, f"convolution at n={n}; {REDUCE_N}")
     return SumDistribution(n=n, measure_id=a.measure_id, mode=a.mode,
                            constraint=a.constraint,
                            table=_dense_step(a.table, shape, list(b._stored())),
@@ -251,41 +252,36 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     """
     measure_id, weights = resolve_measure(space, measure, mode)
     _check_budget(_dense_shape(n_max, constraint.unit_max),
-                  f"central-mass sweep to n={n_max}")
+                  f"central-mass sweep to n={n_max}; {REDUCE_N}")
     sweep = _sweep(constraint, measure_id, weights, mode)
     return [sd.mass_at_target() for sd in islice(sweep, n_max + 1)]
 
 
 def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
                     measure="q", mode: str = "float") -> list:
-    """``central_series``, from tables cut to the cells that can still reach
-    a target of size <= n_max (``lattice._window``): the same values, bit for
-    bit, from fewer cells. The budget check is the full sweep's, so the same
-    sizes are refused."""
+    """``central_series`` from tables cut to their ``lattice._window``, bit
+    for bit. Its largest step, from the widest window at n_max // 2 (widths
+    are concave in m and equal at n_max - m), is checked before it sweeps."""
     measure_id, weights = resolve_measure(space, measure, mode)
-    _check_budget(_dense_shape(n_max, constraint.unit_max),
-                  f"central-mass sweep to n={n_max}")
+    _grow(constraint, None, n_max // 2 + 1,
+          _window(constraint, n_max, n_max // 2)[1], ())
     sweep = _sweep(constraint, measure_id, weights, mode, n_max)
     return [sd.mass_at_target() for sd in islice(sweep, n_max + 1)]
 
 
-class SumTableProvider:
+class SumTableProvider(_WindowCache):
     """Lazily grown cache of sum distributions for sizes 0..m <= ``horizon``.
 
     It is the one source of the problem, the measure with its weights and
     the arithmetic for the conditioned marginals and predictors built on it.
-    Each table holds only its ``lattice._window`` at the horizon: every cell
-    that a conditioned predictor or marginal of a size <= horizon reads is
-    in it, with the mass of the full table bit for bit, and the cells
-    outside read as zero. A size past the horizon is refused.
+    A ``lattice._WindowCache``: each table holds and is charged for its
+    ``lattice._window`` at the horizon, and every cell that a conditioned
+    predictor or marginal of a size <= horizon reads is in it, with the mass
+    of the full table bit for bit; the cells outside read as zero.
 
     ``mass`` returns only exact zeros, by ``lattice._Reach.exact``: a 0.0 at
     a cell that some sequence reaches is an underflow and raises
     ``LatticeBlowupError``. The measure must charge every outcome.
-
-    The full-box tables 0..m together must fit the cell budget, as if no
-    cell were cut; a request that does not is refused before any table is
-    built, so it leaves the cache as it was.
 
     Not thread-safe; confine one provider to one thread of work. Concurrent
     runs should build independent providers, which compute identical values.
@@ -295,24 +291,13 @@ class SumTableProvider:
                  horizon: int, measure="q", mode: str = "float"):
         self.mode = mode
         self.space = space
-        self.constraint = constraint
-        self.horizon = horizon
         self.measure_id, self.weights = resolve_measure(space, measure, mode)
-        self._sweep = _sweep(constraint, self.measure_id, self.weights, mode,
-                             horizon)
-        self._tables = [next(self._sweep)]
+        sweep = _sweep(constraint, self.measure_id, self.weights, mode, horizon)
+        super().__init__(constraint, horizon, sweep, "cached sum tables")
         self._reach = _Reach(constraint, horizon)
 
     def table(self, m: int) -> SumDistribution:
-        if not 0 <= m <= self.horizon:
-            raise ValidationError(
-                f"suffix size must be in 0..{self.horizon}, got {m}")
-        if m >= len(self._tables):
-            _check_budget((_tables_cells(self.constraint, m),),
-                          f"cached sum tables to n={m}")
-        while len(self._tables) <= m:
-            self._tables.append(next(self._sweep))
-        return self._tables[m]
+        return self._kept(m)
 
     def mass(self, m: int, units):
         """The size-m mass at unit cell ``units``, zero only if exact."""

@@ -216,14 +216,15 @@ class TestRepresentativeSequence:
             representative_sequence(dice, dice_constraint, 3)
 
     def test_block_pair_past_the_walk_budget(self):
-        # T in {0, 3, 5} at mean 1: the walk's tables to n = 4477 exceed the
-        # cell budget, and no first feasible size (3, 5, 6, 8) divides 4477,
-        # so two blocks of 5 and 1489 of 3 make the sequence
+        # T in {0, 3, 5} at mean 1: the windows of the walk's tables to
+        # n = 7909 hold 5.005e7 cells, past the cell budget, and no first
+        # feasible size (3, 5, 6, 8) divides 7909, so two blocks of 5 and
+        # 2633 of 3 make the sequence
         space = build_space(["a", "b", "c"], [1, 1, 1])
         constraint = derive_lattice([[0], [3], [5]], ["1"])
-        rep = representative_sequence(space, constraint, 4477)
-        assert len(rep) == 4477
-        assert sum(constraint.values[i][0] for i in rep) == 4477
+        rep = representative_sequence(space, constraint, 7909)
+        assert len(rep) == 7909
+        assert sum(constraint.values[i][0] for i in rep) == 7909
         blocks = (representative_sequence(space, constraint, 5),
                   representative_sequence(space, constraint, 3))
-        assert rep == blocks[0] * 2 + blocks[1] * 1489
+        assert rep == blocks[0] * 2 + blocks[1] * 2633

@@ -636,11 +636,12 @@ class TestCli:
         assert next(out.glob("*.csv")).read_text() == body
 
     def test_condlimit_past_the_cell_budget_exit_3(self, tmp_path, capsys):
-        # n = 120 is feasible for cube3; its sum tables 0..120 exceed the
-        # budget, which is a guard abort, not a blank row
+        # n = 200 is feasible for cube3; the windows of its sum tables
+        # 0..200 hold 5.2e7 cells, past the budget, which is a guard abort,
+        # not a blank row
         raw = load_fixture("cube3")
         raw["experiments"] = [{"kind": "condlimit", "m": 1,
-                               "n_list": [4, 120]}]
+                               "n_list": [4, 200]}]
         path = tmp_path / "cube3.json"
         path.write_text(json.dumps(raw))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
@@ -670,17 +671,17 @@ class TestCli:
             ["4", "maxent"], ["4", "conditioned"]]
 
     def test_paths_game_without_representative_exit_3(self, tmp_path, capsys):
-        # n = 11600 = 400 * 29 is feasible at mean 1/29, but its walk tables
-        # exceed the budget and no feasible block of size <= 24 exists: a
-        # guard abort, not a skipped size
+        # n = 40600 = 1400 * 29 is feasible at mean 1/29, but the windows of
+        # its walk tables hold 5.49e7 cells, past the budget, and no feasible
+        # block of size <= 24 exists: a guard abort, not a skipped size
         path = tmp_path / "coin.json"
         path.write_text(json.dumps(_with(
             problem={"target": ["1/29"]},
             experiments=[{"kind": "game", "mode": "paths",
-                          "n_list": [29, 11600], "j_max": 2,
+                          "n_list": [29, 40600], "j_max": 2,
                           "predictors": ["maxent", "mixture"]}])))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
-        assert "no representative for n=11600" in capsys.readouterr().err
+        assert "no representative for n=40600" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["concentrate", "corollary1"])
     def test_zero_mass_at_a_feasible_size_exit_3(self, tmp_path, capsys,

@@ -137,9 +137,12 @@ class TestBudget:
         kwargs = dict(n=40, k_bits=2.0, seed=101)
         hypercompression_check(base, challenger, dice_solution, samples=10,
                                **kwargs)
-        with pytest.raises(LatticeBlowupError, match="counts of 11 samples"):
+        with pytest.raises(LatticeBlowupError,
+                           match="counts of 11 samples") as refused:
             hypercompression_check(base, challenger, dice_solution,
                                    samples=11, **kwargs)
+        assert "reduce samples" in str(refused.value)
+        assert "reduce n" not in str(refused.value)
 
     def test_recurrence_sums_past_the_budget_are_refused(
             self, cube3_solution, cube3_constraint, monkeypatch):
@@ -147,9 +150,11 @@ class TestBudget:
         recurrence_simulation(cube3_solution, cube3_constraint, steps=100,
                               reps=2, seed=5)
         with pytest.raises(LatticeBlowupError,
-                           match="recurrence sums of 101 steps"):
+                           match="recurrence sums of 101 steps") as refused:
             recurrence_simulation(cube3_solution, cube3_constraint, steps=101,
                                   reps=2, seed=5)
+        assert "reduce steps" in str(refused.value)
+        assert "reduce n" not in str(refused.value)
 
     def test_an_oversized_block_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(lattice, "CELL_BUDGET", 1000)
@@ -161,4 +166,6 @@ class TestBudget:
                              "seed": 0}]}))
         assert main(["run", "-c", str(config), "-o",
                      str(tmp_path / "out")]) == 3
-        assert "recurrence sums of 1001 steps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "recurrence sums of 1001 steps" in err
+        assert "reduce steps" in err and "reduce n" not in err

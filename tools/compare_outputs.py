@@ -12,6 +12,9 @@ that root's ``src``, so the two sides share nothing but the inputs:
 - ``PATHS_GAME``, a paths-mode game whose mixture sizes end below j_max
   times the first feasible size, so a provider window wider than the
   sizes need is run too;
+- ``CUBE3_WINDOW``, cube3 at sizes whose windowed tables fit the cell budget
+  and whose full boxes do not: a provider to n = 120 and a sequence walk to
+  n = 150;
 - all five shipped fixtures in float mode;
 - brandeis, two-constraint and brandeis-combined in rational mode.
 
@@ -45,6 +48,19 @@ PATHS_GAME = {
     "experiments": [{"kind": "game", "mode": "paths", "n_list": [3, 5, 8, 9],
                      "j_max": 6}],
 }
+# three fair bits at means 1/2: the sum tables to n = 120 hold 6.9e6 window
+# cells (5.4e7 in full boxes) and the walk's to n = 150 1.7e7 (1.3e8)
+CUBE3_WINDOW = {
+    "problem": {"outcomes": ["000", "001", "010", "011", "100", "101", "110",
+                             "111"],
+                "prior": ["1"] * 8,
+                "T": [["0", "0", "0", "0", "1", "1", "1", "1"],
+                      ["0", "0", "1", "1", "0", "0", "1", "1"],
+                      ["0", "1", "0", "1", "0", "1", "0", "1"]],
+                "target": ["1/2", "1/2", "1/2"]},
+    "experiments": [{"kind": "condlimit", "m": 1, "n_list": [4, 120]},
+                    {"kind": "corollary1", "n_list": [150]}],
+}
 
 
 def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
@@ -57,6 +73,7 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     for i, cfg in enumerate(workloads.generate("many-small", 1)):
         configs[f"many-small-seed1-{i:02d}"] = cfg
     configs["paths-game-t035"] = PATHS_GAME
+    configs["cube3-window"] = CUBE3_WINDOW
     runs = []
     for name, cfg in configs.items():
         path = config_dir / f"{name}.json"
