@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import lattice
 from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
 from .events import BigramDeviationEvent, BoxEvent, FrequencyDeviationEvent
 from .lattice import (
-    CELL_BUDGET,
     REDUCE_N,
     ConstraintSpec,
     LatticeGeometry,
@@ -299,7 +299,7 @@ def conditional_marginal(provider: SumTableProvider, m: int, n: int
             f"enumeration infeasible: need 1 <= m <= min(n-1, {MARGINAL_M_CAP}), "
             f"got m={m}, n={n}"
         )
-    if space.size ** m > CELL_BUDGET:
+    if space.size ** m > lattice.CELL_BUDGET:
         raise EnumerationInfeasibleError(
             f"enumeration infeasible: {space.size}^{m} prefixes exceed the budget"
         )

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd, lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -310,15 +310,20 @@ class ConstraintSpec(LatticeGeometry):
             for t, s, b, h in zip(self.target, self.scale, self.offsets, self.spans)
         )
 
+    @cached_property
+    def center_ints(self) -> tuple[tuple[int, int], ...]:
+        """``center_step`` as (numerator, denominator) pairs of ints."""
+        return tuple((s.numerator, s.denominator) for s in self.center_step)
+
     def center_units(self, n: int) -> tuple[int, ...] | None:
         """Unit coordinates of the cell where the n-sample average hits the
         target, or None when that cell is off the lattice."""
         out = []
-        for sigma, m in zip(self.center_step, self.unit_max):
-            c = n * sigma
-            if c.denominator != 1 or c < 0 or c > n * m:
+        for (num, den), m in zip(self.center_ints, self.unit_max):
+            c, rest = divmod(n * num, den)
+            if rest or not 0 <= c <= n * m:
                 return None
-            out.append(int(c))
+            out.append(c)
         return tuple(out)
 
 
@@ -379,8 +384,8 @@ def _window(constraint: ConstraintSpec, horizon: int,
     so every kept cell sums the same terms, in the same order, as in the
     full sweep."""
     origin, shape = [], []
-    for u, sigma in zip(constraint.unit_max, constraint.center_step):
-        top = horizon * sigma.numerator // sigma.denominator
+    for u, (num, den) in zip(constraint.unit_max, constraint.center_ints):
+        top = horizon * num // den
         lo, hi = max(0, m * u - horizon * u + top), min(m * u, top)
         origin.append(lo)
         shape.append(hi - lo + 1)
@@ -408,10 +413,23 @@ def _shift_combine(new: np.ndarray, table: np.ndarray, cells, combine,
                    term) -> np.ndarray:
     """One step of a lattice sweep: for each ``(u, w)`` in ``cells``, in order,
     combine ``term(w, table)`` into the region of ``new`` shifted by unit cell
-    u. ``new`` starts at the combine's identity and is returned."""
+    u. ``new``, a fresh C-ordered array at the combine's identity, is
+    returned. The table's inner axes are padded to ``new``'s with that
+    identity, so each shift is one contiguous slice of flat ``new`` at
+    offset u . strides, cut at its end. A shifted table must fit in
+    ``new``: the padded cells that then wrap into the next row, or are
+    cut, add only the identity."""
+    if table.ndim > 1:
+        padded = np.full(table.shape[:1] + new.shape[1:], new.flat[0],
+                         dtype=table.dtype)
+        padded[tuple(map(slice, table.shape))] = table
+        table = padded
+    flat = new.reshape(-1)
+    strides = [s // new.itemsize for s in new.strides]
     for u, w in cells:
-        region = tuple(slice(uj, uj + s) for uj, s in zip(u, table.shape))
-        combine(new[region], term(w, table), out=new[region])
+        start = sum(map(mul, u, strides))
+        part = flat[start:start + table.size]
+        combine(part, term(w, table).reshape(-1)[:part.size], out=part)
     return new
 
 

@@ -43,8 +43,9 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
 
     Draws i.i.d. symbols from the projection and counts the times n at which
     the running statistic average sits exactly on target, averaged over
-    ``reps`` independently seeded replicas. Each replica's steps x k table of
-    running sums must fit the cell budget.
+    ``reps`` independently seeded replicas. A replica is charged a steps x k
+    table of running sums against the cell budget, which over-counts the
+    cells it holds: the walk sums one coordinate at a time.
     """
     if steps < 1 or reps < 1:
         raise ValidationError("steps and reps must be >= 1")
@@ -55,21 +56,21 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
     if any(c < 1 or c > steps for c in checkpoints):
         raise ValidationError("checkpoints must lie in 1..steps")
 
-    k = constraint.dim
-    _check_budget((steps, k), f"recurrence sums of {steps} steps; reduce steps")
+    _check_budget((steps, constraint.dim),
+                  f"recurrence sums of {steps} steps; reduce steps")
     units = np.array(constraint.units, dtype=np.int64)
-    nums = np.array([s.numerator for s in constraint.center_step], dtype=np.int64)
-    dens = np.array([s.denominator for s in constraint.center_step], dtype=np.int64)
+    # per coordinate j, the centred steps u_j den_j - num_j: their running sum
+    # is den_j S_j(n) - n num_j, zero exactly when the average is on target
+    centred = [units[:, j] * den - num
+               for j, (num, den) in enumerate(constraint.center_ints)]
     pmf = solution.pmf / solution.pmf.sum()
-    idx_steps = np.arange(1, steps + 1, dtype=np.int64)
 
     visit_counts = np.zeros((reps, len(checkpoints)))
     for r, rng in enumerate(_streams(seed, reps)):
         draws = rng.choice(len(pmf), size=steps, p=pmf)
-        sums = np.cumsum(units[draws], axis=0)
         on_center = np.ones(steps, dtype=bool)
-        for j in range(k):
-            on_center &= sums[:, j] * dens[j] == idx_steps * nums[j]
+        for column in centred:
+            on_center &= np.cumsum(column[draws]) == 0
         cumulative = np.cumsum(on_center)
         visit_counts[r] = cumulative[np.array(checkpoints) - 1]
     mean = visit_counts.mean(axis=0)

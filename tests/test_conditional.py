@@ -12,6 +12,7 @@ from maxent_lab import (
     conditional_marginal,
     enumerate_oracle,
 )
+from maxent_lab import lattice
 from maxent_lab.conditional import _binomial_weight_vector
 from maxent_lab.errors import (
     EnumerationInfeasibleError,
@@ -201,6 +202,14 @@ class TestConditionalMarginal:
         with pytest.raises(EnumerationInfeasibleError):
             conditional_marginal(SumTableProvider(dice, dice_constraint, 20),
                                  9, 20)
+
+    def test_prefix_count_reads_the_live_budget(self, dice, dice_constraint,
+                                                monkeypatch):
+        # 6^3 = 216 prefixes exceed a budget patched to 100 cells
+        monkeypatch.setattr(lattice, "CELL_BUDGET", 100)
+        with pytest.raises(EnumerationInfeasibleError, match=r"6\^3 prefixes"):
+            conditional_marginal(SumTableProvider(dice, dice_constraint, 8),
+                                 3, 8)
 
     def test_infeasible_n(self, dice, dice_constraint):
         with pytest.raises(ValidationError):

@@ -15,6 +15,9 @@ that root's ``src``, so the two sides share nothing but the inputs:
 - ``CUBE3_WINDOW``, cube3 at sizes whose windowed tables fit the cell budget
   and whose full boxes do not: a provider to n = 120 and a sequence walk to
   n = 150;
+- ``CUBE3_RATIONAL``, cube3 in rational mode with one outcome of double
+  prior weight, so the k = 3 sum tables, padded object arrays of integer
+  numerators, are swept too;
 - all five shipped fixtures in float mode;
 - brandeis, two-constraint and brandeis-combined in rational mode.
 
@@ -62,6 +65,15 @@ CUBE3_WINDOW = {
                     {"kind": "corollary1", "n_list": [150]}],
 }
 
+# the same cube with prior weights 1, ..., 1, 2, in exact arithmetic: object
+# tables with k = 3 in the provider, the central masses and the marginal
+CUBE3_RATIONAL = {
+    "problem": {**CUBE3_WINDOW["problem"], "prior": ["1"] * 7 + ["2"]},
+    "mode": "rational",
+    "experiments": [{"kind": "condlimit", "m": 1, "n_list": [4, 8, 12]},
+                    {"kind": "concentrate", "n_list": [2, 4, 6], "tv_m": 1}],
+}
+
 
 def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     """(name, CLI arguments without the output option) for every run."""
@@ -74,6 +86,7 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
         configs[f"many-small-seed1-{i:02d}"] = cfg
     configs["paths-game-t035"] = PATHS_GAME
     configs["cube3-window"] = CUBE3_WINDOW
+    configs["cube3-rational"] = CUBE3_RATIONAL
     runs = []
     for name, cfg in configs.items():
         path = config_dir / f"{name}.json"
