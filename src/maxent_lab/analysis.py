@@ -125,23 +125,21 @@ class ResidualRecord:
 def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
                          solution: MaxEntSolution, n_list
                          ) -> list[ResidualRecord]:
-    """Concentration residual per n, computed two ways.
+    """Concentration residual per n, computed two ways from central masses.
 
-    Direct: codelength of a representative constraint sequence under the
-    projection, minus its conditioned-prior codelength, minus
-    (k/2) log2(2 pi n) + log2 sqrt(det Sigma) - sum_j log2 h_j.
-    Identity: -log2 d_n. The two agree up to float rounding.
+    Direct: every sequence of C_n has T_n = n t, so its projection codelength
+    less its conditioned-prior codelength is n H - log2 P_q(C_n), with H the
+    closed form ``closed_entropy_bits``; less log2 N_n, the normaliser of
+    d_n = P_p(C_n) N_n. Identity: -log2 d_n. The two routes (the q sweep with
+    beta and ln Z, and the p sweep) agree up to float rounding.
     """
     n_list = sorted_sizes(n_list)
     n_max = n_list[-1]
-    k = constraint.dim
     clt = LocalClt(constraint, solution)
     central_p = _central_masses(space, constraint, n_max, measure=solution,
                                 mode="float")
     central_q = _central_masses(space, constraint, n_max, measure="q",
                                 mode="float")
-    logp = np.log2(solution.pmf)
-    logq = np.log2(space.prior)
     reach = _Reach(constraint, n_max)
     feasible = {n for n in n_list for c in [constraint.center_units(n)]
                 if reach.exact(n, c, central_p[n], "corollary 1")
@@ -155,16 +153,11 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
                                       residual_identity=None))
             continue
         c_n, d_n = clt.constants(n, p_c)
-        rep = representative_sequence(space, constraint, n)
-        counts = np.bincount(np.array(rep), minlength=space.size)
-        p_q = float(central_q[n])
-        len_proj = -float(counts @ logp)
-        len_cond = -float(counts @ logq) + math.log2(p_q)
-        penalty = (k / 2.0) * math.log2(2.0 * math.pi * n) \
-            + 0.5 * math.log2(clt.det_sigma) - math.log2(clt.spans)
+        _, norm = clt.constants(n, 1.0)
         out.append(ResidualRecord(
             n=n, feasible=True, c_n=c_n, d_n=d_n,
-            residual_direct=len_proj - len_cond - penalty,
+            residual_direct=n * solution.closed_entropy_bits
+            - math.log2(float(central_q[n])) - math.log2(norm),
             residual_identity=-math.log2(d_n)))
     return out
 

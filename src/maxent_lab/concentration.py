@@ -2,7 +2,8 @@
 
 For feasible n, c_n is n^(k/2) times the projection's probability of hitting
 the target average, and d_n is the ratio of that probability to its normal
-approximation; c_n tends to prod(h_j) / sqrt((2 pi)^k det Sigma) and d_n to 1.
+approximation; c_n tends to index * prod(h_j) / sqrt((2 pi)^k det Sigma),
+with the index of the steps' lattice (``ConstraintSpec.index``), and d_n to 1.
 Event records check the concentration inequality (and its equality case for
 events inside the constraint set) with c_n taken from the same run.
 """
@@ -30,20 +31,22 @@ from .sumdist import SumTableProvider, _central_masses
 
 class LocalClt:
     """Local-CLT scale of a solved constraint: the dimension k, det Sigma and
-    the span product prod(h_j) in original units, with c_n, d_n and their
-    limit."""
+    the lattice constant index * prod(h_j) of the steps' span in original
+    units, with c_n, d_n and their limit."""
 
     def __init__(self, constraint: ConstraintSpec, solution: MaxEntSolution):
         self.k = constraint.dim
         self.det_sigma = float(np.linalg.det(solution.covariance))
-        self.spans = math.prod(float(h) for h in constraint.spans_original)
+        self.spans = constraint.index * math.prod(
+            float(h) for h in constraint.spans_original)
 
     @property
     def limit(self) -> float:
         return self.spans / math.sqrt((2.0 * math.pi) ** self.k * self.det_sigma)
 
     def constants(self, n: int, p_c: float) -> tuple[float, float]:
-        """(c_n, d_n) for the constraint probability ``p_c`` at size n."""
+        """(c_n, d_n) for the constraint probability ``p_c`` at size n; the d_n
+        of ``p_c`` = 1.0 is the normaliser sqrt((2 pi n)^k det Sigma) / spans."""
         c_n = n ** (self.k / 2.0) * p_c
         d_n = p_c * math.sqrt((2.0 * math.pi * n) ** self.k * self.det_sigma) \
             / self.spans

@@ -303,6 +303,25 @@ class ConstraintSpec(LatticeGeometry):
         return tuple(Fraction(h, s) for h, s in zip(self.spans, self.scale))
 
     @cached_property
+    def index(self) -> int:
+        """Index in Z^k of the lattice the unit-step differences span: the gcd
+        of their k x k minors, |det| of their Hermite normal form (Cohen, *A
+        Course in Computational Algebraic Number Theory*, 2.4), so the product
+        of the pivots Euclid's row reduction leaves; 0 below rank k."""
+        rows = [list(map(sub, u, self.units[0])) for u in self.units[1:]]
+        index = 1
+        for j in range(self.dim):
+            while len(live := [r for r in rows if r[j]]) > 1:
+                pivot = min(live, key=lambda r: abs(r[j]))
+                for r in live:
+                    if r is not pivot:
+                        q = r[j] // pivot[j]
+                        r[:] = [a - q * b for a, b in zip(r, pivot)]
+            index *= abs(live[0][j]) if live else 0
+            rows = [r for r in rows if r not in live]
+        return index
+
+    @cached_property
     def center_step(self) -> tuple[Fraction, ...]:
         """Per-step unit drift of the target: center_units(n) = n * center_step."""
         return tuple(

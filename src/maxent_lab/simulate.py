@@ -43,9 +43,9 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
 
     Draws i.i.d. symbols from the projection and counts the times n at which
     the running statistic average sits exactly on target, averaged over
-    ``reps`` independently seeded replicas. A replica is charged a steps x k
-    table of running sums against the cell budget, which over-counts the
-    cells it holds: the walk sums one coordinate at a time.
+    ``reps`` independently seeded replicas. A replica is charged the
+    ``steps`` cells it holds against the cell budget: the walk sums one
+    coordinate at a time.
     """
     if steps < 1 or reps < 1:
         raise ValidationError("steps and reps must be >= 1")
@@ -56,7 +56,7 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
     if any(c < 1 or c > steps for c in checkpoints):
         raise ValidationError("checkpoints must lie in 1..steps")
 
-    _check_budget((steps, constraint.dim),
+    _check_budget((steps,),
                   f"recurrence sums of {steps} steps; reduce steps")
     units = np.array(constraint.units, dtype=np.int64)
     # per coordinate j, the centred steps u_j den_j - num_j: their running sum

@@ -51,6 +51,11 @@ class MaxEntSolution:
     def measure_id(self) -> str:
         return "maxent"
 
+    @property
+    def closed_entropy_bits(self) -> float:
+        """``entropy_bits`` in closed form, (beta . target + ln Z) / ln 2."""
+        return (float(self.beta @ self.target) + self.logz) / LN2
+
 
 def covariance_matrix(pmf: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Covariance of the statistic rows under ``pmf``; symmetric PSD by
@@ -82,7 +87,7 @@ def entropy_bits(solution: MaxEntSolution) -> float:
     stored residual allows means the solution object is corrupt.
     """
     direct = _entropy_sum_bits(solution.pmf, solution.prior)
-    closed = (float(solution.beta @ solution.target) + solution.logz) / LN2
+    closed = solution.closed_entropy_bits
     if abs(direct - closed) > _entropy_check_bound(
             solution.beta, solution.target, solution.logz, solution.residual):
         raise InternalCheckError(
@@ -171,15 +176,15 @@ def solve_maxent(space: SampleSpace, constraint: ConstraintSpec) -> MaxEntSoluti
             "singular covariance at the solution: statistic coordinates look "
             "affinely dependent; drop redundant coordinates"
         )
-    direct = _entropy_sum_bits(pmf, space.prior)
-    closed = (float(beta @ target) + logz) / LN2
-    if abs(direct - closed) > _entropy_check_bound(beta, target, logz, residual):
-        raise InternalCheckError("entropy cross-check failed after convergence")
-    return MaxEntSolution(
+    solution = MaxEntSolution(
         beta=beta, logz=logz, pmf=pmf, prior=space.prior.copy(),
-        target=target.copy(), covariance=sigma, entropy_bits=direct,
-        residual=residual, iterations=iterations, dual_path=tuple(path),
-    )
+        target=target.copy(), covariance=sigma,
+        entropy_bits=_entropy_sum_bits(pmf, space.prior), residual=residual,
+        iterations=iterations, dual_path=tuple(path))
+    if abs(solution.entropy_bits - solution.closed_entropy_bits) > \
+            _entropy_check_bound(beta, target, logz, residual):
+        raise InternalCheckError("entropy cross-check failed after convergence")
+    return solution
 
 
 def rational_tilt(space: SampleSpace, constraint: ConstraintSpec,

@@ -146,12 +146,16 @@ class TestBudget:
 
     def test_recurrence_sums_past_the_budget_are_refused(
             self, cube3_solution, cube3_constraint, monkeypatch):
-        monkeypatch.setattr(lattice, "CELL_BUDGET", 300)
-        recurrence_simulation(cube3_solution, cube3_constraint, steps=100,
-                              reps=2, seed=5)
+        # the k = 3 walk holds `steps` cells at a time, one coordinate's
+        # running sums, so that is all it is charged
+        monkeypatch.setattr(lattice, "CELL_BUDGET", 250)
+        for steps in (100, 250):
+            recurrence_simulation(cube3_solution, cube3_constraint,
+                                  steps=steps, reps=2, seed=5)
         with pytest.raises(LatticeBlowupError,
-                           match="recurrence sums of 101 steps") as refused:
-            recurrence_simulation(cube3_solution, cube3_constraint, steps=101,
+                           match="recurrence sums of 251 steps needs 251 "
+                                 "cells") as refused:
+            recurrence_simulation(cube3_solution, cube3_constraint, steps=251,
                                   reps=2, seed=5)
         assert "reduce steps" in str(refused.value)
         assert "reduce n" not in str(refused.value)

@@ -13,8 +13,8 @@ that root's ``src``, so the two sides share nothing but the inputs:
   times the first feasible size, so a provider window wider than the
   sizes need is run too;
 - ``CUBE3_WINDOW``, cube3 at sizes whose windowed tables fit the cell budget
-  and whose full boxes do not: a provider to n = 120 and a sequence walk to
-  n = 150;
+  and whose full boxes do not: a provider to n = 120 and reachability
+  windows to n = 150;
 - ``CUBE3_RATIONAL``, cube3 in rational mode with one outcome of double
   prior weight, so the k = 3 sum tables, padded object arrays of integer
   numerators, are swept too;
@@ -24,12 +24,15 @@ that root's ``src``, so the two sides share nothing but the inputs:
 For every run the exit codes, the set of files written and the bytes of each
 CSV and ``summary.md`` must agree; ``manifest.json`` holds timings and is left
 out. Prints the number of runs and files compared and every difference, with
-the first differing line of each file that differs, and exits 1 on any
-difference.
+the first differing line of each file that differs and, for a CSV whose
+header and row count match, each column that differs with its number of
+differing cells and the largest absolute and relative change among them.
+Exits 1 on any difference.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
@@ -52,7 +55,8 @@ PATHS_GAME = {
                      "j_max": 6}],
 }
 # three fair bits at means 1/2: the sum tables to n = 120 hold 6.9e6 window
-# cells (5.4e7 in full boxes) and the walk's to n = 150 1.7e7 (1.3e8)
+# cells (5.4e7 in full boxes) and the reachability tables to n = 150 1.7e7
+# (1.3e8)
 CUBE3_WINDOW = {
     "problem": {"outcomes": ["000", "001", "010", "011", "100", "101", "110",
                              "111"],
@@ -129,6 +133,39 @@ def _first_difference(a: bytes, b: bytes) -> str:
             f"\n    change: {line_b!r}")
 
 
+def _column_changes(a: bytes, b: bytes) -> str:
+    """One line per differing column of two CSVs with the same header and
+    row count: its differing cells, and the largest absolute and relative
+    change over those whose both sides read as numbers (relative to the
+    larger magnitude). Empty when the header or the row count differs, or a
+    row is not as wide as the header."""
+    rows_a, rows_b = (list(csv.reader(text.decode(errors="replace").splitlines()))
+                      for text in (a, b))
+    if not rows_a or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b) \
+            or any(len(row) != len(rows_a[0]) for row in rows_a + rows_b):
+        return ""
+    lines = []
+    for j, name in enumerate(rows_a[0]):
+        cells = [(ra[j], rb[j]) for ra, rb in zip(rows_a[1:], rows_b[1:])
+                 if ra[j] != rb[j]]
+        if not cells:
+            continue
+        numeric = []
+        for x, y in cells:
+            try:
+                numeric.append((float(x), float(y)))
+            except ValueError:
+                pass
+        largest = max((abs(x - y) for x, y in numeric), default=0.0)
+        relative = max((abs(x - y) / max(abs(x), abs(y)) for x, y in numeric
+                        if x != y), default=0.0)
+        lines.append(f"\n    column {name}: {len(cells)} cells, largest change "
+                     f"{largest:.3g}, relative {relative:.3g}"
+                     + (f", {len(cells) - len(numeric)} not numeric"
+                        if len(numeric) < len(cells) else ""))
+    return "".join(lines)
+
+
 def compare(parent_root: Path, change_root: Path) -> list[str]:
     """Differences between the two trees' outputs, one entry each."""
     differences = []
@@ -151,10 +188,13 @@ def compare(parent_root: Path, change_root: Path) -> list[str]:
                 differences.append(f"{name}: files {sorted(out_a)} -> {sorted(out_b)}")
             for fname in sorted(set(out_a) & set(out_b)):
                 files += 1
-                if out_a[fname] != out_b[fname]:
-                    differences.append(f"{name}/{fname}: contents differ"
-                                       + _first_difference(out_a[fname],
-                                                           out_b[fname]))
+                a, b = out_a[fname], out_b[fname]
+                if a != b:
+                    differences.append(
+                        f"{name}/{fname}: contents differ"
+                        + _first_difference(a, b)
+                        + (_column_changes(a, b) if fname.endswith(".csv")
+                           else ""))
             print(f"{name}: exit {code_a}/{code_b}, {len(out_a)} files", flush=True)
     print(f"compared {len(runs)} runs, {files} files: "
           f"{len(differences)} differences")
