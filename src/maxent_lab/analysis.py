@@ -75,7 +75,7 @@ def verify_minimax_constancy(space: SampleSpace, constraint: ConstraintSpec,
     """Check that the projection's per-symbol redundancy against the prior is
     one constant on every constraint-satisfying sequence of length n.
 
-    The constant is the relative entropy of the solution (in bits, negative
+    The constant is the solution's closed-form relative entropy (bits, negative
     unless the projection is the prior). Supplied alternative predictors are
     checked against the exact lower bound constant - (k/2n) log2 n +
     (1/n) log2 c_n, with c_n computed in the same run.
@@ -85,7 +85,7 @@ def verify_minimax_constancy(space: SampleSpace, constraint: ConstraintSpec,
         raise ValidationError(f"n={n} is infeasible for this constraint")
     logp = np.log2(solution.pmf)
     logq = np.log2(space.prior)
-    constant = solution.entropy_bits
+    constant = solution.closed_entropy_bits
     max_dev = 0.0
     for seq in sequences:
         value = -sum(logp[idx] - logq[idx] for idx in seq) / n
@@ -315,7 +315,7 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     costs = {n_j: weights[j] / float(central_q[n_j])
              for j, n_j in enumerate(sizes)}
     minima = _hit_cost_minima(constraint, costs, n_max)
-    entropy = solution.entropy_bits
+    entropy = solution.closed_entropy_bits
     out = []
     for j, n_j in enumerate(sizes):
         if n_j > n_max:

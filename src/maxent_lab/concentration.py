@@ -156,7 +156,7 @@ def representative_sequence(space: SampleSpace, constraint: ConstraintSpec,
     """Some length-n outcome sequence (as indices) satisfying the constraint.
 
     The lexicographically first one when the reachability tables fit the
-    budget, otherwise a concatenation of short feasible blocks.
+    budget, else one glued from blocks of the first four feasible sizes below n.
     """
     try:
         first = next(_sequences_on_target(space, constraint, n), None)
@@ -167,7 +167,7 @@ def representative_sequence(space: SampleSpace, constraint: ConstraintSpec,
             raise ValidationError(f"n={n} is infeasible for this constraint")
         return first
 
-    small = first_feasible_sizes(space, constraint, count=4, n_cap=24)
+    small = first_feasible_sizes(space, constraint, count=4, n_cap=n - 1)
     for n1 in small:
         if n % n1 == 0:
             block = representative_sequence(space, constraint, n1)
@@ -184,5 +184,4 @@ def representative_sequence(space: SampleSpace, constraint: ConstraintSpec,
                     return block2 * b + block1 * ((n - b * n2) // n1)
                 b += 1
     raise EnumerationInfeasibleError(
-        f"no representative for n={n} from feasible blocks up to 24"
-    )
+        f"no representative for n={n} from feasible blocks below it")

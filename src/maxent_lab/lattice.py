@@ -474,6 +474,13 @@ def _reach_sweep(constraint: ConstraintSpec, horizon: int | None = None):
         reach = cut(_reach_step(reach, shape, unit_cells))
 
 
+def _reads(table: np.ndarray, origin: tuple[int, ...], units) -> bool:
+    """Cell ``units`` of a table whose index 0 is cell ``origin``; False outside."""
+    index = tuple(map(sub, units, origin))
+    return all(0 <= i < s for i, s in zip(index, table.shape)) \
+        and bool(table[index])
+
+
 class _WindowCache:
     """``_kept(m)``: table m <= ``horizon`` of a sweep, cut to its ``_window``,
     swept on first use and kept. The windows kept together, and each box a
@@ -520,10 +527,7 @@ class _Reach(_WindowCache):
         if not all(0 <= x <= m * u
                    for x, u in zip(units, self.constraint.unit_max)):
             return False
-        table, origin = self._kept(m)
-        index = tuple(map(sub, units, origin))
-        return all(0 <= i < s for i, s in zip(index, table.shape)) \
-            and bool(table[index])
+        return _reads(*self._kept(m), units)
 
     def exact(self, m: int, units, mass, where: str):
         """``mass``, a size-m mass at ``units`` (None: off the lattice) under
@@ -580,22 +584,24 @@ def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int)
 def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec,
                    n_max: int) -> list[int]:
     """The sizes n in 1..n_max, in increasing order, at which some length-n
-    sequence has its statistic average exactly on target: the stream of
-    ``first_feasible_sizes`` to n_max, once its last table fits the budget.
-    """
+    sequence has its statistic average exactly on target, from the full-box
+    sweep: the reference for the windows of ``first_feasible_sizes``."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     _check_budget(_dense_shape(n_max, constraint.unit_max),
                   f"feasibility table to n={n_max}; {REDUCE_N}")
-    return first_feasible_sizes(space, constraint, n_max, n_cap=n_max)
+    return _on_target(constraint, _reach_sweep(constraint), n_max, n_max)
 
 
 def first_feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, count: int,
                          n_cap: int = 100_000) -> list[int]:
-    """First ``count`` feasible sizes in increasing order (stops at n_cap):
-    those whose target cell is on the lattice and reached by the sweep."""
-    sweep = islice(_reach_sweep(constraint), 1, n_cap + 1)
-    feasible = (n for n, (reach, _) in enumerate(sweep, start=1)
-                if (center := constraint.center_units(n)) is not None
-                and reach[center])
-    return list(islice(feasible, count))
+    """First ``count`` feasible sizes in increasing order (stops at n_cap), from
+    the sweep cut to its ``_window`` at n_cap, which keeps every target cell."""
+    return _on_target(constraint, _reach_sweep(constraint, n_cap), count, n_cap)
+
+
+def _on_target(constraint: ConstraintSpec, sweep, count: int, n_cap: int):
+    """First ``count`` sizes in 1..n_cap whose target cell ``sweep`` reaches."""
+    sizes = (n for n, table in enumerate(islice(sweep, 1, n_cap + 1), start=1)
+             if (c := constraint.center_units(n)) is not None and _reads(*table, c))
+    return list(islice(sizes, count))

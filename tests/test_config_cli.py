@@ -670,18 +670,21 @@ class TestCli:
             ["2", "maxent"], ["2", "conditioned"],
             ["4", "maxent"], ["4", "conditioned"]]
 
-    def test_paths_game_without_representative_exit_3(self, tmp_path, capsys):
-        # n = 40600 = 1400 * 29 is feasible at mean 1/29, but the windows of
-        # its walk tables hold 5.49e7 cells, past the budget, and no feasible
-        # block of size <= 24 exists: a guard abort, not a skipped size
+    def test_paths_game_without_representative_exit_3(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # n = 29 is the first feasible size at mean 1/29; with the budget at
+        # 50 the windows of its walk tables (57 cells) are refused, and no
+        # feasible block of a smaller size exists: a guard abort, not a
+        # skipped size
+        from maxent_lab import lattice
+        monkeypatch.setattr(lattice, "CELL_BUDGET", 50)
         path = tmp_path / "coin.json"
         path.write_text(json.dumps(_with(
             problem={"target": ["1/29"]},
-            experiments=[{"kind": "game", "mode": "paths",
-                          "n_list": [29, 40600], "j_max": 2,
-                          "predictors": ["maxent", "mixture"]}])))
+            experiments=[{"kind": "game", "mode": "paths", "n_list": [29],
+                          "predictors": ["maxent"]}])))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
-        assert "no representative for n=40600" in capsys.readouterr().err
+        assert "no representative for n=29" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["concentrate", "corollary1"])
     def test_zero_mass_at_a_feasible_size_exit_3(self, tmp_path, capsys,

@@ -63,7 +63,7 @@ def test_both_game_modes_pick_the_same_sizes(problem, j_max, horizon, data):
     space, constraint, _, _ = problem
     # only the sizes are compared; the projection enters the gaps through its
     # entropy alone, so none is solved for (many drawn targets lie on the hull)
-    projection = SimpleNamespace(entropy_bits=0.0)
+    projection = SimpleNamespace(closed_entropy_bits=0.0)
     prior = rissanen_prior(j_max)
     provider = SumTableProvider(space, constraint, horizon)
     sizes = first_feasible_sizes(space, constraint, j_max, n_cap=horizon)

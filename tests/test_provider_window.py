@@ -21,7 +21,7 @@ from maxent_lab import (
     SumTableProvider,
     conditional_marginal,
     conditioned_prior_predictor,
-    first_feasible_sizes,
+    feasible_sizes,
     lattice,
     mixture_predictor,
     rissanen_prior,
@@ -45,7 +45,7 @@ def _scores(provider, horizon):
     codelength on each constraint sequence of size n, and every
     conditioned marginal mass of the first m < n symbols."""
     space, constraint = provider.space, provider.constraint
-    sizes = first_feasible_sizes(space, constraint, horizon, n_cap=horizon)
+    sizes = feasible_sizes(space, constraint, horizon) if horizon else []
     mixture = mixture_predictor(provider, rissanen_prior(min(3, len(sizes)))) \
         if sizes else None
     out = []

@@ -1,6 +1,7 @@
 """Self-test of ``tools/time_fixtures.py`` on the fastest fixture: it runs the
 fixture in fresh child processes, reports medians of the child's own wall
-time and peak RSS as JSON, and refuses fewer than three runs."""
+time and peak RSS, and the peak that tracemalloc traces in one more child, as
+JSON, and refuses fewer than three runs."""
 
 import importlib.util
 import json
@@ -34,6 +35,8 @@ def test_reports_medians_of_fresh_runs(tool, capsys):
     # counted, so the figure is per run and not cumulative
     assert all(s["peak_rss_mb"] > 10 for s in entry["samples"])
     assert 0 < entry["wall_s"] < 60
+    # tracemalloc counts what Python allocates, a part of the resident set
+    assert 0 < entry["traced_peak_mb"] < entry["peak_rss_mb"]
 
 
 def test_refuses_fewer_than_three_runs(tool):

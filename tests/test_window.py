@@ -4,8 +4,9 @@
 some size <= H is reachable. The windowed sum sweep (``sumdist._central_masses``)
 must give the central masses of the full sweep (``central_series``) bit for bit
 and in the same type, and the windowed sequence walk must yield exactly the
-sequences of an unwindowed walk. A window narrowed by one cell on either side
-must break both.
+sequences of an unwindowed walk, and the first feasible sizes read from the
+windowed reachability sweep must be those of the full box. A window narrowed
+by one cell on either side must break all three.
 """
 
 from fractions import Fraction
@@ -143,6 +144,8 @@ def test_a_narrowed_window_is_caught(side, monkeypatch, dice, dice_constraint,
     for (space, constraint), (masses, walk) in zip(problems, want):
         assert _central_masses(space, constraint, 6) != masses
         assert list(_sequences_on_target(space, constraint, 4)) != walk
+        assert lattice.first_feasible_sizes(space, constraint, 6, n_cap=6) \
+            != lattice.feasible_sizes(space, constraint, 6)
 
 
 def _peak_cells(monkeypatch, constraint, horizon):

@@ -18,6 +18,10 @@ that root's ``src``, so the two sides share nothing but the inputs:
 - ``CUBE3_RATIONAL``, cube3 in rational mode with one outcome of double
   prior weight, so the k = 3 sum tables, padded object arrays of integer
   numerators, are swept too;
+- ``THIN_CUBE3``, cube3 at a target whose first feasible size, 402, lies
+  past the sizes whose full-box reachability tables fit the cell budget;
+- ``COIN_29_PATHS``, a paths game whose representative at n = 40600 is
+  glued from blocks of the first feasible size, 29;
 - all five shipped fixtures in float mode;
 - brandeis, two-constraint and brandeis-combined in rational mode.
 
@@ -78,6 +82,24 @@ CUBE3_RATIONAL = {
                     {"kind": "concentrate", "n_list": [2, 4, 6], "tv_m": 1}],
 }
 
+# cube3 at (1/201, 1/2, 1/2): the full boxes outgrow the cell budget at
+# n = 368, while the windows at horizon 402 keep at most 3 cells on the
+# first coordinate
+THIN_CUBE3 = {
+    "problem": {**CUBE3_WINDOW["problem"], "target": ["1/201", "1/2", "1/2"]},
+    "experiments": [{"kind": "corollary1", "n_list": [402]}],
+}
+
+# the coin with prior 28:1 at mean 1/29: the windows of the walk to
+# n = 40600 = 1400 * 29 outgrow the cell budget, so the representative is
+# the size-29 block repeated
+COIN_29_PATHS = {
+    "problem": {"outcomes": ["0", "1"], "prior": ["28", "1"],
+                "T": [["0", "1"]], "target": ["1/29"]},
+    "experiments": [{"kind": "game", "mode": "paths", "n_list": [29, 40600],
+                     "j_max": 2, "predictors": ["maxent", "mixture"]}],
+}
+
 
 def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     """(name, CLI arguments without the output option) for every run."""
@@ -91,6 +113,8 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     configs["paths-game-t035"] = PATHS_GAME
     configs["cube3-window"] = CUBE3_WINDOW
     configs["cube3-rational"] = CUBE3_RATIONAL
+    configs["thin-cube3"] = THIN_CUBE3
+    configs["coin-29-paths"] = COIN_29_PATHS
     runs = []
     for name, cfg in configs.items():
         path = config_dir / f"{name}.json"

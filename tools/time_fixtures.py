@@ -7,11 +7,15 @@ ROOT is a checkout with ``src/maxent_lab`` (default: this one). Every run is
 in a child process that imports the package from ROOT's ``src``, writing to a
 fresh temporary directory. Wall time is taken around the child from spawn to
 exit, and peak RSS is the child's own ``ru_maxrss`` from ``os.wait4``, so
-neither includes this process. Runs go fixture by fixture, one at a time.
+neither includes this process. One more child per fixture, left out of the
+timed samples, runs it under ``tracemalloc`` started before the package is
+imported and reports the traced peak, which tells what Python allocates from
+what the allocator's layout adds to RSS. Runs go fixture by fixture, one at
+a time.
 
 Prints one JSON object: per fixture the median wall time and peak RSS over N
-runs (at least 3), every sample, and the exit codes. Exits 1 when a run
-exits non-zero.
+runs (at least 3), every sample, the exit codes and the traced peak. Exits 1
+when a run exits non-zero.
 """
 
 from __future__ import annotations
@@ -30,13 +34,34 @@ from pathlib import Path
 FIXTURES = ("brandeis", "brandeis-combined", "coin", "cube3", "two-constraint")
 CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
          "from maxent_lab.cli import main; sys.exit(main(sys.argv[2:]))")
+# CHILD under tracemalloc: the traced peak in bytes is its last stdout line
+TRACED_CHILD = ("import sys, tracemalloc; tracemalloc.start(); "
+                "sys.path.insert(0, sys.argv[1]); "
+                "from maxent_lab.cli import main; code = main(sys.argv[2:]); "
+                "print(tracemalloc.get_traced_memory()[1]); sys.exit(code)")
+
+
+def _command(child: str, root: Path, name: str, tmp: str) -> list[str]:
+    return [sys.executable, "-c", child, str(root / "src"),
+            "fixtures", "run", name, "-o", str(Path(tmp) / "out")]
+
+
+def traced_peak(root: Path, name: str) -> float | None:
+    """tracemalloc's peak, in MB, of one fixture run traced from before the
+    package import, or None when the run exits non-zero."""
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(_command(TRACED_CHILD, root, name, tmp), cwd=tmp,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True)
+    if proc.returncode:
+        return None
+    return round(int(proc.stdout.split()[-1]) / 1024.0 ** 2, 1)
 
 
 def time_run(root: Path, name: str) -> tuple[int, float, float]:
     """(exit code, wall seconds, peak RSS in MB) of one fixture run."""
     with tempfile.TemporaryDirectory() as tmp:
-        cmd = [sys.executable, "-c", CHILD, str(root / "src"),
-               "fixtures", "run", name, "-o", str(Path(tmp) / "out")]
+        cmd = _command(CHILD, root, name, tmp)
         start = time.perf_counter()
         proc = subprocess.Popen(cmd, cwd=tmp, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)
@@ -54,6 +79,7 @@ def time_fixtures(root: Path, names, runs: int) -> dict:
             "wall_s": statistics.median(wall for _, wall, _ in samples),
             "peak_rss_mb": statistics.median(rss for _, _, rss in samples),
             "exit_codes": codes,
+            "traced_peak_mb": traced_peak(root, name),
             "samples": [{"wall_s": round(wall, 4), "peak_rss_mb": round(rss, 1)}
                         for _, wall, rss in samples],
         }
