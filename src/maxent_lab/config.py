@@ -304,13 +304,14 @@ def validate_config(source) -> list[Diagnostic]:
     except MaxentLabError as exc:
         diagnostics.append(Diagnostic("problem", f"trial solve failed: {exc}"))
 
-    # the largest size any block reads: its gaps horizon or its n_list's end
-    cap = max([64] + [
+    # the largest size any block reads: its gaps horizon or its n_list's end;
+    # a config whose blocks read no size conditions on nothing
+    cap = max([0] + [
         b["horizon"] if b["kind"] == "game" and b["mode"] == "gaps"
         else b["n_list"][-1] for b in config.experiments
         if b["kind"] in ("concentrate", "condlimit", "corollary1", "game")])
-    first = first_feasible_sizes(space, constraint, 1, n_cap=cap)
-    if not first:
+    first = first_feasible_sizes(space, constraint, 1, n_cap=cap) if cap else []
+    if cap and not first:
         diagnostics.append(Diagnostic(
             "problem.target",
             f"no feasible sample sizes up to {cap}: empirical-constraint "

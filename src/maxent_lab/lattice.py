@@ -411,13 +411,24 @@ def _window(constraint: ConstraintSpec, horizon: int,
     return tuple(origin), tuple(shape)
 
 
-def _grow(constraint: ConstraintSpec, horizon: int | None, n: int,
-          shape: tuple[int, ...], origin: tuple[int, ...]):
-    """One step of a sweep to ``horizon`` from a size n - 1 table of
-    ``shape`` whose index 0 is unit cell ``origin``: the shape of the box it
-    grows to, which must fit the cell budget, a function that cuts it to a
-    copy of the size n ``_window``, so only the window's cells are kept, and
-    the window's origin. With no horizon nothing is cut."""
+def _layout(constraint: ConstraintSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape ``_grow`` keeps a window in: ``unit_max_j`` more cells on
+    each inner axis j >= 1."""
+    return shape[:1] + tuple(map(add, shape[1:], constraint.unit_max[1:]))
+
+
+def _grow(constraint: ConstraintSpec, horizon: int | None, n: int):
+    """Step n of a sweep to ``horizon``, from the size n - 1 ``_window`` or,
+    with no horizon, the full box: the shape of the box it grows to, which
+    must fit the cell budget, a function that cuts that box to the size-n
+    table, and the table's origin. With no horizon nothing is cut; with
+    one, the cut is the step's one copy, the size-n window in its
+    ``_layout`` with the pad at the combine's identity (0 or False), so the
+    next step's ``_shift_combine`` pads nothing."""
+    if horizon is None:
+        origin, shape = (0,) * constraint.dim, _dense_shape(n - 1, constraint.unit_max)
+    else:
+        origin, shape = _window(constraint, horizon, n - 1)
     grown = tuple(map(add, shape, constraint.unit_max))
     _check_budget(grown, f"sweep step to n={n}; {REDUCE_N}")
     if horizon is None:
@@ -425,7 +436,16 @@ def _grow(constraint: ConstraintSpec, horizon: int | None, n: int,
     new_origin, new_shape = _window(constraint, horizon, n)
     starts = tuple(map(sub, new_origin, origin))
     index = tuple(map(slice, starts, map(add, starts, new_shape)))
-    return grown, lambda table: table[index].copy(), new_origin
+    if constraint.dim == 1:  # the layout is the window: a plain copy
+        return grown, lambda table: table[index].copy(), new_origin
+
+    def cut(table):
+        kept = np.empty(_layout(constraint, new_shape), dtype=table.dtype)
+        kept[tuple(map(slice, new_shape))] = table[index]
+        for j in range(1, constraint.dim):  # the pad past axis j's window
+            kept[(slice(None),) * j + (slice(new_shape[j], None),)] = 0
+        return kept
+    return grown, cut, new_origin
 
 
 def _shift_combine(new: np.ndarray, table: np.ndarray, cells, combine,
@@ -433,12 +453,13 @@ def _shift_combine(new: np.ndarray, table: np.ndarray, cells, combine,
     """One step of a lattice sweep: for each ``(u, w)`` in ``cells``, in order,
     combine ``term(w, table)`` into the region of ``new`` shifted by unit cell
     u. ``new``, a fresh C-ordered array at the combine's identity, is
-    returned. The table's inner axes are padded to ``new``'s with that
+    returned. A table whose inner axes are not laid out as ``new``'s, as
+    ``_grow``'s cut lays out a windowed one, is padded to them with that
     identity, so each shift is one contiguous slice of flat ``new`` at
     offset u . strides, cut at its end. A shifted table must fit in
     ``new``: the padded cells that then wrap into the next row, or are
     cut, add only the identity."""
-    if table.ndim > 1:
+    if table.shape[1:] != new.shape[1:]:
         padded = np.full(table.shape[:1] + new.shape[1:], new.flat[0],
                          dtype=table.dtype)
         padded[tuple(map(slice, table.shape))] = table
@@ -461,8 +482,9 @@ def _reach_step(reach: np.ndarray, shape_new: tuple[int, ...], unit_cells) -> np
 def _reach_sweep(constraint: ConstraintSpec, horizon: int | None = None):
     """Yield (table, origin) for n = 0, 1, 2, ...: index i of boolean table n
     is True when some length-n sequence has unit sum origin + i. With a
-    horizon each table is cut to its ``_window``; without, every origin is
-    the zero cell. ``_grow`` checks each step against the cell budget."""
+    horizon each table is cut to its ``_window`` in its ``_layout``, whose
+    pad reads False; without, every origin is the zero cell. ``_grow``
+    checks each step against the cell budget."""
     unit_cells = sorted(set(constraint.units))
     reach = np.ones((1,) * constraint.dim, dtype=bool)
     origin = (0,) * constraint.dim
@@ -470,7 +492,7 @@ def _reach_sweep(constraint: ConstraintSpec, horizon: int | None = None):
     while True:
         yield reach, origin
         n += 1
-        shape, cut, origin = _grow(constraint, horizon, n, reach.shape, origin)
+        shape, cut, origin = _grow(constraint, horizon, n)
         reach = cut(_reach_step(reach, shape, unit_cells))
 
 
@@ -482,11 +504,11 @@ def _reads(table: np.ndarray, origin: tuple[int, ...], units) -> bool:
 
 
 class _WindowCache:
-    """``_kept(m)``: table m <= ``horizon`` of a sweep, cut to its ``_window``,
-    swept on first use and kept. The windows kept together, and each box a
-    step grows (``_grow``), must fit the cell budget: a growth that would not
-    is refused before it sweeps, and the kept tables stay as they were.
-    ``what`` names the tables in a refusal."""
+    """``_kept(m)``: table m <= ``horizon`` of a sweep, cut to its ``_window``
+    in its ``_layout``, swept on first use and kept. The cells kept
+    together, and each box a step grows (``_grow``), must fit the cell
+    budget: a growth that would not is refused before it sweeps, and the
+    kept tables stay as they were. ``what`` names the tables in a refusal."""
 
     def __init__(self, constraint: ConstraintSpec, horizon: int, sweep,
                  what: str):
@@ -502,12 +524,12 @@ class _WindowCache:
         have = len(self._tables)
         if have <= m:
             shapes = [_window(self.constraint, self.horizon, size)[1]
-                      for size in range(have - 1, m + 1)]
-            cells = self._cells + sum(map(prod, shapes[1:]))
+                      for size in range(have, m + 1)]
+            cells = self._cells + sum(prod(_layout(self.constraint, s)) for s in shapes)
             _check_budget((cells,), f"{self._what} to n={m}; {REDUCE_N}")
             # widths peak at size horizon // 2: the step from there grows most
-            step = max(have, min(m, self.horizon // 2 + 1))
-            _grow(self.constraint, None, step, shapes[step - have], ())
+            _grow(self.constraint, self.horizon,
+                  max(have, min(m, self.horizon // 2 + 1)))
             self._cells = cells
             self._tables.extend(islice(self._sweep, m + 1 - have))
         return self._tables[m]

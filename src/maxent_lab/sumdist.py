@@ -31,7 +31,6 @@ from .lattice import (
     _grow,
     _Reach,
     _shift_combine,
-    _window,
     _WindowCache,
     as_fraction,
 )
@@ -189,15 +188,15 @@ def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str,
     ``next`` take exactly the sizes they need. With a horizon each table
     is cut to its ``lattice._window``, whose cells carry the masses of the
     full sweep bit for bit; the target masses up to the horizon are all in
-    it. ``lattice._grow`` checks each step; a caller checks the tables it
-    keeps, or the largest it streams, before it asks.
+    it. ``lattice._grow`` works out and checks each step and writes the
+    window in the layout the next step reads, its pad at zero; a caller
+    checks the tables it keeps, or the largest it streams, before it asks.
     """
     cells, unit = _one_step_cells(constraint, weights, mode)
     sd = _initial(constraint, measure_id, mode, unit)
     while True:
         yield sd
-        shape, cut, origin = _grow(constraint, horizon, sd.n + 1,
-                                   sd.table.shape, sd.origin)
+        shape, cut, origin = _grow(constraint, horizon, sd.n + 1)
         sd = SumDistribution(n=sd.n + 1, measure_id=measure_id, mode=mode,
                              constraint=constraint, scale=sd.scale * unit,
                              table=cut(_dense_step(sd.table, shape, cells)),
@@ -263,8 +262,7 @@ def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     for bit. Its largest step, from the widest window at n_max // 2 (widths
     are concave in m and equal at n_max - m), is checked before it sweeps."""
     measure_id, weights = resolve_measure(space, measure, mode)
-    _grow(constraint, None, n_max // 2 + 1,
-          _window(constraint, n_max, n_max // 2)[1], ())
+    _grow(constraint, n_max, n_max // 2 + 1)
     sweep = _sweep(constraint, measure_id, weights, mode, n_max)
     return [sd.mass_at_target() for sd in islice(sweep, n_max + 1)]
 
@@ -275,9 +273,10 @@ class SumTableProvider(_WindowCache):
     It is the one source of the problem, the measure with its weights and
     the arithmetic for the conditioned marginals and predictors built on it.
     A ``lattice._WindowCache``: each table holds and is charged for its
-    ``lattice._window`` at the horizon, and every cell that a conditioned
-    predictor or marginal of a size <= horizon reads is in it, with the mass
-    of the full table bit for bit; the cells outside read as zero.
+    ``lattice._window`` at the horizon, in its ``lattice._layout``, and
+    every cell that a conditioned predictor or marginal of a size <= horizon
+    reads is in it, with the mass of the full table bit for bit; the cells
+    outside, the layout's pad among them, read as zero.
 
     ``mass`` returns only exact zeros, by ``lattice._Reach.exact``: a 0.0 at
     a cell that some sequence reaches is an underflow and raises

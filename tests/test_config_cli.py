@@ -161,7 +161,8 @@ class TestValidateConfig:
 
     def test_no_feasible_size_diagnostic(self, tmp_path, capsys, monkeypatch):
         # the coin at mean 1/67 hits its target only at multiples of 67; one
-        # sweep to the first feasible size, capped at 64, settles that
+        # sweep to the first feasible size, capped at the largest size a
+        # block reads (64), settles that
         from maxent_lab import config as config_mod, lattice
         counts = []
 
@@ -173,11 +174,25 @@ class TestValidateConfig:
         monkeypatch.setattr(config_mod, "first_feasible_sizes", spy)
         for target, code in (("1/67", 2), ("1/2", 0)):
             path = tmp_path / "c.json"
-            path.write_text(json.dumps(_with(problem={"target": [target]})))
+            path.write_text(json.dumps(_with(
+                problem={"target": [target]},
+                experiments=[{"kind": "corollary1", "n_list": [64]}])))
             assert main(["validate", "-c", str(path)]) == code
             out = capsys.readouterr().out
             assert ("no feasible sample sizes up to 64" in out) == (code == 2)
         assert counts == [(1, 64), (1, 64)]
+
+    def test_blocks_that_read_no_size_need_no_feasible_size(self, tmp_path):
+        # the coin at mean 1/101 is feasible only at multiples of 101, which
+        # neither the solve nor the hypercompression block reads
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_with(
+            problem={"target": ["1/101"]},
+            experiments=[{"kind": "solve"},
+                         {"kind": "hypercomp", "n": 50, "K": [1],
+                          "samples": 100, "seed": 1}])))
+        assert main(["validate", "-c", str(path)]) == 0
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 0
 
 
 class TestRunConfig:

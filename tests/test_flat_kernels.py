@@ -1,7 +1,8 @@
 """The contiguous walk kernels give the numbers of the strided ones.
 
 ``lattice._shift_combine`` pads a table's inner axes with the combine's
-identity and applies each shift as one slice of the flattened ``new``;
+identity, unless a windowed sweep's cut has laid them out so already, and
+applies each shift as one slice of the flattened ``new``;
 ``simulate.recurrence_simulation`` sums the centred steps one coordinate at a
 time. Each must agree bit for bit (floats) or exactly (ints, bools) with the
 strided kernels copied below as they were written before, for every
@@ -74,9 +75,12 @@ FLOAT_WEIGHTS = (0.25, 0.1, 1 / 3, 0.7, 1e-300)
 
 @st.composite
 def shifts(draw, weights):
-    """(table shape, new shape, cells, rng): a table of up to 3 axes, ``new``
-    wider by 0..3 on each axis, and cells that keep the shifted table inside
-    ``new``, inner components 0 included."""
+    """(table shape, new shape, cells, rng, lay): a table of up to 3 axes,
+    ``new`` wider by 0..3 on each axis, and cells that keep the shifted
+    table inside ``new``, inner components 0 included. ``lay(table,
+    identity)`` hands the kernel the table as it is or, as a windowed
+    sweep's cut does, already laid out with ``new``'s inner axes, its
+    extra cells at the identity."""
     k = draw(st.integers(1, 3))
     shape = tuple(draw(st.integers(1, 4)) for _ in range(k))
     extra = tuple(draw(st.integers(0, 3)) for _ in range(k))
@@ -84,7 +88,16 @@ def shifts(draw, weights):
     cells = draw(st.lists(st.tuples(cell, st.sampled_from(weights)),
                           min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return shape, tuple(map(add, shape, extra)), cells, rng
+    shape_new = tuple(map(add, shape, extra))
+    laid_out = draw(st.booleans())
+
+    def lay(table, identity):
+        if not laid_out:
+            return table
+        out = np.full(shape[:1] + shape_new[1:], identity, dtype=table.dtype)
+        out[tuple(map(slice, shape))] = table
+        return out
+    return shape, shape_new, cells, rng, lay
 
 
 def _hex(array):
@@ -94,9 +107,9 @@ def _hex(array):
 @settings(max_examples=150, deadline=None)
 @given(shifts(FLOAT_WEIGHTS))
 def test_float_sum_step_matches_strided(problem):
-    shape, shape_new, cells, rng = problem
+    shape, shape_new, cells, rng, lay = problem
     table = rng.random(shape) * (rng.random(shape) < 0.7)
-    got = sumdist._dense_step(table, shape_new, cells)
+    got = sumdist._dense_step(lay(table, 0.0), shape_new, cells)
     want = _strided_shift_combine(np.zeros(shape_new), table, cells, np.add,
                                   lambda w, table: w * table)
     assert _hex(got) == _hex(want)
@@ -105,10 +118,10 @@ def test_float_sum_step_matches_strided(problem):
 @settings(max_examples=100, deadline=None)
 @given(shifts((1, 2, 3, 7, 10 ** 30)))
 def test_object_int_sum_step_matches_strided(problem):
-    shape, shape_new, cells, rng = problem
+    shape, shape_new, cells, rng, lay = problem
     values = rng.integers(0, 1000, shape) * (rng.random(shape) < 0.7)
     table = np.array(values.tolist(), dtype=object).reshape(shape)
-    got = sumdist._dense_step(table, shape_new, cells)
+    got = sumdist._dense_step(lay(table, 0), shape_new, cells)
     want = _strided_shift_combine(np.zeros(shape_new, dtype=object), table,
                                   cells, np.add, lambda w, table: w * table)
     assert got.dtype == object
@@ -119,10 +132,11 @@ def test_object_int_sum_step_matches_strided(problem):
 @settings(max_examples=100, deadline=None)
 @given(shifts((None,)))
 def test_boolean_or_matches_strided(problem):
-    shape, shape_new, cells, rng = problem
+    shape, shape_new, cells, rng, lay = problem
     table = rng.random(shape) < 0.5
     args = (table, cells, np.logical_or, lambda w, table: table)
-    got = _shift_combine(np.zeros(shape_new, dtype=bool), *args)
+    got = _shift_combine(np.zeros(shape_new, dtype=bool), lay(table, False),
+                         *args[1:])
     want = _strided_shift_combine(np.zeros(shape_new, dtype=bool), *args)
     assert got.dtype == bool
     assert np.array_equal(got, want)
@@ -131,10 +145,11 @@ def test_boolean_or_matches_strided(problem):
 @settings(max_examples=100, deadline=None)
 @given(shifts((None,)))
 def test_min_over_inf_matches_strided(problem):
-    shape, shape_new, cells, rng = problem
+    shape, shape_new, cells, rng, lay = problem
     table = np.where(rng.random(shape) < 0.3, np.inf, rng.random(shape))
     args = (table, cells, np.minimum, lambda w, table: table)
-    got = _shift_combine(np.full(shape_new, np.inf), *args)
+    got = _shift_combine(np.full(shape_new, np.inf), lay(table, np.inf),
+                         *args[1:])
     want = _strided_shift_combine(np.full(shape_new, np.inf), *args)
     assert _hex(got) == _hex(want)
 

@@ -10,6 +10,7 @@ agree exactly with one another, and the sequence walk against brute force.
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from maxent_lab import (
     sum_distribution,
 )
 from maxent_lab.errors import LatticeBlowupError
-from maxent_lab.lattice import _window
+from maxent_lab.lattice import _layout, _window
 
 weights_st = st.builds(Fraction, st.integers(1, 9), st.integers(2, 12))
 
@@ -77,9 +78,15 @@ def test_provider_central_series_and_sum_distribution_agree(problem, n_max):
         cached = provider.table(n)
         assert direct.n == cached.n == n
         origin, shape = _window(constraint, n_max, n)
-        assert cached.origin == origin and cached.table.shape == shape
+        layout = _layout(constraint, shape) if n else shape
+        assert cached.origin == origin and cached.table.shape == layout
         cells = list(product(*(range(o, o + s) for o, s in zip(origin, shape))))
         assert _masses(cached, cells) == _masses(direct, cells)
+        # the layout's pad cells hold the sum's identity
+        pad = set(product(*map(range, layout))) - set(product(*map(range, shape)))
+        zero = np.zeros(1, dtype=cached.table.dtype).item()
+        assert all(type(cached.table.item(i)) is type(zero)
+                   and cached.table.item(i) == 0 for i in pad)
         assert series[n] == direct.mass_at_target()
         assert type(series[n]) is type(direct.mass_at_target())
 

@@ -17,7 +17,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from maxent_lab import build_space, central_series, derive_lattice, lattice, sumdist
-from maxent_lab.lattice import _dense_shape, _sequences_on_target, _window
+from maxent_lab.lattice import (
+    _dense_shape,
+    _layout,
+    _sequences_on_target,
+    _window,
+)
 from maxent_lab.sumdist import _central_masses
 
 weights_st = st.builds(Fraction, st.integers(1, 9), st.integers(2, 12))
@@ -106,11 +111,19 @@ def test_windowed_tables_match_the_full_tables_cell_for_cell(problem, horizon):
     cut = sumdist._sweep(constraint, measure_id, weights, mode, horizon)
     for m, (a, b) in enumerate(islice(zip(full, cut), horizon + 1)):
         origin, shape = _window(constraint, horizon, m)
-        assert b.origin == origin and b.table.shape == shape
+        # past size 0 each window is kept in its layout, the pad at the
+        # sum's identity
+        assert b.origin == origin
+        assert b.table.shape == (_layout(constraint, shape) if m else shape)
         assert a.table.shape == _dense_shape(m, constraint.unit_max)
         region = tuple(slice(o, o + s) for o, s in zip(origin, shape))
+        window = tuple(map(slice, shape))
         assert [_exact(v) for v in a.table[region].ravel().tolist()] == \
-            [_exact(v) for v in b.table.ravel().tolist()]
+            [_exact(v) for v in b.table[window].ravel().tolist()]
+        pad = np.ones(b.table.shape, dtype=bool)
+        pad[window] = False
+        zero = _exact(np.zeros(1, dtype=b.table.dtype).item())
+        assert all(_exact(v) == zero for v in b.table[pad].tolist())
 
 
 @settings(max_examples=80, deadline=None)

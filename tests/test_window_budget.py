@@ -1,13 +1,14 @@
 """One budget rule: a lattice table is charged for the cells it keeps.
 
 ``lattice._WindowCache`` keeps the tables of a sweep cut to their
-``lattice._window`` and charges the windows it keeps together; each box a
-step grows before its cut must fit the budget too. ``_Reach`` and
-``SumTableProvider`` are such caches. ``_central_masses`` streams its tables
-and is charged, before it starts, for the largest it builds: the box grown
-from its widest window, the one at n // 2.
-The guards are tested with ``lattice.CELL_BUDGET`` patched low, so no large
-table is built; the refused sizes are worked out from ``_window`` alone.
+``lattice._window``, each in its ``lattice._layout``, and charges the cells
+it keeps together; each box a step grows before its cut must fit the budget
+too. ``_Reach`` and ``SumTableProvider`` are such caches.
+``_central_masses`` streams its tables and is charged, before it starts,
+for the largest it builds: the box grown from its widest window, the one
+at n // 2. The guards are tested with ``lattice.CELL_BUDGET`` patched low, so no large
+table is built; the refused sizes are worked out from ``_window`` and
+``_layout`` alone.
 """
 
 from math import prod
@@ -19,7 +20,13 @@ from hypothesis import given, settings, strategies as st
 from maxent_lab import SumTableProvider, central_series, lattice, sumdist
 from maxent_lab.concentration import representative_sequence
 from maxent_lab.errors import LatticeBlowupError
-from maxent_lab.lattice import _dense_shape, _Reach, _sequences_on_target, _window
+from maxent_lab.lattice import (
+    _dense_shape,
+    _layout,
+    _Reach,
+    _sequences_on_target,
+    _window,
+)
 from maxent_lab.sumdist import _central_masses
 
 from test_window import _exact, problems
@@ -28,8 +35,10 @@ dense_step = sumdist._dense_step
 
 
 def _kept(constraint, horizon, m):
-    """Cells of the windows of sizes 0..m at the horizon."""
-    return sum(prod(_window(constraint, horizon, s)[1]) for s in range(m + 1))
+    """Cells of the tables of sizes 0..m at the horizon: the one cell of
+    size 0, and each later window in its ``_layout``."""
+    return 1 + sum(prod(_layout(constraint, _window(constraint, horizon, s)[1]))
+                   for s in range(1, m + 1))
 
 
 def _step(constraint, horizon, m):
@@ -145,10 +154,11 @@ def test_central_masses_are_charged_for_their_largest_table(problem,
 
 def test_budget_rule_leaves_no_full_box_charge(cube3, cube3_constraint,
                                               monkeypatch):
-    # cube3 at horizon 40: the windows kept to 40 hold 97,461 cells and the
-    # full boxes 741,321, so a budget between them separates the two rules
+    # cube3 at horizon 40: the tables kept to 40, each window in its layout,
+    # hold 110,261 cells and the full boxes 741,321, so a budget between
+    # them separates the two rules
     kept = _kept(cube3_constraint, 40, 40)
-    assert (kept, _full(cube3_constraint, 40)) == (97_461, 741_321)
+    assert (kept, _full(cube3_constraint, 40)) == (110_261, 741_321)
     monkeypatch.setattr(lattice, "CELL_BUDGET", kept)
     provider = SumTableProvider(cube3, cube3_constraint, 40)
     assert provider.table(40).mass_at_target() > 0
@@ -162,7 +172,8 @@ def test_cube3_representative_at_150_comes_from_the_walk(cube3,
                                                          cube3_constraint):
     # the full boxes to n = 150 would hold 1.32e8 cells, past the budget,
     # and were once refused, so the representative was built from blocks of
-    # the first feasible size 2: (0, 7) * 75; the windows hold 1.67e7 cells
+    # the first feasible size 2: (0, 7) * 75; the windows, in their
+    # layouts, hold 1.73e7 cells
     assert _full(cube3_constraint, 150) > lattice.CELL_BUDGET
     assert _kept(cube3_constraint, 150, 149) < lattice.CELL_BUDGET
     rep = representative_sequence(cube3, cube3_constraint, 150)

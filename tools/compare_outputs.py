@@ -22,6 +22,8 @@ that root's ``src``, so the two sides share nothing but the inputs:
   past the sizes whose full-box reachability tables fit the cell budget;
 - ``COIN_29_PATHS``, a paths game whose representative at n = 40600 is
   glued from blocks of the first feasible size, 29;
+- ``WIDE_PAD``, T = (x, x^2) on {0, 1, 2, 3}, whose inner axis has unit_max
+  9, so every windowed k = 2 table is kept with 9 pad cells a row;
 - all five shipped fixtures in float mode;
 - brandeis, two-constraint and brandeis-combined in rational mode.
 
@@ -100,6 +102,20 @@ COIN_29_PATHS = {
                      "j_max": 2, "predictors": ["maxent", "mixture"]}],
 }
 
+# T = (x, x^2) on {0, 1, 2, 3} with prior 1:2:3:4 at mean (7/4, 15/4): unit
+# steps up to 3 and 9 on a lattice of index 2, feasible first at n = 4 (3, 2,
+# 1, 1); every block sweeps windowed tables laid out 9 cells wider a row
+WIDE_PAD = {
+    "problem": {"outcomes": ["0", "1", "2", "3"], "prior": ["1", "2", "3", "4"],
+                "T": [["0", "1", "2", "3"], ["0", "1", "4", "9"]],
+                "target": ["7/4", "15/4"]},
+    "experiments": [{"kind": "concentrate", "n_list": [4, 8, 40], "tv_m": 1},
+                    {"kind": "condlimit", "m": 2, "n_list": [8, 40]},
+                    {"kind": "corollary1", "n_list": [4, 40, 120]},
+                    {"kind": "game", "mode": "paths", "n_list": [4, 8, 16],
+                     "j_max": 4}],
+}
+
 
 def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     """(name, CLI arguments without the output option) for every run."""
@@ -115,6 +131,7 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     configs["cube3-rational"] = CUBE3_RATIONAL
     configs["thin-cube3"] = THIN_CUBE3
     configs["coin-29-paths"] = COIN_29_PATHS
+    configs["wide-pad"] = WIDE_PAD
     runs = []
     for name, cfg in configs.items():
         path = config_dir / f"{name}.json"
