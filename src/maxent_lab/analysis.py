@@ -93,8 +93,7 @@ def verify_minimax_constancy(space: SampleSpace, constraint: ConstraintSpec,
 
     checks = []
     if alternatives:
-        p_c = constraint_prob(space, constraint, n, measure=solution,
-                              mode="float")
+        p_c = constraint_prob(space, constraint, n, measure=solution)
         c_n, _ = LocalClt(constraint, solution).constants(n, p_c)
         bound = constant - (constraint.dim / (2.0 * n)) * math.log2(n) \
             + math.log2(c_n) / n
@@ -136,10 +135,8 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
     n_list = sorted_sizes(n_list)
     n_max = n_list[-1]
     clt = LocalClt(constraint, solution)
-    central_p = _central_masses(space, constraint, n_max, measure=solution,
-                                mode="float")
-    central_q = _central_masses(space, constraint, n_max, measure="q",
-                                mode="float")
+    central_p = _central_masses(space, constraint, n_max, measure=solution)
+    central_q = _central_masses(space, constraint, n_max, measure="q")
     reach = _Reach(constraint, n_max)
     feasible = {n for n in n_list for c in [constraint.center_units(n)]
                 if reach.exact(n, c, central_p[n], "corollary 1")
@@ -301,8 +298,7 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     """
     if horizon < n_max:
         raise ValidationError("horizon must cover n_max")
-    central_q = _central_masses(space, constraint, horizon, measure="q",
-                                mode="float")
+    central_q = _central_masses(space, constraint, horizon, measure="q")
     reach = _Reach(constraint, horizon)
     sizes = [n for n in range(1, horizon + 1)
              if reach.exact(n, constraint.center_units(n), central_q[n],

@@ -7,12 +7,14 @@ blow-up or enumeration cap).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import load_config, validate_config
 from .errors import EnumerationInfeasibleError, LatticeBlowupError, MaxentLabError
 from .experiments import run_config
 from .fixtures import fixture_names, load_fixture
+from .sumdist import ARITHMETICS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -33,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run all experiments in a config")
     p_run.add_argument("-c", "--config", required=True)
     p_run.add_argument("-o", "--output", default=None)
-    p_run.add_argument("--mode", choices=["float", "rational"], default=None)
+    p_run.add_argument("--mode", choices=ARITHMETICS, default=None)
 
     p_val = sub.add_parser("validate", help="validate a config without running")
     p_val.add_argument("-c", "--config", required=True)
@@ -44,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fix_run = fix_sub.add_parser("run", help="run one fixture")
     p_fix_run.add_argument("name")
     p_fix_run.add_argument("-o", "--output", default=None)
-    p_fix_run.add_argument("--mode", choices=["float", "rational"], default=None)
+    p_fix_run.add_argument("--mode", choices=ARITHMETICS, default=None)
     return parser
 
 
@@ -69,8 +71,10 @@ def _cmd_run(config_source, output, mode) -> int:
         for d in blocking:
             print(f"validation: {d}", file=sys.stderr)
         return EXIT_VALIDATION
+    if mode is not None:
+        config = dataclasses.replace(config, mode=ARITHMETICS[mode])
     outdir = output or config.output_dir or "maxent-lab-out"
-    manifest = run_config(config, outdir, mode=mode)
+    manifest = run_config(config, outdir)
     print(f"wrote {len(manifest.outputs)} outputs to {outdir}")
     return EXIT_OK
 

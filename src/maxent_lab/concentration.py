@@ -26,7 +26,7 @@ from .lattice import (
     first_feasible_sizes,
 )
 from .solver import MaxEntSolution
-from .sumdist import SumTableProvider, _central_masses
+from .sumdist import FLOAT, Arithmetic, SumTableProvider, _central_masses
 
 
 class LocalClt:
@@ -95,7 +95,7 @@ class ConcentrationReport:
 
 def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                             solution: MaxEntSolution, n_list, events=(),
-                            tv_m: int | None = None, mode: str = "float"
+                            tv_m: int | None = None, mode: Arithmetic = FLOAT
                             ) -> ConcentrationReport:
     """Fill per-n concentration records for the given sizes.
 
@@ -106,11 +106,10 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
     n_list = sorted_sizes(n_list)
     k = constraint.dim
     clt = LocalClt(constraint, solution)
-    centrals = _central_masses(space, constraint, n_list[-1], measure=solution,
-                               mode="float")
+    centrals = _central_masses(space, constraint, n_list[-1], measure=solution)
     # one provider serves the marginals of every size: its tables only grow
     provider = None if tv_m is None else SumTableProvider(
-        space, constraint, n_list[-1], measure="q", mode="float")
+        space, constraint, n_list[-1], measure="q", mode=FLOAT)
     reach = _Reach(constraint, n_list[-1])
     feasible = {n for n in n_list
                 if reach.exact(n, constraint.center_units(n), centrals[n],
@@ -129,7 +128,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
             under_q = conditional_event_prob(space, constraint, event, n,
                                              measure="q", mode=mode)
             under_p = conditional_event_prob(space, constraint, event, n,
-                                             measure=solution, mode="float")
+                                             measure=solution, mode=FLOAT)
             reach.exact(n, constraint.center_units(n),
                         under_q.prob_constraint, "event checks under the prior")
             cond_q = under_q.conditional

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import lattice
-from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
+from .errors import EnumerationInfeasibleError, ValidationError
 from .events import BigramDeviationEvent, BoxEvent, FrequencyDeviationEvent
 from .lattice import (
     REDUCE_N,
@@ -25,8 +25,7 @@ from .lattice import (
     _check_budget,
     _dense_shape,
 )
-from .sumdist import (TABLE_DTYPE, SumTableProvider, _sparse_step, resolve_measure,
-                      step_weights)
+from .sumdist import FLOAT, Arithmetic, SumTableProvider, _sparse_step, resolve_measure
 
 # longest prefix whose conditioned marginal is enumerated symbol by symbol
 MARGINAL_M_CAP = 8
@@ -38,7 +37,6 @@ class EventProbabilityResult:
 
     n: int
     measure_id: str
-    mode: str
     prob_event: object
     prob_joint: object
     prob_constraint: object
@@ -61,38 +59,6 @@ def _count_bounds(n: int, reference, epsilon):
     return bounds
 
 
-def _binomial_weight_vector(n: int, nu: int, w: float) -> np.ndarray:
-    """C(n - used, nu) * w^nu for used = 0..n-nu, safe against overflow.
-
-    Uses the exact binomial when it fits a float, otherwise a log-domain
-    start; the ratio chain C(m-1, nu) = C(m, nu) (m - nu) / m fills the rest.
-    """
-    if nu == 0:
-        return np.ones(n + 1)
-    log_start = (math.lgamma(n + 1) - math.lgamma(nu + 1)
-                 - math.lgamma(n - nu + 1) + nu * math.log(w))
-    if log_start > 700.0:
-        raise LatticeBlowupError(
-            "count DP coefficients exceed the float range; reduce n"
-        )
-    m = np.arange(n, nu, -1, dtype=float)
-    try:
-        start = float(math.comb(n, nu)) * math.exp(nu * math.log(w))
-    except OverflowError:
-        # the chain would run below 1/C(n, nu), out of the float range;
-        # from the start value each partial product is a coefficient
-        return np.cumprod(np.concatenate(([math.exp(log_start)], (m - nu) / m)))
-    return start * np.concatenate(([1.0], np.cumprod((m - nu) / m)))
-
-
-def _exact_weight_vector(n: int, nu: int, w: int) -> np.ndarray:
-    """Integer form of ``_binomial_weight_vector``: C(n - used, nu) * w^nu for
-    used = 0..n-nu, as Python ints."""
-    w_nu = w ** nu
-    return np.array([math.comb(n - used, nu) * w_nu
-                     for used in range(n - nu + 1)], dtype=object)
-
-
 def _freq_layer(constraint, n, weights, bounds, mode):
     """Count-layered DP: returns (total mass, mass on the target cell) of
     sequences whose per-outcome counts respect ``bounds``, as floats or as
@@ -104,9 +70,7 @@ def _freq_layer(constraint, n, weights, bounds, mode):
     shape_t = _dense_shape(n, constraint.unit_max)
     shape = (n + 1,) + shape_t
     _check_budget(shape, f"frequency count DP at n={n}; {REDUCE_N}")
-    coefficients = _exact_weight_vector if mode == "rational" \
-        else _binomial_weight_vector
-    table = np.zeros(shape, dtype=TABLE_DTYPE[mode])
+    table = np.zeros(shape, dtype=mode.dtype)
     table[(0,) + (0,) * constraint.dim] = 1
     extent = [(0, 0)] * len(shape)  # nonzero (first, last) index per axis
     for i, (u, w, (lo, hi)) in enumerate(zip(constraint.units, weights, bounds)):
@@ -115,7 +79,7 @@ def _freq_layer(constraint, n, weights, bounds, mode):
         new = np.zeros_like(table)
         step = (1,) + u
         for nu in range(lo, hi + 1):
-            coef = coefficients(n, nu, w)
+            coef = mode.coefficients(n, nu, w)
             # source cells whose shift stays inside the table
             src = [(a, min(b, s - 1 - nu * d))
                    for (a, b), s, d in zip(extent, shape, step)]
@@ -140,7 +104,7 @@ def _freq_layer(constraint, n, weights, bounds, mode):
 def _freq_event(space, constraint, event, n, weights, mode):
     bounds = _count_bounds(n, event.reference, event.epsilon)
     free = [(0, n)] * space.size
-    steps, unit = step_weights(weights, mode)
+    steps, unit = mode.steps(weights)
     box_total, box_center = _freq_layer(constraint, n, steps, bounds, mode)
     all_total, all_center = _freq_layer(constraint, n, steps, free, mode)
     scale = unit ** n
@@ -171,7 +135,7 @@ def _packed_event(constraint, n, weights, mode, low_radices, low_moves,
     ``low_radices``) the low ones. ``low_moves[v]`` gives each outcome's event
     digits added to a state whose lowest digit v is cleared; ``holds_for``
     decides the event once per distinct list of event digits."""
-    steps, unit = step_weights(weights, mode)
+    steps, unit = mode.steps(weights)
     radices = [n * m + 1 for m in constraint.unit_max] + low_radices
     places = _place_values(radices)
     moves = [[(_pack(u + low, places), w)
@@ -235,7 +199,7 @@ def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights, mo
 
 
 def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
-                           event, n: int, measure="q", mode: str = "float"
+                           event, n: int, measure="q", mode: Arithmetic = FLOAT
                            ) -> EventProbabilityResult:
     """Probability of an event, jointly with and conditioned on the constraint.
 
@@ -257,10 +221,7 @@ def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
         out = _bigram_event(space, constraint, event, n, weights, mode)
     else:
         raise ValidationError(f"unknown event type {type(event).__name__}")
-    prob_event, prob_joint, prob_constraint = out
-    return EventProbabilityResult(
-        n=n, measure_id=measure_id, mode=mode, prob_event=prob_event,
-        prob_joint=prob_joint, prob_constraint=prob_constraint)
+    return EventProbabilityResult(n, measure_id, *out)
 
 
 @dataclass
@@ -271,7 +232,6 @@ class ConditionalMarginal:
     m: int
     n: int
     measure_id: str
-    mode: str
     masses: dict
 
     def tv_to_product(self, pmf) -> float:
@@ -322,4 +282,4 @@ def conditional_marginal(provider: SumTableProvider, m: int, n: int
 
     descend((), (0,) * constraint.dim, 1, 0)
     return ConditionalMarginal(m=m, n=n, measure_id=provider.measure_id,
-                               mode=provider.mode, masses=masses)
+                               masses=masses)

@@ -22,6 +22,7 @@ from .errors import (
 from .events import BigramDeviationEvent, BoxEvent, FrequencyDeviationEvent
 from .lattice import build_space, derive_lattice, first_feasible_sizes
 from .solver import solve_maxent
+from .sumdist import ARITHMETICS, FLOAT, Arithmetic
 
 EXPERIMENT_KINDS = ("solve", "concentrate", "condlimit", "corollary1",
                     "game", "recur", "hypercomp")
@@ -72,7 +73,7 @@ class ProblemConfig:
 class ExperimentConfig:
     problem: ProblemConfig
     experiments: list
-    mode: str = "float"
+    mode: Arithmetic = FLOAT
     output_dir: str | None = None
     raw: dict = field(default_factory=dict)
 
@@ -116,8 +117,8 @@ def load_config(source) -> ExperimentConfig:
         raise ValidationError("experiments must be a list")
     experiments = [_checked_block(block, i)
                    for i, block in enumerate(experiments)]
-    mode = raw.get("mode", "float")
-    if mode not in ("float", "rational"):
+    mode = ARITHMETICS.get(str(raw.get("mode", FLOAT)))
+    if mode is None:
         raise ValidationError("mode must be 'float' or 'rational'")
     return ExperimentConfig(
         problem=ProblemConfig(outcomes=outcomes, prior=prior,

@@ -183,7 +183,7 @@ def _run_game_paths(ctx, block, path):
     provider = SumTableProvider(space, constraint,
                                 max([block["n_list"][-1],
                                      *(prior.j_max * n for n in first)]),
-                                measure="q", mode="float")
+                                measure="q")
     predictors = {}
     for tag in block["predictors"]:
         if tag == "maxent":
@@ -283,25 +283,24 @@ _RUNNERS = {
 }
 
 
-def run_config(source, output_dir, mode: str | None = None) -> RunManifest:
+def run_config(source, output_dir) -> RunManifest:
     """Execute every experiment block and write CSVs, summary, and manifest.
 
     Experiments run serially in declaration order.
     """
     config = load_config(source)
-    mode = mode or config.mode
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     canonical = json.dumps(config.raw, sort_keys=True).encode()
     manifest = RunManifest(
         config_hash=hashlib.sha256(canonical).hexdigest(),
-        version=__version__, mode=mode,
+        version=__version__, mode=str(config.mode),
     )
     space, constraint = config.problem.build()
     solution = config.problem.solve()
     ctx = {
         "space": space, "constraint": constraint, "solution": solution,
-        "mode": mode, "summary": [], "manifest": manifest, "tag": "",
+        "mode": config.mode, "summary": [], "manifest": manifest, "tag": "",
     }
     for i, block in enumerate(config.experiments):
         kind = block["kind"]

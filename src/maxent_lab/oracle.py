@@ -15,7 +15,7 @@ from math import lcm
 from .conditional import EventProbabilityResult
 from .errors import EnumerationInfeasibleError, ValidationError
 from .lattice import ConstraintSpec, SampleSpace
-from .sumdist import resolve_measure
+from .sumdist import EXACT, resolve_measure
 
 SIZE_GUARD = 10 ** 7
 EVENT_SIZE_GUARD = 10 ** 6
@@ -64,7 +64,7 @@ def enumerate_oracle(space: SampleSpace, constraint: ConstraintSpec, n: int,
         raise EnumerationInfeasibleError(
             f"enumeration infeasible: event evaluation over {m}^{n} sequences"
         )
-    measure_id, weights = resolve_measure(space, measure, "rational")
+    measure_id, weights = resolve_measure(space, measure, EXACT)
 
     # Own integer scaling, independent of the constraint's derived geometry.
     dim = constraint.dim
@@ -123,8 +123,7 @@ def enumerate_oracle(space: SampleSpace, constraint: ConstraintSpec, n: int,
         if total_c else {}
     results = tuple(
         EventProbabilityResult(
-            n=n, measure_id=measure_id, mode="rational",
-            prob_event=Fraction(num, denom ** n),
+            n=n, measure_id=measure_id, prob_event=Fraction(num, denom ** n),
             prob_joint=Fraction(joint, denom ** n),
             prob_constraint=total_mass,
         )

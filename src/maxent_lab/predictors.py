@@ -168,9 +168,8 @@ def mixture_predictor(provider: SumTableProvider,
                              prior.j_max))
     if not components:
         raise ValidationError("no feasible sizes for the mixture")
-    weights = [prior.mass(j) for j in range(1, len(components) + 1)]
-    if provider.mode == "float":
-        weights = [float(w) for w in weights]
+    weights = [provider.mode.value(prior.mass(j))
+               for j in range(1, len(components) + 1)]
     return MixturePredictor(provider.space, components, weights, "mixture")
 
 

@@ -2,18 +2,19 @@
 
 Tables are indexed by unit coordinates: the scaled sum after n steps equals
 n * offset + span * units, coordinatewise. Every table is one dense array over
-the bounding box of the reachable sums, in either arithmetic: float64 masses,
-or (rational mode) an object array of exact integer numerators. Each rational
-step weight is written a_i / D over D = lcm of the weight denominators, the
-sweep adds and multiplies the a_i, and a table after n steps carries the single
-denominator D**n, applied as a Fraction only when a mass is read out. Float
-tables self-normalize because every step convolves probability masses, so no
-log-domain rescaling is needed at the sizes this package allows.
+the bounding box of the reachable sums, in the run's ``Arithmetic``: ``FLOAT``
+holds float64 masses, ``EXACT`` an object array of exact integer numerators.
+Under ``EXACT`` each step weight is written a_i / D over D = lcm of the weight
+denominators, the sweep adds and multiplies the a_i, and a table after n steps
+carries the single denominator D**n, applied as a Fraction only when a mass is
+read out. Float tables self-normalize because every step convolves probability
+masses, so no log-domain rescaling is needed at the sizes this package allows.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -21,7 +22,7 @@ from operator import sub
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import LatticeBlowupError, ValidationError
 from .lattice import (
     REDUCE_N,
     ConstraintSpec,
@@ -37,62 +38,104 @@ from .lattice import (
 from .solver import MaxEntSolution
 
 
-def resolve_measure(space: SampleSpace, measure, mode: str):
+def _binomial_weight_vector(n: int, nu: int, w: float) -> np.ndarray:
+    """C(n - used, nu) * w^nu for used = 0..n-nu, safe against overflow.
+
+    Uses the exact binomial when it fits a float, otherwise a log-domain
+    start; the ratio chain C(m-1, nu) = C(m, nu) (m - nu) / m fills the rest.
+    """
+    if nu == 0:
+        return np.ones(n + 1)
+    log_start = (math.lgamma(n + 1) - math.lgamma(nu + 1)
+                 - math.lgamma(n - nu + 1) + nu * math.log(w))
+    if log_start > 700.0:
+        raise LatticeBlowupError(
+            "count DP coefficients exceed the float range; reduce n"
+        )
+    m = np.arange(n, nu, -1, dtype=float)
+    try:
+        start = float(math.comb(n, nu)) * math.exp(nu * math.log(w))
+    except OverflowError:
+        # the chain would run below 1/C(n, nu), out of the float range;
+        # from the start value each partial product is a coefficient
+        return np.cumprod(np.concatenate(([math.exp(log_start)], (m - nu) / m)))
+    return start * np.concatenate(([1.0], np.cumprod((m - nu) / m)))
+
+
+def _exact_weight_vector(n: int, nu: int, w: int) -> np.ndarray:
+    """Integer form of ``_binomial_weight_vector``: C(n - used, nu) * w^nu for
+    used = 0..n-nu, as Python ints."""
+    w_nu = w ** nu
+    return np.array([math.comb(n - used, nu) * w_nu
+                     for used in range(n - nu + 1)], dtype=object)
+
+
+def _exact_steps(weights):
+    """The integer numerators a_i over D = lcm(denominators), and 1/D."""
+    denom = math.lcm(*(w.denominator for w in weights))
+    return ([w.numerator * (denom // w.denominator) for w in weights],
+            Fraction(1, denom))
+
+
+@dataclass(frozen=True)
+class Arithmetic:
+    """The arithmetic a run computes its masses in; ``str()`` is its name.
+
+    Tables hold ``dtype``, and a weight w is held as ``value(w)``
+    (``as_fraction`` refuses the projection's float masses). ``steps`` gives
+    the DP step values and the unit u with weights[i] == steps[i] * u, so a
+    value after n steps reads out as value * u**n (u = 1.0 for floats, bit for
+    bit); ``coefficients(n, nu, w)`` is the count DP's C(n - used, nu) * w**nu
+    for used = 0..n-nu.
+    """
+
+    name: str
+    dtype: type
+    value: Callable
+    steps: Callable
+    coefficients: Callable
+
+    def __str__(self) -> str:
+        return self.name
+
+
+FLOAT = Arithmetic("float", np.float64, float, lambda weights: (weights, 1.0),
+                   _binomial_weight_vector)
+EXACT = Arithmetic("rational", object, as_fraction, _exact_steps,
+                   _exact_weight_vector)
+# a config's ``mode`` name -> its arithmetic
+ARITHMETICS = {str(a): a for a in (FLOAT, EXACT)}
+
+
+def resolve_measure(space: SampleSpace, measure, mode: Arithmetic):
     """Normalize a measure argument to (measure_id, per-outcome weights).
 
-    Accepts 'q' (the prior), a MaxEntSolution (float mode only), or a
-    ``(tag, weights)`` pair with exact rationals in rational mode.
+    Accepts 'q' (the prior), a MaxEntSolution (``FLOAT`` only), or a
+    ``(tag, weights)`` pair, of exact rationals under ``EXACT``.
     """
     if measure == "q":
         measure_id, weights = "q", space.prior_fractions
     elif isinstance(measure, MaxEntSolution):
-        if mode == "rational":
-            raise ValidationError("the projection has irrational masses; "
-                                  "rational mode needs a rational measure")
         measure_id, weights = measure.measure_id, measure.pmf
     elif isinstance(measure, tuple) and len(measure) == 2:
-        tag, weights = measure
-        weights = list(weights)
-        if len(weights) != space.size:
-            raise ValidationError("measure weights must match the outcome count")
-        measure_id = str(tag)
+        measure_id, weights = str(measure[0]), measure[1]
     else:
         raise ValidationError(f"cannot interpret measure {measure!r}")
-    if mode == "rational":
-        return measure_id, [as_fraction(w) for w in weights]
-    return measure_id, [float(w) for w in weights]
+    weights = [mode.value(w) for w in weights]
+    if len(weights) != space.size:
+        raise ValidationError("measure weights must match the outcome count")
+    return measure_id, weights
 
 
-def step_weights(weights, mode: str):
-    """Per-step DP weights and the unit u with weights[i] == steps[i] * u.
-
-    In rational mode the steps are the integer numerators a_i over
-    D = lcm(denominators) and u = Fraction(1, D), so a DP adds and multiplies
-    plain ints and a value after n steps reads out exactly as value * u**n.
-    Float weights pass through with u = 1.0, which leaves float results bit
-    for bit unchanged.
-    """
-    if mode == "rational":
-        denom = math.lcm(*(w.denominator for w in weights))
-        return ([w.numerator * (denom // w.denominator) for w in weights],
-                Fraction(1, denom))
-    return weights, 1.0
-
-
-def _one_step_cells(constraint: ConstraintSpec, weights, mode: str):
+def _one_step_cells(constraint: ConstraintSpec, weights, mode: Arithmetic):
     """Distinct unit cells of one step with their summed step weights, and
-    the step unit (see ``step_weights``)."""
-    steps, unit = step_weights(weights, mode)
+    the step unit (see ``Arithmetic.steps``)."""
+    steps, unit = mode.steps(weights)
     agg: dict = {}
     for u, w in zip(constraint.units, steps):
         prev = agg.get(u)
         agg[u] = w if prev is None else prev + w
     return sorted(agg.items()), unit
-
-
-# dtype of the stored table values per arithmetic: float64 masses, or Python
-# int numerators over D**n
-TABLE_DTYPE = {"float": np.float64, "rational": object}
 
 
 def _dense_step(table: np.ndarray, shape_new, cells) -> np.ndarray:
@@ -132,14 +175,14 @@ class SumDistribution:
     """Distribution of the n-step unit-sum vector under one product measure.
 
     The table stores values whose masses are value * scale: integer
-    numerators with scale Fraction(1, D**n) in rational mode, floats with
-    scale 1.0 otherwise. Index i of the table is unit cell origin + i; a
+    numerators with scale Fraction(1, D**n) under ``EXACT``, floats with
+    scale 1.0 under ``FLOAT``. Index i of the table is unit cell origin + i; a
     windowed sweep keeps a table that does not start at the zero cell.
     """
 
     n: int
     measure_id: str
-    mode: str
+    mode: Arithmetic
     constraint: ConstraintSpec
     table: np.ndarray
     scale: object
@@ -171,16 +214,16 @@ class SumDistribution:
             yield u, self._mass(m)
 
 
-def _initial(constraint: ConstraintSpec, measure_id: str, mode: str,
+def _initial(constraint: ConstraintSpec, measure_id: str, mode: Arithmetic,
              unit) -> SumDistribution:
     """The empty sum: stored value 1 at the origin, with scale unit**0."""
-    table = np.ones((1,) * constraint.dim, dtype=TABLE_DTYPE[mode])
+    table = np.ones((1,) * constraint.dim, dtype=mode.dtype)
     return SumDistribution(n=0, measure_id=measure_id, mode=mode,
                            constraint=constraint, table=table, scale=unit ** 0,
                            origin=(0,) * constraint.dim)
 
 
-def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str,
+def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: Arithmetic,
            horizon: int | None = None):
     """Yield the sum tables for n = 0, 1, 2, ... under one measure.
 
@@ -204,7 +247,7 @@ def _sweep(constraint: ConstraintSpec, measure_id: str, weights, mode: str,
 
 
 def sum_distribution(space: SampleSpace, constraint: ConstraintSpec, n: int,
-                     measure="q", mode: str = "float") -> SumDistribution:
+                     measure="q", mode: Arithmetic = FLOAT) -> SumDistribution:
     """Distribution of the n-step statistic sum by successive convolution."""
     if n < 0:
         raise ValidationError("n must be >= 0")
@@ -229,7 +272,7 @@ def convolve(a: SumDistribution, b: SumDistribution) -> SumDistribution:
 
 
 def constraint_prob(space: SampleSpace, constraint: ConstraintSpec, n: int,
-                    measure="q", mode: str = "float"):
+                    measure="q", mode: Arithmetic = FLOAT):
     """Probability that the n-sample average of the statistic is on target.
 
     Zero (not an error) for infeasible n, so sweeps over n stay uninterrupted.
@@ -241,7 +284,7 @@ def constraint_prob(space: SampleSpace, constraint: ConstraintSpec, n: int,
 
 
 def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
-                   measure="q", mode: str = "float") -> list:
+                   measure="q", mode: Arithmetic = FLOAT) -> list:
     """Constraint probabilities for every n up to n_max in one sweep.
 
     Keeps only the running table, so memory stays at one table of the largest
@@ -257,7 +300,7 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
 
 
 def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
-                    measure="q", mode: str = "float") -> list:
+                    measure="q", mode: Arithmetic = FLOAT) -> list:
     """``central_series`` from tables cut to their ``lattice._window``, bit
     for bit. Its largest step, from the widest window at n_max // 2 (widths
     are concave in m and equal at n_max - m), is checked before it sweeps."""
@@ -287,7 +330,7 @@ class SumTableProvider(_WindowCache):
     """
 
     def __init__(self, space: SampleSpace, constraint: ConstraintSpec,
-                 horizon: int, measure="q", mode: str = "float"):
+                 horizon: int, measure="q", mode: Arithmetic = FLOAT):
         self.mode = mode
         self.space = space
         self.measure_id, self.weights = resolve_measure(space, measure, mode)

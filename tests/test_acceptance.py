@@ -37,6 +37,7 @@ from maxent_lab import (
 )
 from maxent_lab.config import load_config
 from maxent_lab.fixtures import fixture_names, load_fixture
+from maxent_lab.sumdist import EXACT
 
 from conftest import BRANDEIS_MASSES, fold_last
 
@@ -120,9 +121,9 @@ def test_c04_theorem1_equality(dice, dice_constraint, coin, coin_constraint,
             Fraction(1, 4), [Fraction(1, space.size)] * space.size)
         for n in range(1, 11):
             under_p = conditional_event_prob(space, constraint, event, n,
-                                             measure=tilt, mode="rational")
+                                             measure=tilt, mode=EXACT)
             under_q = conditional_event_prob(space, constraint, event, n,
-                                             measure="q", mode="rational")
+                                             measure="q", mode=EXACT)
             if under_q.prob_constraint == 0:
                 continue
             exact_ok &= (under_p.prob_joint * under_q.prob_constraint ==
@@ -262,7 +263,7 @@ def test_c12_property_suites(dice, dice_constraint, coin, coin_constraint,
 
     # prefix consistency, exact, exhaustive to length 6
     mixture = mixture_predictor(
-        SumTableProvider(coin, coin_constraint, 6, mode="rational"),
+        SumTableProvider(coin, coin_constraint, 6, mode=EXACT),
         rissanen_prior(3))
     for m in range(1, 7):
         total = sum(math.prod(mixture.masses(seq))
@@ -272,15 +273,15 @@ def test_c12_property_suites(dice, dice_constraint, coin, coin_constraint,
 
     # convolution consistency, exact
     for n1, n2 in ((1, 2), (3, 3), (2, 4)):
-        a = sum_distribution(dice, dice_constraint, n1, mode="rational")
-        b = sum_distribution(dice, dice_constraint, n2, mode="rational")
+        a = sum_distribution(dice, dice_constraint, n1, mode=EXACT)
+        b = sum_distribution(dice, dice_constraint, n2, mode=EXACT)
         direct = sum_distribution(dice, dice_constraint, n1 + n2,
-                                  mode="rational")
+                                  mode=EXACT)
         ok &= dict(convolve(a, b).items()) == dict(direct.items())
     notes.append("convolution")
 
     # tower property, exact
-    exact = SumTableProvider(dice, dice_constraint, 6, mode="rational")
+    exact = SumTableProvider(dice, dice_constraint, 6, mode=EXACT)
     larger = conditional_marginal(exact, 2, 6)
     smaller = conditional_marginal(exact, 1, 6)
     ok &= fold_last(larger.masses) == smaller.masses

@@ -21,6 +21,7 @@ from maxent_lab import (
     solve_maxent,
 )
 from maxent_lab.errors import ValidationError
+from maxent_lab.sumdist import EXACT
 
 
 def exact_central_binomial(n):
@@ -149,9 +150,9 @@ class TestTheoremOneChecks:
                                              [Fraction(1, 6)] * 6)
         for n in (2, 4, 6, 8, 10):
             under_p = conditional_event_prob(dice, dice_constraint, event, n,
-                                             measure=tilt, mode="rational")
+                                             measure=tilt, mode=EXACT)
             under_q = conditional_event_prob(dice, dice_constraint, event, n,
-                                             measure="q", mode="rational")
+                                             measure="q", mode=EXACT)
             # P(A and C) = P(C) * Q(A | C), exactly
             assert under_p.prob_joint * under_q.prob_constraint == \
                 under_p.prob_constraint * under_q.prob_joint

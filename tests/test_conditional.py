@@ -13,12 +13,12 @@ from maxent_lab import (
     enumerate_oracle,
 )
 from maxent_lab import lattice
-from maxent_lab.conditional import _binomial_weight_vector
 from maxent_lab.errors import (
     EnumerationInfeasibleError,
     LatticeBlowupError,
     ValidationError,
 )
+from maxent_lab.sumdist import EXACT, FLOAT, _binomial_weight_vector
 
 from conftest import BRANDEIS_MASSES, fold_last
 
@@ -49,7 +49,7 @@ class TestFrequencyDeviation:
         event = FrequencyDeviationEvent.make(Fraction(3, 10),
                                              list(BRANDEIS_MASSES))
         oracle = enumerate_oracle(dice, dice_constraint, 4, events=[event])
-        for mode in ("rational", "float"):
+        for mode in (EXACT, FLOAT):
             dp = conditional_event_prob(dice, dice_constraint, event, 4,
                                         mode=mode)
             want = oracle.event_results[0]
@@ -65,7 +65,7 @@ class TestFrequencyDeviation:
                                              [Fraction(1, 6)] * 6)
         oracle = enumerate_oracle(dice, dice_constraint, 4, events=[event])
         dp = conditional_event_prob(dice, dice_constraint, event, 4,
-                                    mode="rational")
+                                    mode=EXACT)
         assert dp.prob_event == oracle.event_results[0].prob_event
         assert dp.prob_joint == oracle.event_results[0].prob_joint
 
@@ -73,7 +73,7 @@ class TestFrequencyDeviation:
         # the count DP at n = 10**4 holds 10001 x 50001 cells per table
         event = FrequencyDeviationEvent.make(Fraction(1, 5),
                                              [Fraction(1, 6)] * 6)
-        for mode in ("float", "rational"):
+        for mode in (FLOAT, EXACT):
             with pytest.raises(LatticeBlowupError):
                 conditional_event_prob(dice, dice_constraint, event, 10 ** 4,
                                        mode=mode)
@@ -98,7 +98,7 @@ class TestFrequencyDeviation:
                                              [Fraction(1, 4)] * 4)
         oracle = enumerate_oracle(pair, pair_constraint, 6, events=[event])
         dp = conditional_event_prob(pair, pair_constraint, event, 6,
-                                    mode="rational")
+                                    mode=EXACT)
         assert dp.prob_event == oracle.event_results[0].prob_event
         assert dp.prob_joint == oracle.event_results[0].prob_joint
 
@@ -109,7 +109,7 @@ class TestBoxEvent:
                               [10], [14])
         oracle = enumerate_oracle(dice, dice_constraint, 3, events=[event])
         dp = conditional_event_prob(dice, dice_constraint, event, 3,
-                                    mode="rational")
+                                    mode=EXACT)
         assert dp.prob_event == oracle.event_results[0].prob_event
         assert dp.prob_joint == oracle.event_results[0].prob_joint
 
@@ -118,9 +118,9 @@ class TestBoxEvent:
         outside = BoxEvent.make([[x] for x in range(1, 7)], [3], [4],
                                 inside=False)
         a = conditional_event_prob(dice, dice_constraint, inside, 4,
-                                   mode="rational")
+                                   mode=EXACT)
         b = conditional_event_prob(dice, dice_constraint, outside, 4,
-                                   mode="rational")
+                                   mode=EXACT)
         assert a.prob_event + b.prob_event == 1
         assert a.prob_joint + b.prob_joint == a.prob_constraint
 
@@ -128,7 +128,7 @@ class TestBoxEvent:
         event = BoxEvent.make([[x] for x in range(1, 7)], [None], [3])
         oracle = enumerate_oracle(dice, dice_constraint, 4, events=[event])
         dp = conditional_event_prob(dice, dice_constraint, event, 4,
-                                    mode="rational")
+                                    mode=EXACT)
         assert dp.prob_event == oracle.event_results[0].prob_event
 
 
@@ -138,7 +138,7 @@ class TestBigramDeviation:
         event = BigramDeviationEvent.make(4, 5, Fraction(1, 4))
         oracle = enumerate_oracle(dice, dice_constraint, n, events=[event])
         dp = conditional_event_prob(dice, dice_constraint, event, n,
-                                    mode="rational")
+                                    mode=EXACT)
         assert dp.prob_event == oracle.event_results[0].prob_event
         assert dp.prob_joint == oracle.event_results[0].prob_joint
         assert dp.prob_constraint == oracle.prob_constraint
@@ -149,7 +149,7 @@ class TestBigramDeviation:
         cons = derive_lattice([[4], [5]], [Fraction(9, 2)])
         event = BigramDeviationEvent.make(4, 5, Fraction(1, 4))
         oracle = enumerate_oracle(space, cons, 6, events=[event])
-        dp = conditional_event_prob(space, cons, event, 6, mode="rational")
+        dp = conditional_event_prob(space, cons, event, 6, mode=EXACT)
         assert dp.prob_event == oracle.event_results[0].prob_event
         assert dp.prob_joint == oracle.event_results[0].prob_joint
 
@@ -157,7 +157,7 @@ class TestBigramDeviation:
 class TestConditionalMarginal:
     def test_coin_symmetry(self, coin, coin_constraint):
         marg = conditional_marginal(
-            SumTableProvider(coin, coin_constraint, 2, mode="rational"), 1, 2)
+            SumTableProvider(coin, coin_constraint, 2, mode=EXACT), 1, 2)
         assert marg.masses == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
 
     def test_rows_are_distributions(self, dice, dice_constraint):
@@ -167,7 +167,7 @@ class TestConditionalMarginal:
             assert sum(marg.masses.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_tower_property_exact(self, dice, dice_constraint):
-        provider = SumTableProvider(dice, dice_constraint, 6, mode="rational")
+        provider = SumTableProvider(dice, dice_constraint, 6, mode=EXACT)
         larger = conditional_marginal(provider, 2, 6)
         smaller = conditional_marginal(provider, 1, 6)
         assert fold_last(larger.masses) == smaller.masses
@@ -184,7 +184,7 @@ class TestConditionalMarginal:
         oracle = enumerate_oracle(dice, dice_constraint, 6)
         want = oracle.marginal(2)
         got = conditional_marginal(
-            SumTableProvider(dice, dice_constraint, 6, mode="rational"), 2, 6)
+            SumTableProvider(dice, dice_constraint, 6, mode=EXACT), 2, 6)
         for key, mass in want.items():
             assert got.masses[key] == mass
         total_on_support = sum(want.values())
@@ -220,12 +220,12 @@ class TestConditionalMarginal:
         # prefix weights and suffix tables both come from the one provider
         tilt = ("tilt", [Fraction(i, 21) for i in range(1, 7)])
         tables = SumTableProvider(dice, dice_constraint, 4, measure=tilt,
-                                  mode="rational")
+                                  mode=EXACT)
         got = conditional_marginal(tables, 1, 4)
-        assert (got.measure_id, got.mode) == ("tilt", "rational")
+        assert got.measure_id == "tilt"
         assert sum(got.masses.values()) == 1
         assert all(isinstance(m, Fraction) for m in got.masses.values())
         floats = conditional_marginal(SumTableProvider(dice, dice_constraint, 4),
                                       1, 4)
-        assert (floats.measure_id, floats.mode) == ("q", "float")
+        assert floats.measure_id == "q"
         assert all(isinstance(m, float) for m in floats.masses.values())

@@ -9,6 +9,7 @@ from maxent_lab.config import load_config, validate_config
 from maxent_lab.errors import ValidationError
 from maxent_lab.experiments import run_config
 from maxent_lab.fixtures import fixture_names, load_fixture
+from maxent_lab.sumdist import EXACT, FLOAT
 
 MINIMAL = {
     "problem": {
@@ -94,6 +95,15 @@ class TestLoadConfig:
         assert k_float["K"] == [2.5]
         # the raw config, which the run hashes, is left as written
         assert json.dumps(raw, sort_keys=True) == before
+
+    def test_mode_names_an_arithmetic(self):
+        assert load_config(_with()).mode is FLOAT
+        assert load_config(_with(mode="float")).mode is FLOAT
+        assert load_config(_with(mode="rational")).mode is EXACT
+        for name in ("decimal", "Rational", ["float"], None):
+            with pytest.raises(ValidationError,
+                               match="mode must be 'float' or 'rational'"):
+                load_config(_with(mode=name))
 
     def test_unsorted_n_list_rejected(self):
         with pytest.raises(ValidationError):
@@ -299,6 +309,22 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
+
+    def test_unknown_mode_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "decimal.json"
+        path.write_text(json.dumps(_with(mode="decimal")))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert "mode must be 'float' or 'rational'" in capsys.readouterr().err
+        assert main(["validate", "-c", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_mode_option_replaces_the_config_mode(self, tmp_path):
+        # the brandeis fixture says "float"; --mode names the run's arithmetic
+        out = tmp_path / "out"
+        assert main(["fixtures", "run", "brandeis", "-o", str(out),
+                     "--mode", "rational"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["mode"] == "rational"
 
     @pytest.mark.parametrize("block", [
         {"kind": "concentrate", "n_list": [2], "tv_m": "2"},

@@ -23,17 +23,13 @@ from maxent_lab import (
     derive_lattice,
     sumdist,
 )
-from maxent_lab.conditional import (
-    _binomial_weight_vector,
-    _exact_weight_vector,
-)
 from maxent_lab.lattice import (
     LatticeGeometry,
     _check_budget,
     _dense_shape,
     _shift_combine,
 )
-from maxent_lab.sumdist import TABLE_DTYPE, resolve_measure, step_weights
+from maxent_lab.sumdist import EXACT, FLOAT, resolve_measure
 
 # ---------------------------------------------------------------------------
 # Reference kernels: the straightforward versions, kept as they were written
@@ -64,16 +60,14 @@ def _freq_layer(constraint, n, weights, bounds, mode):
     shape_t = _dense_shape(n, constraint.unit_max)
     shape = (n + 1,) + shape_t
     _check_budget(shape, f"frequency count DP at n={n}")
-    coefficients = _exact_weight_vector if mode == "rational" \
-        else _binomial_weight_vector
-    table = np.zeros(shape, dtype=TABLE_DTYPE[mode])
+    table = np.zeros(shape, dtype=mode.dtype)
     table[(0,) + (0,) * constraint.dim] = 1
     for u, w, (lo, hi) in zip(constraint.units, weights, bounds):
         if lo > hi:
             return 0, 0
         new = np.zeros_like(table)
         for nu in range(lo, hi + 1):
-            coef = coefficients(n, nu, w)
+            coef = mode.coefficients(n, nu, w)
             # cells whose shift would leave the table carry zero mass anyway
             dst = tuple(slice(nu * uj, s) for uj, s in zip(u, shape_t))
             src = tuple(slice(0, s - nu * uj) for uj, s in zip(u, shape_t))
@@ -89,7 +83,7 @@ def _freq_layer(constraint, n, weights, bounds, mode):
 
 def _box_event(space, constraint, event: BoxEvent, n, weights, mode):
     geometry = LatticeGeometry.from_values(event.statistic, allow_constant=True)
-    steps, unit = step_weights(weights, mode)
+    steps, unit = mode.steps(weights)
     cells = []
     for ut, us, w in zip(constraint.units, geometry.units, steps):
         cells.append((ut + us, w))
@@ -122,7 +116,7 @@ def _box_event(space, constraint, event: BoxEvent, n, weights, mode):
 def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights, mode):
     ij = space.index(event.j)
     ijp = space.index(event.jprime)
-    steps, unit = step_weights(weights, mode)
+    steps, unit = mode.steps(weights)
     # state: T-units, count_j, count_jprime, bigram count, last-symbol-is-jprime
     start = (0,) * constraint.dim + (0, 0, 0, 0)
     table = {start: 1}
@@ -187,7 +181,7 @@ def problems(draw):
     target = [Fraction(sum(values[i][j] for i in block), len(block))
               for j in range(k)]
     constraint = derive_lattice(values, target)
-    mode = draw(st.sampled_from(["float", "rational"]))
+    mode = draw(st.sampled_from([FLOAT, EXACT]))
     measure = "q"
     if draw(st.booleans()):
         pool = draw(st.lists(weights_st, min_size=1, max_size=3))
@@ -210,7 +204,7 @@ def _same(got, want):
 @given(problems(), st.integers(1, 7), st.data())
 def test_count_dp_matches_reference(problem, n, data):
     space, constraint, mode, weights = problem
-    steps, _ = step_weights(weights, mode)
+    steps, _ = mode.steps(weights)
     # some bounds have lo > hi, which empties the event
     bounds = data.draw(st.lists(
         st.tuples(st.integers(0, n + 1), st.integers(-1, n)),
@@ -256,7 +250,7 @@ def test_bigram_event_matches_reference(problem, n, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3), st.sampled_from(["float", "rational"]), st.data())
+@given(st.integers(1, 3), st.sampled_from([FLOAT, EXACT]), st.data())
 def test_dense_step_matches_reference(k, mode, data):
     shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
     units = data.draw(st.lists(
@@ -264,12 +258,12 @@ def test_dense_step_matches_reference(k, mode, data):
         unique=True))
     # weights from a pool of two, e.g. [a, b, a]: runs repeat and interleave
     pool = data.draw(st.lists(
-        st.floats(1e-3, 1.0) if mode == "float" else st.integers(1, 9),
+        st.floats(1e-3, 1.0) if mode is FLOAT else st.integers(1, 9),
         min_size=2, max_size=2))
     cells = [(u, pool[data.draw(st.integers(0, 1))]) for u in units]
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     values = rng.random(shape) * (rng.random(shape) < 0.7)
-    table = values if mode == "float" else \
+    table = values if mode is FLOAT else \
         np.array((values * 1000).astype(int).tolist(), dtype=object)
     shape_new = tuple(s + max(u[j] for u in units)
                       for j, s in enumerate(shape))

@@ -24,6 +24,7 @@ from maxent_lab import (
     enumerate_oracle,
     sum_distribution,
 )
+from maxent_lab.sumdist import EXACT
 
 weights_st = st.builds(Fraction, st.integers(1, 9), st.integers(2, 12))
 
@@ -68,25 +69,25 @@ def _measure_weights(measure, space):
 def test_sum_tables_match_oracle(problem):
     space, constraint, measure, n = problem
     series = central_series(space, constraint, n, measure=measure,
-                            mode="rational")
+                            mode=EXACT)
     assert all(_exact(v) for v in series)
     for size in range(1, n + 1):
         want = enumerate_oracle(space, constraint, size,
                                 measure=measure).prob_constraint
         assert series[size] == want
         table = sum_distribution(space, constraint, size, measure=measure,
-                                 mode="rational")
+                                 mode=EXACT)
         assert _exact(table.mass_at_target())
         assert table.mass_at_target() == want
     direct = sum_distribution(space, constraint, n, measure=measure,
-                              mode="rational")
+                              mode=EXACT)
     assert sum(m for _, m in direct.items()) == \
         sum(_measure_weights(measure, space)) ** n
     for n1 in range(n + 1):
         a = sum_distribution(space, constraint, n1, measure=measure,
-                             mode="rational")
+                             mode=EXACT)
         b = sum_distribution(space, constraint, n - n1, measure=measure,
-                             mode="rational")
+                             mode=EXACT)
         joined = convolve(a, b)
         assert _exact(joined.mass_at_target())
         assert joined.mass_at_target() == series[n]
@@ -115,7 +116,7 @@ def test_event_probabilities_match_oracle(problem, data):
                               events=events)
     for event, want in zip(events, oracle.event_results):
         got = conditional_event_prob(space, constraint, event, n,
-                                     measure=measure, mode="rational")
+                                     measure=measure, mode=EXACT)
         for field in ("prob_event", "prob_joint", "prob_constraint"):
             assert _exact(getattr(got, field))
             assert getattr(got, field) == getattr(want, field)
@@ -130,7 +131,7 @@ def test_conditional_marginal_matches_oracle(problem, m):
     assume(oracle.prob_constraint != 0)
     got = conditional_marginal(
         SumTableProvider(space, constraint, n, measure=measure,
-                         mode="rational"),
+                         mode=EXACT),
         m, n)
     want = oracle.marginal(m)
     assert all(_exact(v) for v in got.masses.values())

@@ -23,6 +23,7 @@ from maxent_lab import (
     rissanen_prior,
 )
 from maxent_lab.errors import ValidationError
+from maxent_lab.sumdist import EXACT
 
 from conftest import BRANDEIS_MASSES
 from test_window import problems
@@ -30,7 +31,7 @@ from test_window import problems
 
 def _exact(space, constraint, horizon):
     """Rational sum tables of the prior to ``horizon``."""
-    return SumTableProvider(space, constraint, horizon, mode="rational")
+    return SumTableProvider(space, constraint, horizon, mode=EXACT)
 
 
 class TestMaxentPredictor:
@@ -66,7 +67,7 @@ class TestConditionedPrior:
         n = 4
         predictor = conditioned_prior_predictor(
             _exact(dice, dice_constraint, n), n)
-        prob_c = constraint_prob(dice, dice_constraint, n, mode="rational")
+        prob_c = constraint_prob(dice, dice_constraint, n, mode=EXACT)
         for seq in enumerate_constraint_sequences(dice, dice_constraint, n)[:20]:
             mass_q = Fraction(1, 6 ** n)
             want = -(math.log2(mass_q.numerator) - math.log2(mass_q.denominator)) \
@@ -103,7 +104,7 @@ def test_conditioned_prior_matches_the_oracle(problem, n):
     # its conditional mass given C_n, zero off the constraint set
     space, constraint, measure, _ = problem
     provider = SumTableProvider(space, constraint, n, measure=measure,
-                                mode="rational")
+                                mode=EXACT)
     oracle = enumerate_oracle(space, constraint, n, measure=measure)
     if oracle.prob_constraint == 0:
         with pytest.raises(ValidationError):

@@ -27,6 +27,7 @@ from maxent_lab import (
     rissanen_prior,
 )
 from maxent_lab.errors import ValidationError
+from maxent_lab.sumdist import FLOAT
 
 from test_window import _exact, _narrowed, problems
 
@@ -95,4 +96,4 @@ def test_a_narrowed_provider_window_is_caught(side, monkeypatch, coin,
     monkeypatch.setattr(lattice, "_window", _narrowed(side))
     for space, constraint in ((coin, coin_constraint), (dice, dice_constraint)):
         with pytest.raises((AssertionError, ValidationError)):
-            _agree((space, constraint, "q", "float"), 4, 1)
+            _agree((space, constraint, "q", FLOAT), 4, 1)

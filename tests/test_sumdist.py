@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxent_lab import (
+    BoxEvent,
     SumTableProvider,
     build_space,
     central_series,
+    conditional_event_prob,
     constraint_prob,
     convolve,
     derive_lattice,
@@ -16,18 +18,19 @@ from maxent_lab import (
 )
 from maxent_lab import sumdist
 from maxent_lab.errors import LatticeBlowupError, ValidationError
+from maxent_lab.sumdist import EXACT, FLOAT
 
 
 class TestSumDistribution:
     def test_coin_three_steps_binomial(self, coin, coin_constraint):
-        sd = sum_distribution(coin, coin_constraint, 3, mode="rational")
+        sd = sum_distribution(coin, coin_constraint, 3, mode=EXACT)
         assert dict(sd.items()) == {
             (0,): Fraction(1, 8), (1,): Fraction(3, 8),
             (2,): Fraction(3, 8), (3,): Fraction(1, 8),
         }
 
     def test_empty_sum_is_point_mass(self, dice, dice_constraint):
-        sd = sum_distribution(dice, dice_constraint, 0, mode="rational")
+        sd = sum_distribution(dice, dice_constraint, 0, mode=EXACT)
         assert dict(sd.items()) == {(0,): Fraction(1)}
         assert sd.mass_at_target() == 1
 
@@ -35,14 +38,14 @@ class TestSumDistribution:
         # oracle: direct enumeration of the 36 ordered pairs
         pairs = sum(1 for a, b in itertools.product(range(1, 7), repeat=2)
                     if a + b == 9)
-        sd = sum_distribution(dice, dice_constraint, 2, mode="rational")
+        sd = sum_distribution(dice, dice_constraint, 2, mode=EXACT)
         # unit coordinates: sum 9 sits at 9 - 2*offset
         assert sd.mass_units((9 - 2,)) == Fraction(pairs, 36)
         assert pairs == 4
 
     def test_float_matches_rational(self, dice, dice_constraint):
-        exact = sum_distribution(dice, dice_constraint, 6, mode="rational")
-        numeric = sum_distribution(dice, dice_constraint, 6, mode="float")
+        exact = sum_distribution(dice, dice_constraint, 6, mode=EXACT)
+        numeric = sum_distribution(dice, dice_constraint, 6, mode=FLOAT)
         for units, mass in exact.items():
             assert numeric.mass_units(units) == pytest.approx(float(mass),
                                                               rel=1e-12)
@@ -50,7 +53,7 @@ class TestSumDistribution:
     def test_total_mass(self, dice, dice_constraint):
         numeric = sum_distribution(dice, dice_constraint, 7)
         assert sum(m for _, m in numeric.items()) == pytest.approx(1.0, abs=1e-9)
-        exact = sum_distribution(dice, dice_constraint, 5, mode="rational")
+        exact = sum_distribution(dice, dice_constraint, 5, mode=EXACT)
         assert sum(m for _, m in exact.items()) == 1
 
     def test_maxent_measure(self, dice, dice_constraint, dice_solution):
@@ -63,31 +66,31 @@ class TestSumDistribution:
 class TestConstraintProb:
     def test_coin_half(self, coin, coin_constraint):
         assert constraint_prob(coin, coin_constraint, 2,
-                               mode="rational") == Fraction(1, 2)
+                               mode=EXACT) == Fraction(1, 2)
 
     def test_infeasible_size_is_zero(self, dice, dice_constraint):
         assert constraint_prob(dice, dice_constraint, 1) == 0.0
         assert constraint_prob(dice, dice_constraint, 3,
-                               mode="rational") == Fraction(0)
+                               mode=EXACT) == Fraction(0)
 
     def test_dice_pair(self, dice, dice_constraint):
         assert constraint_prob(dice, dice_constraint, 2,
-                               mode="rational") == Fraction(1, 9)
+                               mode=EXACT) == Fraction(1, 9)
 
 
 class TestConvolution:
     @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 3), (4, 2)])
     def test_exact_consistency(self, dice, dice_constraint, n1, n2):
-        a = sum_distribution(dice, dice_constraint, n1, mode="rational")
-        b = sum_distribution(dice, dice_constraint, n2, mode="rational")
+        a = sum_distribution(dice, dice_constraint, n1, mode=EXACT)
+        b = sum_distribution(dice, dice_constraint, n2, mode=EXACT)
         direct = sum_distribution(dice, dice_constraint, n1 + n2,
-                                  mode="rational")
+                                  mode=EXACT)
         assert dict(convolve(a, b).items()) == dict(direct.items())
 
     def test_exact_consistency_multidim(self, pair, pair_constraint):
-        a = sum_distribution(pair, pair_constraint, 2, mode="rational")
-        b = sum_distribution(pair, pair_constraint, 3, mode="rational")
-        direct = sum_distribution(pair, pair_constraint, 5, mode="rational")
+        a = sum_distribution(pair, pair_constraint, 2, mode=EXACT)
+        b = sum_distribution(pair, pair_constraint, 3, mode=EXACT)
+        direct = sum_distribution(pair, pair_constraint, 5, mode=EXACT)
         assert dict(convolve(a, b).items()) == dict(direct.items())
 
     def test_float_consistency(self, dice, dice_constraint):
@@ -105,10 +108,10 @@ class TestConvolution:
         space = build_space("abcd", [1, 2, 3, 4])
         cons = derive_lattice([[0], [1], [3], [6]], [2])
         tilt = ("tilt", rational_tilt(space, cons, [Fraction(3, 5)]))
-        a = sum_distribution(space, cons, n1, measure=tilt, mode="rational")
-        b = sum_distribution(space, cons, n2, measure=tilt, mode="rational")
+        a = sum_distribution(space, cons, n1, measure=tilt, mode=EXACT)
+        b = sum_distribution(space, cons, n2, measure=tilt, mode=EXACT)
         direct = sum_distribution(space, cons, n1 + n2, measure=tilt,
-                                  mode="rational")
+                                  mode=EXACT)
         assert dict(convolve(a, b).items()) == dict(direct.items())
 
 
@@ -120,7 +123,7 @@ class TestCentralSeries:
                 constraint_prob(dice, dice_constraint, n), rel=1e-12)
 
     def test_rational_mode(self, coin, coin_constraint):
-        series = central_series(coin, coin_constraint, 4, mode="rational")
+        series = central_series(coin, coin_constraint, 4, mode=EXACT)
         assert series == [1, Fraction(0), Fraction(1, 2), Fraction(0),
                           Fraction(3, 8)]
 
@@ -129,9 +132,24 @@ class TestGuards:
     def test_cell_budget(self, pair, pair_constraint):
         # both arithmetics refuse the final table size (about 1e10 cells)
         # before building any table
-        for mode in ("float", "rational"):
+        for mode in (FLOAT, EXACT):
             with pytest.raises(LatticeBlowupError):
                 sum_distribution(pair, pair_constraint, 10 ** 5, mode=mode)
+
+    def test_exact_arithmetic_refuses_the_projection(self, dice, dice_constraint,
+                                                     dice_solution):
+        # the projection's masses are floats, which an exact weight refuses
+        event = BoxEvent.make([[x] for x in range(1, 7)], [3], [4])
+        for build in (
+                lambda: sum_distribution(dice, dice_constraint, 2,
+                                         measure=dice_solution, mode=EXACT),
+                lambda: SumTableProvider(dice, dice_constraint, 2,
+                                         measure=dice_solution, mode=EXACT),
+                lambda: conditional_event_prob(dice, dice_constraint, event, 2,
+                                               measure=dice_solution,
+                                               mode=EXACT)):
+            with pytest.raises(ValidationError, match="exact rational"):
+                build()
 
     def test_negative_n(self, dice, dice_constraint):
         with pytest.raises(ValidationError):
@@ -166,5 +184,5 @@ class TestProvider:
             assert provider.mass(5, units) == pytest.approx(mass, rel=1e-12)
 
     def test_rational_provider(self, coin, coin_constraint):
-        provider = SumTableProvider(coin, coin_constraint, 4, mode="rational")
+        provider = SumTableProvider(coin, coin_constraint, 4, mode=EXACT)
         assert provider.mass(4, (2,)) == Fraction(6, 16)

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from maxent_lab import SumTableProvider, lattice, sumdist
 from maxent_lab.lattice import _layout, _Reach, _reach_sweep, _window
-from maxent_lab.sumdist import _central_masses
+from maxent_lab.sumdist import EXACT, FLOAT, _central_masses
 
 from test_window import _exact, problems
 
@@ -31,7 +31,7 @@ def test_windowed_sweeps_pad_only_the_size_0_table(problem, horizon):
     kernel = lattice._shift_combine
     sweeps = [sumdist._sweep(constraint,
                              *sumdist.resolve_measure(space, "q", mode), mode,
-                             horizon) for mode in ("float", "rational")]
+                             horizon) for mode in (FLOAT, EXACT)]
     sweeps.append(_reach_sweep(constraint, horizon))
     for sweep in sweeps:
         laid_out = []

@@ -27,6 +27,7 @@ from maxent_lab import (
 )
 from maxent_lab.errors import LatticeBlowupError
 from maxent_lab.lattice import _layout, _window
+from maxent_lab.sumdist import EXACT, FLOAT
 
 weights_st = st.builds(Fraction, st.integers(1, 9), st.integers(2, 12))
 
@@ -48,9 +49,9 @@ def problems(draw):
     target = [Fraction(sum(values[i][j] for i in block), len(block))
               for j in range(k)]
     constraint = derive_lattice(values, target)
-    mode = draw(st.sampled_from(["float", "rational"]))
+    mode = draw(st.sampled_from([FLOAT, EXACT]))
     measure = "q"
-    if mode == "rational" and draw(st.booleans()):
+    if mode is EXACT and draw(st.booleans()):
         measure = ("tilt", draw(st.lists(weights_st, min_size=size,
                                          max_size=size)))
     return space, constraint, measure, mode
@@ -120,7 +121,7 @@ def test_walk_matches_brute_force_and_representative(problem, n):
 def test_provider_raises_again_after_a_sparse_blowup(dice, dice_constraint):
     # a block of sizes shares one provider and carries on past a failed size;
     # the tables to m = 10**4 (about 2.5e8 cells) are refused on every call
-    provider = SumTableProvider(dice, dice_constraint, 10 ** 4, mode="rational")
+    provider = SumTableProvider(dice, dice_constraint, 10 ** 4, mode=EXACT)
     for _ in range(2):
         with pytest.raises(LatticeBlowupError):
             provider.table(10 ** 4)

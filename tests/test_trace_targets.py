@@ -74,11 +74,12 @@ EVENTS_SNIPPET = textwrap.dedent("""
     tracer.install()
     from maxent_lab import (BigramDeviationEvent, BoxEvent, build_space,
                             conditional_event_prob, derive_lattice)
+    from maxent_lab.sumdist import EXACT, FLOAT
     die = build_space([1, 2, 3, 4, 5, 6], [1] * 6)
     at_9_2 = derive_lattice([[x] for x in range(1, 7)], ["9/2"])
     box = BoxEvent.make([[x * x] for x in range(1, 7)], [10], [20])
     bigram = BigramDeviationEvent.make(1, 6, "1/10")
-    for mode in ("float", "rational"):
+    for mode in (FLOAT, EXACT):
         for event in (box, bigram):
             conditional_event_prob(die, at_9_2, event, 6, mode=mode)
     print(json.dumps({{"spans": sorted(tracer.spans),

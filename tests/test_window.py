@@ -23,7 +23,7 @@ from maxent_lab.lattice import (
     _sequences_on_target,
     _window,
 )
-from maxent_lab.sumdist import _central_masses
+from maxent_lab.sumdist import EXACT, FLOAT, _central_masses
 
 weights_st = st.builds(Fraction, st.integers(1, 9), st.integers(2, 12))
 
@@ -53,9 +53,9 @@ def problems(draw):
     target = [Fraction(sum(values[i][j] for i in block), len(block))
               for j in range(k)]
     constraint = derive_lattice(values, target)
-    mode = draw(st.sampled_from(["float", "rational"]))
+    mode = draw(st.sampled_from([FLOAT, EXACT]))
     measure = "q"
-    if mode == "rational" and draw(st.booleans()):
+    if mode is EXACT and draw(st.booleans()):
         measure = ("tilt", draw(st.lists(weights_st, min_size=size,
                                          max_size=size)))
     return space, constraint, measure, mode
@@ -172,7 +172,7 @@ def _peak_cells(monkeypatch, constraint, horizon):
         return np.zeros(shape_new)
 
     monkeypatch.setattr(sumdist, "_dense_step", step)
-    sweep = sumdist._sweep(constraint, "q", [0.125] * 8, "float", horizon)
+    sweep = sumdist._sweep(constraint, "q", [0.125] * 8, FLOAT, horizon)
     for _ in islice(sweep, horizon + 1):
         pass
     assert len(shapes) == horizon
