@@ -137,14 +137,11 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
     clt = LocalClt(constraint, solution)
     central_p = _central_masses(space, constraint, n_max, measure=solution)
     central_q = _central_masses(space, constraint, n_max, measure="q")
-    reach = _Reach(constraint, n_max)
-    feasible = {n for n in n_list for c in [constraint.center_units(n)]
-                if reach.exact(n, c, central_p[n], "corollary 1")
-                and reach.exact(n, c, central_q[n], "corollary 1")}
     out = []
     for n in n_list:
         p_c = float(central_p[n])
-        if n not in feasible:
+        # both series hold exact zeros only, so they vanish at the same sizes
+        if p_c == 0:
             out.append(ResidualRecord(n=n, feasible=False, c_n=None, d_n=None,
                                       residual_direct=None,
                                       residual_identity=None))
@@ -299,10 +296,7 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     if horizon < n_max:
         raise ValidationError("horizon must cover n_max")
     central_q = _central_masses(space, constraint, horizon, measure="q")
-    reach = _Reach(constraint, horizon)
-    sizes = [n for n in range(1, horizon + 1)
-             if reach.exact(n, constraint.center_units(n), central_q[n],
-                            "mixture gaps")][: prior.j_max]
+    sizes = [n for n in range(1, horizon + 1) if central_q[n] != 0][: prior.j_max]
     if not sizes:
         raise ValidationError("no feasible sizes below the horizon")
     weights = [float(prior.mass(j)) for j in range(1, len(sizes) + 1)]

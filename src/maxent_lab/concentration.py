@@ -11,22 +11,15 @@ events inside the constraint set) with c_n taken from the same run.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import conditional_event_prob, conditional_marginal
+from .conditional import conditional_event_prob
 from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
-from .lattice import (
-    ConstraintSpec,
-    SampleSpace,
-    _Reach,
-    _sequences_on_target,
-    first_feasible_sizes,
-)
+from .lattice import ConstraintSpec, SampleSpace, _sequences_on_target, first_feasible_sizes
 from .solver import MaxEntSolution
-from .sumdist import FLOAT, Arithmetic, SumTableProvider, _central_masses
+from .sumdist import FLOAT, Arithmetic, _central_masses
 
 
 class LocalClt:
@@ -83,7 +76,6 @@ class ConcentrationRecord:
     c_n: float | None
     d_n: float | None
     events: tuple[EventCheck, ...]
-    tv: float | None
 
 
 @dataclass
@@ -95,32 +87,24 @@ class ConcentrationReport:
 
 def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                             solution: MaxEntSolution, n_list, events=(),
-                            tv_m: int | None = None, mode: Arithmetic = FLOAT
-                            ) -> ConcentrationReport:
+                            mode: Arithmetic = FLOAT) -> ConcentrationReport:
     """Fill per-n concentration records for the given sizes.
 
-    Infeasible sizes produce records flagged infeasible, and a TV that the
-    marginal cannot enumerate is None, so n sweeps run whole. A float mass
-    that underflows to 0.0 raises ``LatticeBlowupError``.
+    Infeasible sizes, those of exact zero mass, produce records flagged
+    infeasible, so n sweeps run whole. A float mass that underflows to 0.0
+    raises ``LatticeBlowupError`` where it is computed.
     """
     n_list = sorted_sizes(n_list)
     k = constraint.dim
     clt = LocalClt(constraint, solution)
     centrals = _central_masses(space, constraint, n_list[-1], measure=solution)
-    # one provider serves the marginals of every size: its tables only grow
-    provider = None if tv_m is None else SumTableProvider(
-        space, constraint, n_list[-1], measure="q", mode=FLOAT)
-    reach = _Reach(constraint, n_list[-1])
-    feasible = {n for n in n_list
-                if reach.exact(n, constraint.center_units(n), centrals[n],
-                               "concentration constants")}
     records = []
     for n in n_list:
         p_c = float(centrals[n])
-        if n not in feasible:
+        if p_c == 0:
             records.append(ConcentrationRecord(
                 n=n, feasible=False, prob_constraint=0.0, c_n=None, d_n=None,
-                events=(), tv=None))
+                events=()))
             continue
         c_n, d_n = clt.constants(n, p_c)
         checks = []
@@ -129,8 +113,6 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                                              measure="q", mode=mode)
             under_p = conditional_event_prob(space, constraint, event, n,
                                              measure=solution, mode=FLOAT)
-            reach.exact(n, constraint.center_units(n),
-                        under_q.prob_constraint, "event checks under the prior")
             cond_q = under_q.conditional
             rhs = n ** (-k / 2.0) * c_n * float(cond_q)
             checks.append(EventCheck(
@@ -138,14 +120,9 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
                 prob_maxent=float(under_p.prob_event),
                 slack_item1=float(under_p.prob_event) - rhs,
                 residual_item2=float(under_p.prob_joint) - rhs))
-        tv = None
-        if tv_m is not None:
-            with suppress(EnumerationInfeasibleError):
-                tv = conditional_marginal(provider, tv_m, n).tv_to_product(
-                    solution.pmf)
         records.append(ConcentrationRecord(
             n=n, feasible=True, prob_constraint=p_c, c_n=c_n, d_n=d_n,
-            events=tuple(checks), tv=tv))
+            events=tuple(checks)))
     return ConcentrationReport(limit_value=clt.limit, det_sigma=clt.det_sigma,
                                records=tuple(records))
 

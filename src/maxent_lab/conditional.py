@@ -24,6 +24,7 @@ from .lattice import (
     SampleSpace,
     _check_budget,
     _dense_shape,
+    _Reach,
 )
 from .sumdist import FLOAT, Arithmetic, SumTableProvider, _sparse_step, resolve_measure
 
@@ -204,7 +205,8 @@ def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
     """Probability of an event, jointly with and conditioned on the constraint.
 
     Infeasible n gives a zero-mass constraint and ``conditional`` None rather
-    than an error, so sweeps over n run uninterrupted.
+    than an error, so sweeps over n run uninterrupted. That zero is exact:
+    a constraint mass that underflowed raises (``lattice._Reach.exact``).
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -221,7 +223,9 @@ def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
         out = _bigram_event(space, constraint, event, n, weights, mode)
     else:
         raise ValidationError(f"unknown event type {type(event).__name__}")
-    return EventProbabilityResult(n, measure_id, *out)
+    *probs, prob_constraint = out
+    return EventProbabilityResult(n, measure_id, *probs, _Reach(constraint, n).exact(
+        n, constraint.center_units(n), prob_constraint, f"event DP under {measure_id}"))
 
 
 @dataclass

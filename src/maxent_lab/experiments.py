@@ -30,7 +30,7 @@ from .predictors import (
 )
 from .priors import rissanen_prior
 from .simulate import hypercompression_check, recurrence_simulation
-from .sumdist import SumTableProvider
+from .sumdist import FLOAT, SumTableProvider
 
 COLUMN_REFERENCE = """\
 ## Column reference
@@ -119,6 +119,23 @@ def _run_solve(ctx, block, path):
     )
 
 
+def _tv_series(space, constraint, solution, m: int, n_list, mode) -> list:
+    """TV(m, n) of the conditioned m-symbol marginal to the projection
+    product for each n of the ascending ``n_list``, None where n is
+    infeasible or the marginal is not enumerated. One provider under the
+    prior in ``mode`` serves every size: its tables only grow."""
+    provider = SumTableProvider(space, constraint, n_list[-1], measure="q",
+                                mode=mode)
+    tvs = []
+    for n in n_list:
+        try:
+            tvs.append(conditional_marginal(provider, m, n).tv_to_product(
+                solution.pmf))
+        except (ValidationError, EnumerationInfeasibleError):
+            tvs.append(None)
+    return tvs
+
+
 def _run_concentrate(ctx, block, path):
     space, constraint, solution = ctx["space"], ctx["constraint"], ctx["solution"]
     events = [build_event(spec, space, solution)
@@ -126,15 +143,18 @@ def _run_concentrate(ctx, block, path):
     labels = [f"{j}:{ev.kind}" for j, ev in enumerate(events)]
     report = concentration_constants(
         space, constraint, solution, block["n_list"], events=events,
-        tv_m=block.get("tv_m"), mode=ctx["mode"])
+        mode=ctx["mode"])
+    tvs = _tv_series(space, constraint, solution, block["tv_m"],
+                     [rec.n for rec in report.records], FLOAT) \
+        if "tv_m" in block else [None] * len(report.records)
     rows = []
-    for rec in report.records:
+    for rec, tv in zip(report.records, tvs):
         base = (rec.n, rec.prob_constraint, rec.c_n, rec.d_n)
         if not rec.events:
-            rows.append(base + ("", None, None, None, rec.tv))
+            rows.append(base + ("", None, None, None, tv))
         for label, check in zip(labels, rec.events):
             rows.append(base + (label, check.conditional_q, check.prob_maxent,
-                                check.slack_item1, rec.tv))
+                                check.slack_item1, tv))
     _write_csv(path, ["n", "P(C_n)", "c_n", "d_n", "event",
                       "event_prob_q_given_C", "event_prob_ptilde",
                       "theorem1_slack", "TV(m,n)"], rows)
@@ -145,19 +165,11 @@ def _run_concentrate(ctx, block, path):
 
 
 def _run_condlimit(ctx, block, path):
-    space, constraint, solution = ctx["space"], ctx["constraint"], ctx["solution"]
     m = block["m"]
-    # one provider serves every size of the block: its tables only grow
-    provider = SumTableProvider(space, constraint, block["n_list"][-1],
-                                measure="q", mode=ctx["mode"])
-    rows = []
-    for n in block["n_list"]:
-        try:
-            marg = conditional_marginal(provider, m, n)
-            rows.append((m, n, marg.tv_to_product(ctx["solution"].pmf)))
-        except (ValidationError, EnumerationInfeasibleError):
-            rows.append((m, n, None))
-    _write_csv(path, ["m", "n", "tv"], rows)
+    tvs = _tv_series(ctx["space"], ctx["constraint"], ctx["solution"], m,
+                     block["n_list"], ctx["mode"])
+    _write_csv(path, ["m", "n", "tv"],
+               [(m, n, tv) for n, tv in zip(block["n_list"], tvs)])
     ctx["summary"].append(f"Conditional limit: m = {m}, sizes {block['n_list']}.")
 
 

@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .lattice import ConstraintSpec, SampleSpace
 from .priors import IntegerPrior
 from .solver import MaxEntSolution
-from .sumdist import SumTableProvider
+from .sumdist import Arithmetic, SumTableProvider
 
 
 def neg_log2(mass) -> float:
@@ -120,15 +120,18 @@ class MixturePredictor(Predictor):
     average of the component masses; a component's posterior is its weight
     times its mass of the prefix, rescaled after each symbol by one power of
     two shared by all components. That keeps the posteriors from underflowing
-    on long prefixes and moves no bit where they would stay normal floats."""
+    on long prefixes and moves no bit where they would stay normal floats.
+    Once every posterior is zero, a symbol gets the uniform mass in ``mode``."""
 
-    def __init__(self, space: SampleSpace, components, weights, tag: str):
+    def __init__(self, space: SampleSpace, components, weights,
+                 mode: Arithmetic, tag: str):
         super().__init__(space, tag)
         if len(components) != len(weights) or not components:
             raise ValidationError("need matching nonempty components and weights")
         self.components = list(components)
         total = sum(weights)
         self.weights = [w / total for w in weights]
+        self.uniform = mode.value(Fraction(1, space.size))
 
     def masses(self, sequence):
         posteriors = list(self.weights)
@@ -136,9 +139,7 @@ class MixturePredictor(Predictor):
         for conds in zip(*streams):
             total = sum(posteriors)
             if total == 0:
-                yield Fraction(1, self.space.size) \
-                    if any(isinstance(w, Fraction) for w in self.weights) \
-                    else 1.0 / self.space.size
+                yield self.uniform
                 continue
             acc = None
             for post, cond in zip(posteriors, conds):
@@ -170,7 +171,8 @@ def mixture_predictor(provider: SumTableProvider,
         raise ValidationError("no feasible sizes for the mixture")
     weights = [provider.mode.value(prior.mass(j))
                for j in range(1, len(components) + 1)]
-    return MixturePredictor(provider.space, components, weights, "mixture")
+    return MixturePredictor(provider.space, components, weights, provider.mode,
+                            "mixture")
 
 
 class RenewalComposedPredictor(Predictor):

@@ -120,12 +120,13 @@ class TestCorollaryOneResiduals:
         assert records[1].residual_direct is None
 
     def test_prior_mass_underflow_is_typed(self, dice):
-        # at mean 5 and n = 2000, P_q(C_n) underflows to 0.0 while P_p > 0
+        # at mean 5, P_q(C_n) underflows to 0.0 from n = 1741 on while
+        # P_p > 0; the prior's series to n = 2000 refuses its first underflow
         constraint = derive_lattice([[x] for x in range(1, 7)], [5])
         solution = solve_maxent(dice, constraint)
         assert corollary1_residuals(dice, constraint, solution, [1000])[0] \
             .feasible
-        with pytest.raises(LatticeBlowupError, match="n=2000"):
+        with pytest.raises(LatticeBlowupError, match="the mass at n=1741"):
             corollary1_residuals(dice, constraint, solution, [2000])
 
 

@@ -21,7 +21,7 @@ from maxent_lab import (
     solve_maxent,
 )
 from maxent_lab.errors import ValidationError
-from maxent_lab.sumdist import EXACT
+from maxent_lab.sumdist import EXACT, FLOAT
 
 
 def exact_central_binomial(n):
@@ -104,20 +104,21 @@ class TestConstants:
 
     def test_marginals_share_one_sum_sweep(self, dice, dice_constraint,
                                            dice_solution, monkeypatch):
-        from maxent_lab import sumdist
+        # the TV(m, n) of every size, for `concentrate` and `condlimit`
+        # alike, comes from one provider under q
+        from maxent_lab import experiments, sumdist
         starts = []
         initial = sumdist._initial
         monkeypatch.setattr(sumdist, "_initial", lambda *args: (
             starts.append(args[1]), initial(*args))[1])
         sizes = [4, 8, 12]
-        report = concentration_constants(dice, dice_constraint, dice_solution,
-                                         sizes, tv_m=2)
+        tvs = experiments._tv_series(dice, dice_constraint, dice_solution, 2,
+                                     sizes, FLOAT)
         assert starts.count("q") == 1
-        for record in report.records:
+        for n, tv in zip(sizes, tvs):
             fresh = conditional_marginal(
-                SumTableProvider(dice, dice_constraint, record.n), 2, record.n)
-            assert record.tv.hex() == fresh.tv_to_product(
-                dice_solution.pmf).hex()
+                SumTableProvider(dice, dice_constraint, n), 2, n)
+            assert tv.hex() == fresh.tv_to_product(dice_solution.pmf).hex()
 
 
 class TestTheoremOneChecks:

@@ -600,7 +600,9 @@ class TestCli:
         path = tmp_path / "underflow.json"
         path.write_text(json.dumps(raw))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
-        assert "n=2000" in capsys.readouterr().err
+        # the prior's central series is decided at every size up to 2000,
+        # and its mass underflows first at n = 1741
+        assert "the mass at n=1741" in capsys.readouterr().err
 
     def test_mixture_gaps_underflow_exit_3(self, tmp_path, capsys):
         faces = [str(x) for x in range(1, 7)]
@@ -731,21 +733,21 @@ class TestCli:
     def test_zero_mass_at_a_feasible_size_exit_3(self, tmp_path, capsys,
                                                   monkeypatch, kind):
         # a 0.0 projection mass at n = 4, where the fair coin has sequences on
-        # target, is an underflow: the feasibility sweep reaches the target
-        from maxent_lab import analysis, concentration, sumdist
+        # target, is an underflow: the central series' own `_Reach` finds the
+        # target reachable
+        from maxent_lab import sumdist
+        mass_at_target = sumdist.SumDistribution.mass_at_target
 
-        def zero_at_4(*args, **kwargs):
-            masses = sumdist._central_masses(*args, **kwargs)
-            masses[4] = 0.0
-            return masses
+        def zero_at_4(sd):
+            return 0.0 if sd.n == 4 else mass_at_target(sd)
 
-        monkeypatch.setattr(concentration, "_central_masses", zero_at_4)
-        monkeypatch.setattr(analysis, "_central_masses", zero_at_4)
+        monkeypatch.setattr(sumdist.SumDistribution, "mass_at_target",
+                            zero_at_4)
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(_with(experiments=[
             {"kind": kind, "n_list": [2, 4]}])))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
-        assert "n=4" in capsys.readouterr().err
+        assert "the mass at n=4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["concentrate", "corollary1"])
     def test_exact_zero_mass_past_the_walk_budget_exit_0(self, tmp_path, kind):

@@ -5,7 +5,8 @@ a zero at a target cell that some length-n sequence reaches raises
 ``LatticeBlowupError``: such a mass was positive before the float lost it.
 One ``_Reach`` at the largest size H decides every size n <= H, because the
 target cell of each such size lies in the window at H. Checked against the
-full-box ``feasible_sizes`` sweep over random rational problems.
+full-box ``feasible_sizes`` sweep over random rational problems. The central
+series (``sumdist._central_masses``) passes every size's mass through it.
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from maxent_lab import (
 )
 from maxent_lab.errors import LatticeBlowupError
 from maxent_lab.lattice import _Reach, feasible_sizes
+from maxent_lab.sumdist import EXACT, FLOAT, _central_masses
 
 from test_window import problems
 
@@ -78,3 +80,22 @@ def test_kept_tables_fit_the_cell_budget(monkeypatch):
         reach(150, constraint.center_units(150))
     assert reach(30, constraint.center_units(30))
     assert not reach(31, (31, 31))
+
+
+def test_central_masses_refuse_the_first_underflow(dice):
+    # the die at mean 5: P_q(C_n) underflows to 0.0 from n = 1741 on, a size
+    # that sequences reach, so the series to 2000 stops there
+    constraint = derive_lattice([[x] for x in range(1, 7)], [5])
+    assert _central_masses(dice, constraint, 1740)[1740] > 0
+    with pytest.raises(LatticeBlowupError, match="^central masses under q to "
+                       "n=2000: the mass at n=1741 underflows"):
+        _central_masses(dice, constraint, 2000)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_central_masses_keep_exact_zeros(mode):
+    # T in {0, 3, 5} at mean 1: no sequence of size 1, 2, 4 or 7 sums to n
+    space = build_space(["a", "b", "c"], [1, 1, 1])
+    constraint = derive_lattice([[0], [3], [5]], [1])
+    masses = _central_masses(space, constraint, 12, mode=mode)
+    assert [n for n, mass in enumerate(masses) if mass == 0] == [1, 2, 4, 7]

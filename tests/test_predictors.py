@@ -349,7 +349,7 @@ class TestRenewal:
             return MixturePredictor(
                 coin,
                 [challenger(), IIDPredictor(coin, [Fraction(1, 2)] * 2, "proj")],
-                [alpha, 1 - alpha], tag="p_alpha")
+                [alpha, 1 - alpha], EXACT, tag="p_alpha")
 
         composed = renewal_compose(coin, coin_constraint, p_alpha)
         proj = IIDPredictor(coin, [Fraction(1, 2)] * 2, "proj")

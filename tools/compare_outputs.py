@@ -25,7 +25,12 @@ that root's ``src``, so the two sides share nothing but the inputs:
 - ``WIDE_PAD``, T = (x, x^2) on {0, 1, 2, 3}, whose inner axis has unit_max
   9, so every windowed k = 2 table is kept with 9 pad cells a row;
 - all five shipped fixtures in float mode;
-- brandeis, two-constraint and brandeis-combined in rational mode.
+- brandeis, two-constraint and brandeis-combined in rational mode;
+- three runs that exit 3 because a float mass underflows to 0.0 at a size
+  that sequences reach: ``DIE5_COROLLARY1`` and ``DIE5_GAPS``, the prior's
+  central masses of the die at mean 5, and ``COIN_999_EVENT``, the prior's
+  constraint mass in a frequency event DP. The files a refused run leaves
+  are compared too.
 
 For every run the exit codes, the set of files written and the bytes of each
 CSV and ``summary.md`` must agree; ``manifest.json`` holds timings and is left
@@ -117,6 +122,31 @@ WIDE_PAD = {
 }
 
 
+# the die at mean 5: P_q(C_n) underflows from n = 1741 on
+DIE5 = {"outcomes": [str(x) for x in range(1, 7)], "prior": ["1/6"] * 6,
+        "T": [[str(x) for x in range(1, 7)]], "target": ["5"]}
+DIE5_COROLLARY1 = {
+    "problem": DIE5,
+    "experiments": [{"kind": "solve"},
+                    {"kind": "corollary1", "n_list": [1000, 2000]}],
+}
+DIE5_GAPS = {
+    "problem": DIE5,
+    "experiments": [{"kind": "game", "mode": "gaps", "n_max": 5,
+                     "horizon": 3000, "j_max": 3000}],
+}
+
+# the coin with prior 1:999 at mean 1/2: the prior's mass of C_600 underflows
+# in the event DP, while the projection's central masses stay normal
+COIN_999_EVENT = {
+    "problem": {"outcomes": ["0", "1"], "prior": ["1", "999"],
+                "T": [["0", "1"]], "target": ["1/2"]},
+    "experiments": [{"kind": "concentrate", "n_list": [600],
+                     "events": [{"type": "freq_deviation", "epsilon": "1/50",
+                                 "reference": "maxent"}]}],
+}
+
+
 def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     """(name, CLI arguments without the output option) for every run."""
     sys.path.insert(0, str(change_root / "perfbench"))
@@ -132,6 +162,9 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     configs["thin-cube3"] = THIN_CUBE3
     configs["coin-29-paths"] = COIN_29_PATHS
     configs["wide-pad"] = WIDE_PAD
+    configs["die5-corollary1-underflow"] = DIE5_COROLLARY1
+    configs["die5-gaps-underflow"] = DIE5_GAPS
+    configs["coin-999-event-underflow"] = COIN_999_EVENT
     runs = []
     for name, cfg in configs.items():
         path = config_dir / f"{name}.json"
