@@ -144,9 +144,11 @@ def _run_concentrate(ctx, block, path):
     report = concentration_constants(
         space, constraint, solution, block["n_list"], events=events,
         mode=ctx["mode"])
-    tvs = _tv_series(space, constraint, solution, block["tv_m"],
-                     [rec.n for rec in report.records], FLOAT) \
-        if "tv_m" in block else [None] * len(report.records)
+    if block.get("tv_m") is None:
+        tvs = [None] * len(report.records)
+    else:
+        tvs = _tv_series(space, constraint, solution, block["tv_m"],
+                         [rec.n for rec in report.records], FLOAT)
     rows = []
     for rec, tv in zip(report.records, tvs):
         base = (rec.n, rec.prob_constraint, rec.c_n, rec.d_n)

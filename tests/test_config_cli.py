@@ -678,6 +678,17 @@ class TestCli:
         assert main(["run", "-c", str(path), "-o", str(out)]) == 0
         assert next(out.glob("*.csv")).read_text() == body
 
+    def test_concentrate_null_tv_m_leaves_the_column_empty(self, tmp_path):
+        # validation reads "tv_m": null as no TV, as if the key were absent
+        block = {"kind": "concentrate", "n_list": [200], "tv_m": None}
+        path = tmp_path / "die.json"
+        path.write_text(json.dumps(_die_at("5", block)))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 0
+        assert next(out.glob("*.csv")).read_text().splitlines()[1] == (
+            "200,0.022428112653500906,0.3171814109301261,0.9988914939081117,"
+            ",,,,")
+
     def test_condlimit_past_the_cell_budget_exit_3(self, tmp_path, capsys):
         # n = 200 is feasible for cube3; the windows of its sum tables
         # 0..200 hold 5.2e7 cells, past the budget, which is a guard abort,
