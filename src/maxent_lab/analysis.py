@@ -135,8 +135,8 @@ def corollary1_residuals(space: SampleSpace, constraint: ConstraintSpec,
     n_list = sorted_sizes(n_list)
     n_max = n_list[-1]
     clt = LocalClt(constraint, solution)
-    central_p = _central_masses(space, constraint, n_max, measure=solution)
-    central_q = _central_masses(space, constraint, n_max, measure="q")
+    central_p, central_q = _central_masses(space, constraint, n_max,
+                                           (solution, "q"))
     out = []
     for n in n_list:
         p_c = float(central_p[n])
@@ -295,7 +295,7 @@ def mixture_gap_series(space: SampleSpace, constraint: ConstraintSpec,
     """
     if horizon < n_max:
         raise ValidationError("horizon must cover n_max")
-    central_q = _central_masses(space, constraint, horizon, measure="q")
+    [central_q] = _central_masses(space, constraint, horizon)
     sizes = [n for n in range(1, horizon + 1) if central_q[n] != 0][: prior.j_max]
     if not sizes:
         raise ValidationError("no feasible sizes below the horizon")

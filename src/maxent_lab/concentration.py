@@ -97,7 +97,7 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
     n_list = sorted_sizes(n_list)
     k = constraint.dim
     clt = LocalClt(constraint, solution)
-    centrals = _central_masses(space, constraint, n_list[-1], measure=solution)
+    [centrals] = _central_masses(space, constraint, n_list[-1], (solution,))
     records = []
     for n in n_list:
         p_c = float(centrals[n])

@@ -36,6 +36,54 @@ class RecurrenceResult:
     stderr: tuple[float, ...]
 
 
+# a packed word's radices multiply to less than this, so its running sums,
+# at most half the product in magnitude, fit an int64
+_WORD_BOUND = 2 ** 62
+
+
+def _draws(rng: np.random.Generator, pmf: np.ndarray, steps: int) -> np.ndarray:
+    """``rng.choice(len(pmf), size=steps, p=pmf)``, bit for bit and from the
+    same uniforms, for the normalised ``pmf``.
+
+    ``choice`` inverts the CDF ``pmf.cumsum() / its last entry`` with
+    ``searchsorted(side='right')``: an index is the count of cumulative
+    masses at or below its uniform, zero masses included. Here that count
+    is taken by one comparison per outcome, sequential inversion (Devroye,
+    Non-Uniform Random Variate Generation, 1986, Ch. III.2), into the
+    smallest unsigned dtype. That is no slower than ``searchsorted`` up to
+    about 64 outcomes and grows linearly past them; the fixtures and
+    benchmark problems have at most 8. The uniforms die on return.
+    """
+    cdf = pmf.cumsum()
+    cdf /= cdf[-1]
+    uniforms = rng.random(steps)
+    indices = np.zeros(steps, dtype=np.min_scalar_type(len(pmf) - 1))
+    for mass in cdf[:-1]:  # the last is 1.0, above every uniform
+        indices += uniforms >= mass
+    return indices
+
+
+def _packed_steps(centred: list[np.ndarray], steps: int) -> list[np.ndarray]:
+    """Each coordinate's centred steps by outcome packed into int64 words.
+
+    Coordinate j takes a place in a balanced mixed radix of
+    2 * steps * max|c_j| + 1, which holds every running sum of up to
+    ``steps`` of its steps; a word takes coordinates while the product of
+    its radices stays below ``_WORD_BOUND``. A word's running sum is then
+    0 exactly when each of its coordinates' sums is 0. A coordinate whose
+    radix alone reaches the bound sits in a word of its own, at place 1.
+    """
+    words, place = [], _WORD_BOUND
+    for column in centred:
+        radix = 2 * steps * int(np.abs(column).max()) + 1
+        if place * radix >= _WORD_BOUND:
+            words.append(np.zeros_like(column))
+            place = 1
+        words[-1] += column * place
+        place *= radix
+    return words
+
+
 def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
                           steps: int, reps: int, seed: int,
                           checkpoints=None) -> RecurrenceResult:
@@ -43,9 +91,12 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
 
     Draws i.i.d. symbols from the projection and counts the times n at which
     the running statistic average sits exactly on target, averaged over
-    ``reps`` independently seeded replicas. A replica is charged the
-    ``steps`` cells it holds against the cell budget: the walk sums one
-    coordinate at a time.
+    ``reps`` independently seeded replicas. A replica draws its symbols as
+    ``Generator.choice`` would (``_draws``), gathers their packed centred
+    steps (``_packed_steps``) and takes one running sum per word: one word
+    holds all three coordinates of a cube3 walk of 10^5 steps. It holds
+    ``steps`` cells at a time, a word's sums, and is charged for them
+    against the cell budget.
     """
     if steps < 1 or reps < 1:
         raise ValidationError("steps and reps must be >= 1")
@@ -63,16 +114,19 @@ def recurrence_simulation(solution: MaxEntSolution, constraint: ConstraintSpec,
     # is den_j S_j(n) - n num_j, zero exactly when the average is on target
     centred = [units[:, j] * den - num
                for j, (num, den) in enumerate(constraint.center_ints)]
+    words = _packed_steps(centred, steps)
     pmf = solution.pmf / solution.pmf.sum()
+    segments = list(zip((0,) + checkpoints, checkpoints))
 
     visit_counts = np.zeros((reps, len(checkpoints)))
     for r, rng in enumerate(_streams(seed, reps)):
-        draws = rng.choice(len(pmf), size=steps, p=pmf)
+        draws = _draws(rng, pmf, steps)
         on_center = np.ones(steps, dtype=bool)
-        for column in centred:
-            on_center &= np.cumsum(column[draws]) == 0
-        cumulative = np.cumsum(on_center)
-        visit_counts[r] = cumulative[np.array(checkpoints) - 1]
+        for word in words:
+            walk = word[draws]
+            on_center &= np.cumsum(walk, out=walk) == 0
+        visit_counts[r] = np.cumsum([np.count_nonzero(on_center[a:b])
+                                     for a, b in segments])
     mean = visit_counts.mean(axis=0)
     err = visit_counts.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 \
         else np.zeros(len(checkpoints))

@@ -300,20 +300,24 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
 
 
 def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
-                    measure="q", mode: Arithmetic = FLOAT) -> list:
-    """``central_series`` from tables cut to their ``lattice._window``, bit
-    for bit. Its largest step, from the widest window at n_max // 2 (widths
-    are concave in m and equal at n_max - m), is checked before it sweeps.
-    Each mass passes ``lattice._Reach.exact``, so every zero is exact: the
-    measure must charge every outcome."""
-    measure_id, weights = resolve_measure(space, measure, mode)
+                    measures=("q",), mode: Arithmetic = FLOAT) -> list[list]:
+    """``central_series`` of each of ``measures``, from tables cut to their
+    ``lattice._window``, bit for bit. Its largest step, from the widest
+    window at n_max // 2 (widths are concave in m and equal at n_max - m),
+    is checked before it sweeps. Every mass passes one
+    ``lattice._Reach.exact``, so every zero is exact and reachability is
+    swept once for all the series: each measure must charge every outcome."""
+    resolved = [resolve_measure(space, measure, mode) for measure in measures]
     _grow(constraint, n_max, n_max // 2 + 1)
-    sweep = _sweep(constraint, measure_id, weights, mode, n_max)
     reach = _Reach(constraint, n_max)
-    where = f"central masses under {measure_id} to n={n_max}"
-    return [reach.exact(sd.n, constraint.center_units(sd.n),
-                        sd.mass_at_target(), where)
-            for sd in islice(sweep, n_max + 1)]
+    series = []
+    for measure_id, weights in resolved:
+        sweep = _sweep(constraint, measure_id, weights, mode, n_max)
+        where = f"central masses under {measure_id} to n={n_max}"
+        series.append([reach.exact(sd.n, constraint.center_units(sd.n),
+                                   sd.mass_at_target(), where)
+                       for sd in islice(sweep, n_max + 1)])
+    return series
 
 
 class SumTableProvider(_WindowCache):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxent_lab import (
     build_space,
+    corollary1_residuals,
     derive_lattice,
     lattice,
     mixture_gap_series,
@@ -86,7 +87,7 @@ def test_central_masses_refuse_the_first_underflow(dice):
     # the die at mean 5: P_q(C_n) underflows to 0.0 from n = 1741 on, a size
     # that sequences reach, so the series to 2000 stops there
     constraint = derive_lattice([[x] for x in range(1, 7)], [5])
-    assert _central_masses(dice, constraint, 1740)[1740] > 0
+    assert _central_masses(dice, constraint, 1740)[0][1740] > 0
     with pytest.raises(LatticeBlowupError, match="^central masses under q to "
                        "n=2000: the mass at n=1741 underflows"):
         _central_masses(dice, constraint, 2000)
@@ -97,5 +98,23 @@ def test_central_masses_keep_exact_zeros(mode):
     # T in {0, 3, 5} at mean 1: no sequence of size 1, 2, 4 or 7 sums to n
     space = build_space(["a", "b", "c"], [1, 1, 1])
     constraint = derive_lattice([[0], [3], [5]], [1])
-    masses = _central_masses(space, constraint, 12, mode=mode)
+    [masses] = _central_masses(space, constraint, 12, mode=mode)
     assert [n for n, mass in enumerate(masses) if mass == 0] == [1, 2, 4, 7]
+
+
+def test_corollary1_sweeps_reachability_once(monkeypatch):
+    # steps (0, 0), (2, 1), (1, 2) at their mean (1, 1): the target is on the
+    # lattice at sizes divisible by 3 only, so both central series (p and q)
+    # hold exact zeros, which one _Reach to 337 decides for both
+    space = build_space(["a", "b", "c"], [1, 1, 1])
+    constraint = derive_lattice([[0, 0], [2, 1], [1, 2]], [1, 1])
+    solution = solve_maxent(space, constraint)
+    step = lattice._reach_step
+    calls = []
+    monkeypatch.setattr(lattice, "_reach_step",
+                        lambda *args: calls.append(1) or step(*args))
+    first, last = corollary1_residuals(space, constraint, solution, [3, 337])
+    assert len(calls) == 337  # 674 when each series held its own _Reach
+    assert (first.residual_direct, first.residual_identity) == \
+        (0.31091012233057214, 0.3109101223305717)
+    assert not last.feasible and last.residual_direct is None

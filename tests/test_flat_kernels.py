@@ -2,26 +2,35 @@
 
 ``lattice._shift_combine`` pads a table's inner axes with the combine's
 identity, unless a windowed sweep's cut has laid them out so already, and
-applies each shift as one slice of the flattened ``new``;
-``simulate.recurrence_simulation`` sums the centred steps one coordinate at a
-time. Each must agree bit for bit (floats) or exactly (ints, bools) with the
-strided kernels copied below as they were written before, for every
-(combine, term) pair the package uses: the sum sweep's add over float64 and
-object-int tables, reachability's OR and the min-plus reference's minimum.
+applies each shift as one slice of the flattened ``new``. Each must agree
+bit for bit (floats) or exactly (ints, bools) with the strided kernel copied
+below as it was written before, for every (combine, term) pair the package
+uses: the sum sweep's add over float64 and object-int tables, reachability's
+OR and the min-plus reference's minimum.
+
+``simulate.recurrence_simulation`` draws its symbols by counting the
+cumulative masses at or below each uniform (``simulate._draws``, checked
+against ``Generator.choice`` on twin streams) and sums the centred steps of
+all coordinates packed into int64 words (``simulate._packed_steps``). It must
+give the results of the (steps, k) walk below, which draws with
+``Generator.choice``, whether the coordinates share one word or each has
+its own.
 
 ``test_event_kernels`` builds its reference dense step on the live
 ``_shift_combine``; this file is the check that does not.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import add
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from maxent_lab import derive_lattice, sumdist
+from maxent_lab import derive_lattice, simulate, sumdist
 from maxent_lab.errors import DegenerateCoordinateError
 from maxent_lab.lattice import _check_budget, _shift_combine
 from maxent_lab.simulate import RecurrenceResult, _streams, recurrence_simulation
@@ -188,10 +197,8 @@ def walks(draw):
             draw(st.integers(0, 2 ** 32 - 1)), checkpoints)
 
 
-@settings(max_examples=150, deadline=None)
-@given(walks())
-@example(ZERO_STEP)
-def test_recurrence_matches_strided_walk(walk):
+def _walk_args(walk):
+    """recurrence_simulation's arguments for a drawn walk."""
     values, weights, steps, reps, seed, checkpoints = walk
     assume(sum(weights) > 0)
     target = [Fraction(sum(w * v[j] for w, v in zip(weights, values)),
@@ -201,11 +208,87 @@ def test_recurrence_matches_strided_walk(walk):
     except DegenerateCoordinateError:
         assume(False)
     solution = SimpleNamespace(pmf=np.array(weights, dtype=float))
-    got = recurrence_simulation(solution, constraint, steps, reps, seed,
-                                checkpoints)
-    want = _strided_recurrence(solution, constraint, steps, reps, seed,
-                               checkpoints)
-    assert got == want
+    return solution, constraint, steps, reps, seed, checkpoints
+
+
+@settings(max_examples=150, deadline=None)
+@given(walks())
+@example(ZERO_STEP)
+def test_recurrence_matches_strided_walk(walk):
+    args = _walk_args(walk)
+    assert recurrence_simulation(*args) == _strided_recurrence(*args)
+
+
+@contextmanager
+def word_counts(bound=None):
+    """The number of packed words of each walk run inside, with
+    ``simulate._WORD_BOUND`` set to ``bound`` if one is given."""
+    counts = []
+    pack = simulate._packed_steps
+
+    def counted(centred, steps):
+        words = pack(centred, steps)
+        counts.append(len(words))
+        return words
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_packed_steps", counted)
+        if bound is not None:
+            patch.setattr(simulate, "_WORD_BOUND", bound)
+        yield counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(walks())
+@example(ZERO_STEP)
+def test_a_word_per_coordinate_gives_the_packed_walk(walk):
+    # under a bound of 1 no two radices share a word, which is the walk of a
+    # problem whose radices do not fit one word
+    args = _walk_args(walk)
+    packed = recurrence_simulation(*args)
+    with word_counts(bound=1) as counts:
+        apart = recurrence_simulation(*args)
+    assert counts == [args[1].dim]
+    assert apart == packed == _strided_recurrence(*args)
+
+
+@pytest.mark.parametrize("steps, words", [(10 ** 5, 1), (10 ** 6, 2)])
+def test_cube3_walk_packs_by_its_length(steps, words):
+    # centred steps of +-1 take radices of 2 steps + 1: three of them fit
+    # below 2^62 at 10^5 steps and two at 10^6
+    cube = [[int(c) for c in f"{i:03b}"] for i in range(8)]
+    constraint = derive_lattice(cube, [Fraction(1, 2)] * 3)
+    args = (SimpleNamespace(pmf=np.full(8, 0.125)), constraint, steps, 1, 3,
+            [steps])
+    with word_counts() as counts:
+        packed = recurrence_simulation(*args)
+    assert counts == [words]
+    with word_counts(bound=1):
+        assert recurrence_simulation(*args) == packed
+
+
+@st.composite
+def pmfs(draw):
+    """A normalised pmf on 2 to 300 outcomes, with zero masses likely at
+    either end and inside, so indices of one and of two bytes occur."""
+    size = draw(st.integers(2, 300))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+                            min_size=size, max_size=size))
+    assume(sum(weights) > 0)
+    pmf = np.array(weights)
+    return pmf / pmf.sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pmfs(), st.integers(1, 5000), st.integers(0, 2 ** 32 - 1))
+@example(np.array([0.0, 0.25, 0.0, 0.75, 0.0]), 5000, 1)
+@example(np.r_[0.0, np.full(298, 1 / 298), 0.0], 5000, 2)
+def test_draws_are_generator_choice(pmf, steps, seed):
+    got = simulate._draws(np.random.Generator(np.random.Philox(seed)), pmf,
+                          steps)
+    want = np.random.Generator(np.random.Philox(seed)).choice(
+        len(pmf), size=steps, p=pmf)
+    assert got.dtype == np.min_scalar_type(len(pmf) - 1)
+    assert got.tolist() == want.tolist()
 
 
 def test_walk_needs_every_coordinate():

@@ -97,8 +97,8 @@ def _reference_walk(space, constraint, n):
 def test_windowed_central_masses_equal_central_series(problem, n_max):
     space, constraint, measure, mode = problem
     full = central_series(space, constraint, n_max, measure=measure, mode=mode)
-    windowed = _central_masses(space, constraint, n_max, measure=measure,
-                               mode=mode)
+    [windowed] = _central_masses(space, constraint, n_max, (measure,),
+                                 mode=mode)
     assert list(map(_exact, windowed)) == list(map(_exact, full))
 
 
@@ -155,7 +155,7 @@ def test_a_narrowed_window_is_caught(side, monkeypatch, dice, dice_constraint,
             for s, c in problems]
     monkeypatch.setattr(lattice, "_window", _narrowed(side))
     for (space, constraint), (masses, walk) in zip(problems, want):
-        assert _central_masses(space, constraint, 6) != masses
+        assert _central_masses(space, constraint, 6) != [masses]
         assert list(_sequences_on_target(space, constraint, 4)) != walk
         assert lattice.first_feasible_sizes(space, constraint, 6, n_cap=6) \
             != lattice.feasible_sizes(space, constraint, 6)

@@ -113,8 +113,8 @@ def test_kept_windows_give_the_full_sweep_past_the_full_box_budget(problem,
                                     measure=measure, mode=mode)
         got = [provider.table(n).mass_at_target() for n in range(horizon + 1)]
         assert list(map(_exact, got)) == list(map(_exact, want))
-        streamed = _central_masses(space, constraint, horizon,
-                                   measure=measure, mode=mode)
+        [streamed] = _central_masses(space, constraint, horizon, (measure,),
+                                     mode=mode)
         assert list(map(_exact, streamed)) == list(map(_exact, want))
 
 
@@ -143,12 +143,12 @@ def test_central_masses_are_charged_for_their_largest_table(problem,
         with pytest.raises(LatticeBlowupError,
                            match=f"sweep step to n={horizon // 2 + 1} needs "
                                  f"{largest} cells"):
-            _central_masses(space, constraint, horizon, measure=measure,
+            _central_masses(space, constraint, horizon, (measure,),
                             mode=mode)
         assert steps == []  # refused before the sweep starts
         patch.setattr(lattice, "CELL_BUDGET", largest)
-        got = _central_masses(space, constraint, horizon, measure=measure,
-                              mode=mode)
+        [got] = _central_masses(space, constraint, horizon, (measure,),
+                                mode=mode)
         assert list(map(_exact, got)) == list(map(_exact, want))
 
 

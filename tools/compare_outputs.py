@@ -18,6 +18,8 @@ that root's ``src``, so the two sides share nothing but the inputs:
 - ``CUBE3_RATIONAL``, cube3 in rational mode with one outcome of double
   prior weight, so the k = 3 sum tables, padded object arrays of integer
   numerators, are swept too;
+- ``CUBE3_RECUR_WORDS``, a cube3 recurrence walk of 10^6 steps, whose
+  packed centred steps need two words;
 - ``THIN_CUBE3``, cube3 at a target whose first feasible size, 402, lies
   past the sizes whose full-box reachability tables fit the cell budget;
 - ``COIN_29_PATHS``, a paths game whose representative at n = 40600 is
@@ -87,6 +89,14 @@ CUBE3_RATIONAL = {
     "mode": "rational",
     "experiments": [{"kind": "condlimit", "m": 1, "n_list": [4, 8, 12]},
                     {"kind": "concentrate", "n_list": [2, 4, 6], "tv_m": 1}],
+}
+
+# the fair cube's steps of +-1 per coordinate take radices of 2 * 10^6 + 1,
+# of which two fit one int64 word and three do not
+CUBE3_RECUR_WORDS = {
+    "problem": CUBE3_WINDOW["problem"],
+    "experiments": [{"kind": "recur", "steps": 1_000_000, "reps": 2, "seed": 0,
+                     "checkpoints": [1000, 100000, 1000000]}],
 }
 
 # cube3 at (1/201, 1/2, 1/2): the full boxes outgrow the cell budget at
@@ -159,6 +169,7 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     configs["paths-game-t035"] = PATHS_GAME
     configs["cube3-window"] = CUBE3_WINDOW
     configs["cube3-rational"] = CUBE3_RATIONAL
+    configs["cube3-recur-words"] = CUBE3_RECUR_WORDS
     configs["thin-cube3"] = THIN_CUBE3
     configs["coin-29-paths"] = COIN_29_PATHS
     configs["wide-pad"] = WIDE_PAD
