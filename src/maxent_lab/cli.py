@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .config import load_config, validate_config
@@ -21,6 +22,7 @@ EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxent-lab",

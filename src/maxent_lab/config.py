@@ -79,6 +79,8 @@ class ExperimentConfig:
 
 
 def _require(block: dict, key: str, where: str):
+    if not isinstance(block, dict):
+        raise ValidationError(f"{where} must be an object")
     if key not in block:
         raise ValidationError(f"{where}: missing field {key!r}")
     return block[key]
@@ -108,6 +110,10 @@ def load_config(source) -> ExperimentConfig:
     if not isinstance(t_matrix, list) or not t_matrix or \
             any(not isinstance(row, list) for row in t_matrix):
         raise ValidationError("problem.T must be a k x |X| matrix")
+    for key, value in (("outcomes", outcomes), ("prior", prior),
+                       ("target", target)):
+        if not isinstance(value, list):
+            raise ValidationError(f"problem.{key} must be a list")
     if any(len(row) != len(outcomes) for row in t_matrix):
         raise ValidationError("problem.T rows must have one entry per outcome")
     if len(target) != len(t_matrix):
@@ -160,7 +166,8 @@ def _validate_block_shape(block: dict, i: int) -> None:
     paths = kind == "game" and block["mode"] == "paths"
     if kind in ("concentrate", "condlimit", "corollary1") or paths:
         n_list = _require(block, "n_list", where)
-        if not n_list or any(type(n) is not int or n < 1 for n in n_list):
+        if not isinstance(n_list, list) or not n_list or \
+                any(type(n) is not int or n < 1 for n in n_list):
             raise ValidationError(f"{where}: n_list must hold integers >= 1")
         if sorted(n_list) != n_list:
             raise ValidationError(f"{where}: n_list must be sorted ascending")

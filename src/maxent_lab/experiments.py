@@ -30,7 +30,7 @@ from .predictors import (
 )
 from .priors import rissanen_prior
 from .simulate import hypercompression_check, recurrence_simulation
-from .sumdist import FLOAT, SumTableProvider
+from .sumdist import SumTableProvider
 
 COLUMN_REFERENCE = """\
 ## Column reference
@@ -119,18 +119,18 @@ def _run_solve(ctx, block, path):
     )
 
 
-def _tv_series(space, constraint, solution, m: int, n_list, mode) -> list:
+def _tv_series(ctx, m: int, n_list) -> list:
     """TV(m, n) of the conditioned m-symbol marginal to the projection
     product for each n of the ascending ``n_list``, None where n is
     infeasible or the marginal is not enumerated. One provider under the
-    prior in ``mode`` serves every size: its tables only grow."""
-    provider = SumTableProvider(space, constraint, n_list[-1], measure="q",
-                                mode=mode)
+    prior in the run's arithmetic serves every size: its tables only grow."""
+    provider = SumTableProvider(ctx["space"], ctx["constraint"], n_list[-1],
+                                measure="q", mode=ctx["mode"])
     tvs = []
     for n in n_list:
         try:
             tvs.append(conditional_marginal(provider, m, n).tv_to_product(
-                solution.pmf))
+                ctx["solution"].pmf))
         except (ValidationError, EnumerationInfeasibleError):
             tvs.append(None)
     return tvs
@@ -147,8 +147,7 @@ def _run_concentrate(ctx, block, path):
     if block.get("tv_m") is None:
         tvs = [None] * len(report.records)
     else:
-        tvs = _tv_series(space, constraint, solution, block["tv_m"],
-                         [rec.n for rec in report.records], FLOAT)
+        tvs = _tv_series(ctx, block["tv_m"], [rec.n for rec in report.records])
     rows = []
     for rec, tv in zip(report.records, tvs):
         base = (rec.n, rec.prob_constraint, rec.c_n, rec.d_n)
@@ -168,8 +167,7 @@ def _run_concentrate(ctx, block, path):
 
 def _run_condlimit(ctx, block, path):
     m = block["m"]
-    tvs = _tv_series(ctx["space"], ctx["constraint"], ctx["solution"], m,
-                     block["n_list"], ctx["mode"])
+    tvs = _tv_series(ctx, m, block["n_list"])
     _write_csv(path, ["m", "n", "tv"],
                [(m, n, tv) for n, tv in zip(block["n_list"], tvs)])
     ctx["summary"].append(f"Conditional limit: m = {m}, sizes {block['n_list']}.")

@@ -89,7 +89,7 @@ class SampleSpace:
     def index(self, label) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValidationError(f"unknown outcome {label!r}") from None
 
 
@@ -102,6 +102,8 @@ def build_space(labels, prior_weights) -> SampleSpace:
     labels = list(labels)
     if not labels:
         raise ValidationError("empty outcome list")
+    if any(isinstance(label, (list, dict)) for label in labels):
+        raise ValidationError("outcome labels must be strings or numbers")
     if len(set(labels)) != len(labels):
         raise ValidationError("outcome labels must be distinct")
     weights = [as_fraction(w) for w in prior_weights]

@@ -33,7 +33,6 @@ from .lattice import (
     _Reach,
     _shift_combine,
     _WindowCache,
-    as_fraction,
 )
 from .solver import MaxEntSolution
 
@@ -81,12 +80,12 @@ def _exact_steps(weights):
 class Arithmetic:
     """The arithmetic a run computes its masses in; ``str()`` is its name.
 
-    Tables hold ``dtype``, and a weight w is held as ``value(w)``
-    (``as_fraction`` refuses the projection's float masses). ``steps`` gives
-    the DP step values and the unit u with weights[i] == steps[i] * u, so a
-    value after n steps reads out as value * u**n (u = 1.0 for floats, bit for
-    bit); ``coefficients(n, nu, w)`` is the count DP's C(n - used, nu) * w**nu
-    for used = 0..n-nu.
+    Tables hold ``dtype``, and a weight w is held as ``value(w)``: ``EXACT``
+    reads a float as its binary rational, so on the projection it is a float
+    run's exact twin. ``steps`` gives the DP step values and the unit u with
+    weights[i] == steps[i] * u, so a value after n steps reads out as
+    value * u**n (u = 1.0 for floats, bit for bit); ``coefficients(n, nu, w)``
+    is the count DP's C(n - used, nu) * w**nu for used = 0..n-nu.
     """
 
     name: str
@@ -101,7 +100,7 @@ class Arithmetic:
 
 FLOAT = Arithmetic("float", np.float64, float, lambda weights: (weights, 1.0),
                    _binomial_weight_vector)
-EXACT = Arithmetic("rational", object, as_fraction, _exact_steps,
+EXACT = Arithmetic("rational", object, Fraction, _exact_steps,
                    _exact_weight_vector)
 # a config's ``mode`` name -> its arithmetic
 ARITHMETICS = {str(a): a for a in (FLOAT, EXACT)}
@@ -110,8 +109,8 @@ ARITHMETICS = {str(a): a for a in (FLOAT, EXACT)}
 def resolve_measure(space: SampleSpace, measure, mode: Arithmetic):
     """Normalize a measure argument to (measure_id, per-outcome weights).
 
-    Accepts 'q' (the prior), a MaxEntSolution (``FLOAT`` only), or a
-    ``(tag, weights)`` pair, of exact rationals under ``EXACT``.
+    Accepts 'q' (the prior), a MaxEntSolution or a ``(tag, weights)`` pair;
+    ``EXACT`` reads a float weight as the binary rational it holds.
     """
     if measure == "q":
         measure_id, weights = "q", space.prior_fractions

@@ -112,8 +112,9 @@ class TestConstants:
         monkeypatch.setattr(sumdist, "_initial", lambda *args: (
             starts.append(args[1]), initial(*args))[1])
         sizes = [4, 8, 12]
-        tvs = experiments._tv_series(dice, dice_constraint, dice_solution, 2,
-                                     sizes, FLOAT)
+        ctx = {"space": dice, "constraint": dice_constraint,
+               "solution": dice_solution, "mode": FLOAT}
+        tvs = experiments._tv_series(ctx, 2, sizes)
         assert starts.count("q") == 1
         for n, tv in zip(sizes, tvs):
             fresh = conditional_marginal(

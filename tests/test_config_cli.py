@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -526,6 +527,31 @@ class TestCli:
         assert where in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", [
+        _with(problem={"target": 5}),
+        _with(problem={"outcomes": 5}),
+        _with(problem={"prior": 5}),
+        _with(problem={"outcomes": [["0"], "1"]}),
+        _with(experiments=[5]),
+        {"problem": 5, "experiments": []},
+        5,
+        _with(experiments=[{"kind": "concentrate", "n_list": 5}]),
+        _with(experiments=[{"kind": "concentrate", "n_list": [2],
+                            "events": [{"type": "bigram_deviation",
+                                        "j": ["0"], "jprime": "1",
+                                        "epsilon": "1/10"}]}]),
+    ], ids=["target-scalar", "outcomes-scalar", "prior-scalar", "label-list",
+            "block-scalar", "problem-scalar", "config-scalar",
+            "n_list-scalar", "bigram-label-list"])
+    def test_malformed_shapes_exit_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "-c", str(path)]) == 2
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 2
+        assert "Traceback" not in "".join(capsys.readouterr())
+        assert not out.exists()
+
     def test_a_bool_prior_is_refused(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(_with(problem={"prior": [True, True]},
@@ -688,6 +714,84 @@ class TestCli:
         assert next(out.glob("*.csv")).read_text().splitlines()[1] == (
             "200,0.022428112653500906,0.3171814109301261,0.9988914939081117,"
             ",,,,")
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_concentrate_and_condlimit_write_one_tv(self, tmp_path, mode):
+        # both columns come from one routine in the run's arithmetic
+        sizes = [3, 24, 200]
+        raw = _die_at("9/2", {"kind": "concentrate", "n_list": sizes,
+                              "tv_m": 1})
+        raw["experiments"].append({"kind": "condlimit", "m": 1,
+                                   "n_list": sizes})
+        raw["mode"] = mode
+        path = tmp_path / "die.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 0
+        concentrate = next(out.glob("00_*.csv")).read_text().splitlines()
+        condlimit = next(out.glob("01_*.csv")).read_text().splitlines()
+        assert [row.rsplit(",", 1)[1] for row in concentrate[1:]] == \
+            [row.rsplit(",", 1)[1] for row in condlimit[1:]]
+        assert len(concentrate) == len(sizes) + 1
+
+    def test_rational_tv_past_the_float_underflow(self, tmp_path):
+        # the prior's mass of C_600 underflows a float, not a Fraction; the
+        # conditioned one-toss marginal is exactly Bernoulli(1/2), so the
+        # TV is 1/2 sum |1/2 - p_x| of the projection's floats, rounded once
+        raw = {"problem": {"outcomes": ["0", "1"], "prior": ["1", "999"],
+                           "T": [["0", "1"]], "target": ["1/2"]},
+               "mode": "rational",
+               "experiments": [{"kind": "concentrate", "n_list": [600],
+                                "tv_m": 1}]}
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "-o", str(out)]) == 0
+        row = next(out.glob("*.csv")).read_text().splitlines()[1]
+        assert row.rsplit(",", 1)[1] == "1.506378355387028e-12"
+        pmf = load_config(raw).problem.solve().pmf
+        half = Fraction(1, 2)
+        assert float(sum(abs(half - Fraction(p)) for p in pmf) / 2) == \
+            1.506378355387028e-12
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # one process runs the calls in turn; each must match a fresh one
+        from maxent_lab import cli
+        assert cli._build_parser() is cli._build_parser()
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(_with(experiments=[
+            {"kind": "solve"}, {"kind": "condlimit", "m": 1,
+                                "n_list": [4, 8]}])))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_with(problem={"target": ["7"]})))
+        die = tmp_path / "die.json"
+        die.write_text(json.dumps(_die_at("9/2", {"kind": "corollary1",
+                                                  "n_list": [2, 10]})))
+        calls = [["validate", "-c", str(good)],
+                 ["run", "-c", str(bad), "-o", "bad"],
+                 ["run", "-c", str(good), "-o", "good", "--mode", "rational"],
+                 ["validate", "-c", str(bad)],
+                 ["run", "-c", str(die), "-o", "die"]]
+
+        def outputs(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*"))
+                    if p.is_file() and p.name != "manifest.json"}
+
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        codes = {shared: [], fresh: []}
+        for root in (shared, fresh):
+            root.mkdir()
+            for args in calls:
+                args = [str(root / a) if a in ("bad", "good", "die") else a
+                        for a in args]
+                codes[root].append(main(args) if root is shared else
+                                   subprocess.run(
+                                       [sys.executable, "-m", "maxent_lab.cli",
+                                        *args], capture_output=True).returncode)
+        assert codes[shared] == codes[fresh] == [0, 2, 0, 2, 0]
+        assert outputs(shared) == outputs(fresh)
+        assert len(outputs(shared)) == 5
 
     def test_condlimit_past_the_cell_budget_exit_3(self, tmp_path, capsys):
         # n = 200 is feasible for cube3; the windows of its sum tables

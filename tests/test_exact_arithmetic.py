@@ -6,6 +6,7 @@ way the uniform-die fixtures cannot; a tilted measure whose weights do not sum
 to one checks that no DP assumes a normalized measure.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -24,7 +25,7 @@ from maxent_lab import (
     enumerate_oracle,
     sum_distribution,
 )
-from maxent_lab.sumdist import EXACT
+from maxent_lab.sumdist import EXACT, FLOAT
 
 weights_st = st.builds(Fraction, st.integers(1, 9), st.integers(2, 12))
 
@@ -136,3 +137,36 @@ def test_conditional_marginal_matches_oracle(problem, m):
     want = oracle.marginal(m)
     assert all(_exact(v) for v in got.masses.values())
     assert {p: v for p, v in got.masses.items() if v != 0} == want
+
+
+def _float_loop_tv(marginal, pmf) -> float:
+    """TV to the product of ``pmf`` by float operations in prefix order: the
+    bits a ``FLOAT`` marginal must give."""
+    tv = 0.0
+    for prefix, mass in marginal.masses.items():
+        prod = 1.0
+        for idx in prefix:
+            prod *= float(pmf[idx])
+        tv += abs(float(mass) - prod)
+    return 0.5 * tv
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.integers(1, 2), st.data())
+def test_tv_is_summed_in_the_marginal_arithmetic(problem, m, data):
+    space, constraint, measure, n = problem
+    assume(m < n)
+    center = constraint.center_units(n)
+    exact = SumTableProvider(space, constraint, n, measure=measure, mode=EXACT)
+    assume(center is not None and exact.mass(n, center) != 0)
+    pmf = [float(w) for w in data.draw(st.lists(
+        weights_st, min_size=space.size, max_size=space.size))]
+    marginal = conditional_marginal(exact, m, n)
+    want = sum(abs(mass - math.prod(Fraction(pmf[i]) for i in prefix))
+               for prefix, mass in marginal.masses.items()) / 2
+    assert marginal.tv_to_product(pmf) == float(want)
+    marginal = conditional_marginal(
+        SumTableProvider(space, constraint, n, measure=measure, mode=FLOAT),
+        m, n)
+    assert marginal.tv_to_product(pmf).hex() == \
+        _float_loop_tv(marginal, pmf).hex()

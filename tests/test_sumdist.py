@@ -136,20 +136,34 @@ class TestGuards:
             with pytest.raises(LatticeBlowupError):
                 sum_distribution(pair, pair_constraint, 10 ** 5, mode=mode)
 
-    def test_exact_arithmetic_refuses_the_projection(self, dice, dice_constraint,
-                                                     dice_solution):
-        # the projection's masses are floats, which an exact weight refuses
+    def test_exact_arithmetic_reads_the_projection_exactly(
+            self, dice, dice_constraint, dice_solution):
+        # EXACT on the projection is the exact twin of a FLOAT run: each
+        # float mass is read as the binary rational it holds
+        twin = ("p_hat", [Fraction(p) for p in dice_solution.pmf])
+        _, weights = sumdist.resolve_measure(dice, dice_solution, EXACT)
+        assert weights == twin[1]
+        assert all(type(w) is Fraction for w in weights)
+        for n in (1, 2, 5):
+            got, want = (sum_distribution(dice, dice_constraint, n,
+                                          measure=measure, mode=EXACT)
+                         for measure in (dice_solution, twin))
+            assert got.scale == want.scale and got.origin == want.origin
+            assert list(got.table.flat) == list(want.table.flat)
+        got, want = (SumTableProvider(dice, dice_constraint, 6,
+                                      measure=measure, mode=EXACT)
+                     for measure in (dice_solution, twin))
+        for m in range(7):
+            for cell, _ in want.table(m).items():
+                assert got.mass(m, cell) == want.mass(m, cell)
         event = BoxEvent.make([[x] for x in range(1, 7)], [3], [4])
-        for build in (
-                lambda: sum_distribution(dice, dice_constraint, 2,
-                                         measure=dice_solution, mode=EXACT),
-                lambda: SumTableProvider(dice, dice_constraint, 2,
-                                         measure=dice_solution, mode=EXACT),
-                lambda: conditional_event_prob(dice, dice_constraint, event, 2,
-                                               measure=dice_solution,
-                                               mode=EXACT)):
-            with pytest.raises(ValidationError, match="exact rational"):
-                build()
+        for n in (2, 4):
+            got, want = (conditional_event_prob(dice, dice_constraint, event, n,
+                                                measure=measure, mode=EXACT)
+                         for measure in (dice_solution, twin))
+            assert (got.prob_event, got.prob_joint, got.prob_constraint) == \
+                (want.prob_event, want.prob_joint, want.prob_constraint)
+            assert type(got.prob_joint) is Fraction
 
     def test_negative_n(self, dice, dice_constraint):
         with pytest.raises(ValidationError):

@@ -32,7 +32,10 @@ that root's ``src``, so the two sides share nothing but the inputs:
   that sequences reach: ``DIE5_COROLLARY1`` and ``DIE5_GAPS``, the prior's
   central masses of the die at mean 5, and ``COIN_999_EVENT``, the prior's
   constraint mass in a frequency event DP. The files a refused run leaves
-  are compared too.
+  are compared too;
+- ``COIN_999_TV_RATIONAL``, the same coin in rational mode with a
+  ``TV(m,n)`` column at n = 600, whose prior masses underflow a float but
+  not a Fraction.
 
 For every run the exit codes, the set of files written and the bytes of each
 CSV and ``summary.md`` must agree; ``manifest.json`` holds timings and is left
@@ -156,6 +159,14 @@ COIN_999_EVENT = {
                                  "reference": "maxent"}]}],
 }
 
+# the same coin in rational mode: the TV column's provider under the prior
+# is exact, so no mass underflows
+COIN_999_TV_RATIONAL = {
+    "problem": COIN_999_EVENT["problem"],
+    "mode": "rational",
+    "experiments": [{"kind": "concentrate", "n_list": [600], "tv_m": 1}],
+}
+
 
 def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     """(name, CLI arguments without the output option) for every run."""
@@ -176,6 +187,7 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     configs["die5-corollary1-underflow"] = DIE5_COROLLARY1
     configs["die5-gaps-underflow"] = DIE5_GAPS
     configs["coin-999-event-underflow"] = COIN_999_EVENT
+    configs["coin-999-tv-rational"] = COIN_999_TV_RATIONAL
     runs = []
     for name, cfg in configs.items():
         path = config_dir / f"{name}.json"
