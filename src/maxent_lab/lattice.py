@@ -558,10 +558,14 @@ class _Reach(_WindowCache):
         a measure that charges every outcome, once known exact: a zero at a
         cell some length-m sequence reaches has underflowed, and raises."""
         if mass == 0 and units is not None and self(m, units):
-            raise LatticeBlowupError(
-                f"{where}: the mass at n={m} underflows the float range; "
-                "reduce n")
+            raise _underflow(where, m)
         return mass
+
+
+def _underflow(where: str, m: int) -> LatticeBlowupError:
+    """The refusal of a size-m mass of 0.0 at a cell that sequences reach."""
+    return LatticeBlowupError(
+        f"{where}: the mass at n={m} underflows the float range; reduce n")
 
 
 def _sequences_on_target(space: SampleSpace, constraint: ConstraintSpec, n: int):

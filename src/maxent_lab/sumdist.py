@@ -32,7 +32,9 @@ from .lattice import (
     _grow,
     _Reach,
     _shift_combine,
+    _underflow,
     _WindowCache,
+    first_feasible_sizes,
 )
 from .solver import MaxEntSolution
 
@@ -303,19 +305,27 @@ def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     """``central_series`` of each of ``measures``, from tables cut to their
     ``lattice._window``, bit for bit. Its largest step, from the widest
     window at n_max // 2 (widths are concave in m and equal at n_max - m),
-    is checked before it sweeps. Every mass passes one
-    ``lattice._Reach.exact``, so every zero is exact and reachability is
-    swept once for all the series: each measure must charge every outcome."""
+    is checked before it sweeps. Every zero is exact: a 0.0 at a target that
+    sequences of its size reach has underflowed and raises. One streamed
+    reachability sweep, to the last size with a zero on the lattice, decides
+    the zeros of all the series, so each measure must charge every outcome."""
     resolved = [resolve_measure(space, measure, mode) for measure in measures]
     _grow(constraint, n_max, n_max // 2 + 1)
-    reach = _Reach(constraint, n_max)
-    series = []
-    for measure_id, weights in resolved:
-        sweep = _sweep(constraint, measure_id, weights, mode, n_max)
-        where = f"central masses under {measure_id} to n={n_max}"
-        series.append([reach.exact(sd.n, constraint.center_units(sd.n),
-                                   sd.mass_at_target(), where)
-                       for sd in islice(sweep, n_max + 1)])
+    series = [[sd.mass_at_target() for sd in
+               islice(_sweep(constraint, measure_id, weights, mode, n_max),
+                      n_max + 1)]
+              for measure_id, weights in resolved]
+    zeros = [n for n in range(n_max + 1)
+             if any(masses[n] == 0 for masses in series)
+             and constraint.center_units(n) is not None]
+    if zeros:
+        reached = set(first_feasible_sizes(space, constraint, zeros[-1],
+                                           zeros[-1]))
+        for (measure_id, _), masses in zip(resolved, series):
+            for n in zeros:
+                if masses[n] == 0 and n in reached:
+                    raise _underflow(
+                        f"central masses under {measure_id} to n={n_max}", n)
     return series
 
 

@@ -6,7 +6,8 @@ a zero at a target cell that some length-n sequence reaches raises
 One ``_Reach`` at the largest size H decides every size n <= H, because the
 target cell of each such size lies in the window at H. Checked against the
 full-box ``feasible_sizes`` sweep over random rational problems. The central
-series (``sumdist._central_masses``) passes every size's mass through it.
+series (``sumdist._central_masses``) applies the same rule from one streamed
+reachability sweep, which keeps no table.
 """
 
 from fractions import Fraction
@@ -60,22 +61,24 @@ def test_a_nonzero_mass_comes_back_unchanged(problem, horizon, mass):
 
 
 def test_kept_tables_fit_the_cell_budget(monkeypatch):
-    # only sizes divisible by 3 reach the target (1, 1), so the gaps ask the
-    # one _Reach about the 0.0 central mass of every other size and it keeps
-    # a table per size: at most 5.9e5 cells at horizon 120, and past 1e6 by
-    # n = 91 at horizon 200, while no table holds more than 4.1e4
+    # only sizes divisible by 3 reach the target (1, 1), so the central
+    # masses of every other size are 0.0; _Reach would keep a table per size,
+    # past 1e6 cells by n = 91 at horizon 200 while no table holds more than
+    # 4.1e4, but the gaps decide those zeros by one streamed sweep
     space = build_space(["a", "b", "c"], [1, 1, 1])
     constraint = derive_lattice([[0, 0], [2, 1], [1, 2]], [1, 1])
     solution = solve_maxent(space, constraint)
     prior = rissanen_prior(8)
     monkeypatch.setattr(lattice, "CELL_BUDGET", 1_000_000)
-    gaps = mixture_gap_series(space, constraint, solution, prior, 60, 120)
-    assert [r.n for r in gaps] == [3, 6, 9, 12, 15, 18, 21, 24]
+    for n_max, horizon in [(60, 120), (100, 200)]:
+        gaps = mixture_gap_series(space, constraint, solution, prior, n_max,
+                                  horizon)
+        assert [r.n for r in gaps] == [3, 6, 9, 12, 15, 18, 21, 24]
+    reach = _Reach(constraint, 200)
     with pytest.raises(LatticeBlowupError,
                        match="reachability tables to n=91 needs"):
-        mixture_gap_series(space, constraint, solution, prior, 100, 200)
+        reach(91, constraint.center_units(91))
     # a refused sweep leaves the kept tables as they were
-    reach = _Reach(constraint, 200)
     assert reach(30, constraint.center_units(30))
     with pytest.raises(LatticeBlowupError):
         reach(150, constraint.center_units(150))
