@@ -50,70 +50,61 @@ class EventProbabilityResult:
         return self.prob_joint / self.prob_constraint
 
 
-def _count_bounds(n: int, reference, epsilon):
-    """Allowed per-outcome counts for frequencies inside the epsilon box."""
-    bounds = []
-    for ref in reference:
-        lo = max(0, math.ceil(n * (ref - epsilon)))
-        hi = min(n, math.floor(n * (ref + epsilon)))
-        bounds.append((lo, hi))
-    return bounds
+def _freq_layer(constraint, n, steps, bounds, mode):
+    """Count-layered DP with an out-of-band flag: the total and target-cell
+    masses of the sequences with some count outside its ``bounds``, and the
+    target-cell mass of those with none, as step sums of nonnegative terms
+    (floats, or integer numerators over D**n when ``steps`` are integers).
 
-
-def _freq_layer(constraint, n, weights, bounds, mode):
-    """Count-layered DP: returns (total mass, mass on the target cell) of
-    sequences whose per-outcome counts respect ``bounds``, as floats or as
-    integer numerators over D**n when ``weights`` are the integer steps.
-
-    Each shift-add covers only the box of (count, T-unit) cells that can be
-    nonzero, and the last outcome fills only row n, the one row read: every
-    skipped term is an exact zero, so the results keep their bits."""
-    shape_t = _dense_shape(n, constraint.unit_max)
-    shape = (n + 1,) + shape_t
-    _check_budget(shape, f"frequency count DP at n={n}; {REDUCE_N}")
-    table = np.zeros(shape, dtype=mode.dtype)
-    table[(0,) + (0,) * constraint.dim] = 1
-    extent = [(0, 0)] * len(shape)  # nonzero (first, last) index per axis
-    for i, (u, w, (lo, hi)) in enumerate(zip(constraint.units, weights, bounds)):
-        if lo > hi:
-            return 0, 0
-        new = np.zeros_like(table)
+    Plane 0 holds the prefixes with every count in band, plane 1 the others.
+    A shift-add covers only the (count, T-unit) cells of its plane that can
+    be nonzero, and the last outcome fills only row n, the one row read:
+    every skipped term is an exact zero, so the results keep their bits."""
+    shape = (n + 1,) + _dense_shape(n, constraint.unit_max)
+    _check_budget((2,) + shape, f"frequency count DP at n={n}; {REDUCE_N}")
+    table = np.zeros((2,) + shape, dtype=mode.dtype)
+    table[(0, 0) + (0,) * constraint.dim] = 1
+    extents = [[(0, 0)] * len(shape)] * 2  # nonzero (first, last) per axis
+    for i, (u, w, (lo, hi)) in enumerate(zip(constraint.units, steps, bounds)):
         step = (1,) + u
-        for nu in range(lo, hi + 1):
-            coef = mode.coefficients(n, nu, w)
-            # source cells whose shift stays inside the table
-            src = [(a, min(b, s - 1 - nu * d))
-                   for (a, b), s, d in zip(extent, shape, step)]
-            if i == len(bounds) - 1:
-                src[0] = (max(src[0][0], n - nu), src[0][1])
-            if any(a > b for a, b in src):
-                continue
-            new[tuple(slice(a + nu * d, b + 1 + nu * d)
-                      for (a, b), d in zip(src, step))] += \
-                table[tuple(slice(a, b + 1) for a, b in src)] * \
-                coef[src[0][0]:src[0][1] + 1].reshape(
-                    (-1,) + (1,) * constraint.dim)
-        extent = [(a + lo * d, min(b + hi * d, s - 1))
-                  for (a, b), s, d in zip(extent, shape, step)]
+        first_row = n if i == len(bounds) - 1 else 0
+        coefs = [mode.coefficients(n, nu, w) for nu in range(n + 1)]
+        new = np.zeros_like(table)
+        counts = ((lo, hi), (0, n))  # the counts shifted into each plane
+        for plane, (nu_lo, nu_hi) in enumerate(counts):
+            if plane:  # an out-of-band count takes every prefix to plane 1
+                table[0] += table[1]
+            for nu in range(nu_lo, nu_hi + 1):
+                # source cells whose shift stays inside the table
+                src = [(a, min(b, s - 1 - nu * d))
+                       for (a, b), s, d in zip(extents[plane], shape, step)]
+                src[0] = (max(src[0][0], first_row - nu), src[0][1])
+                if any(a > b for a, b in src):
+                    continue
+                new[plane][tuple(slice(a + nu * d, b + 1 + nu * d)
+                                 for (a, b), d in zip(src, step))] += \
+                    table[plane if lo <= nu <= hi else 0][
+                        tuple(slice(a, b + 1) for a, b in src)] * \
+                    coefs[nu][src[0][0]:src[0][1] + 1].reshape(
+                        (-1,) + (1,) * constraint.dim)
+        extents = [[(a + nu_lo * d, min(b + nu_hi * d, s - 1))
+                    for (a, b), s, d in zip(extent, shape, step)]
+                   for extent, (nu_lo, nu_hi) in zip(extents, counts)]
         table = new
-    final = table[n]
     center = constraint.center_units(n)
-    on_target = final.item(center) if center is not None else 0
-    return final.sum(keepdims=True).item(), on_target
+    targets = (0, 0) if center is None else (table[1, n].item(center),
+                                             table[0, n].item(center))
+    return (table[1, n].sum(keepdims=True).item(), *targets)
 
 
 def _freq_event(space, constraint, event, n, weights, mode):
-    bounds = _count_bounds(n, event.reference, event.epsilon)
-    free = [(0, n)] * space.size
-    steps, unit = mode.steps(weights)
-    box_total, box_center = _freq_layer(constraint, n, steps, bounds, mode)
-    all_total, all_center = _freq_layer(constraint, n, steps, free, mode)
-    scale = unit ** n
-    # float round-off can dip below 0; exact differences never do, and max
-    # returns its first argument on a tie, so they stay Fractions
-    prob_event = max((all_total - box_total) * scale, 0.0)
-    prob_joint = max((all_center - box_center) * scale, 0.0)
-    return prob_event, prob_joint, all_center * scale
+    # the counts of each outcome whose frequency is inside the epsilon box
+    bounds = [(max(0, math.ceil(n * (ref - event.epsilon))),
+               min(n, math.floor(n * (ref + event.epsilon))))
+              for ref in event.reference]
+    out_total, out_target, in_target = _freq_layer(constraint, n, weights,
+                                                   bounds, mode)
+    return out_total, out_target, in_target + out_target
 
 
 def _place_values(radices):
@@ -129,14 +120,12 @@ def _unpack(code, radices) -> list:
     return [code // p % r for r, p in zip(radices, _place_values(radices))]
 
 
-def _packed_event(constraint, n, weights, mode, low_radices, low_moves,
-                  holds_for):
-    """(event, joint, constraint) probabilities by one dict DP over packed
-    states: the T-units are the high digits, the event's digits (radices
-    ``low_radices``) the low ones. ``low_moves[v]`` gives each outcome's event
-    digits added to a state whose lowest digit v is cleared; ``holds_for``
-    decides the event once per distinct list of event digits."""
-    steps, unit = mode.steps(weights)
+def _packed_event(constraint, n, steps, low_radices, low_moves, holds_for):
+    """(event, joint, constraint) masses, as step sums, by one dict DP over
+    packed states: the T-units are the high digits, the event's digits
+    (radices ``low_radices``) the low ones. ``low_moves[v]`` gives each
+    outcome's event digits added to a state whose lowest digit v is cleared;
+    ``holds_for`` decides the event once per distinct list of event digits."""
     radices = [n * m + 1 for m in constraint.unit_max] + low_radices
     places = _place_values(radices)
     moves = [[(_pack(u + low, places), w)
@@ -162,8 +151,7 @@ def _packed_event(constraint, n, weights, mode, low_radices, low_moves,
                 prob_joint += mass
         if at_center:
             prob_constraint += mass
-    scale = unit ** n
-    return prob_event * scale, prob_joint * scale, prob_constraint * scale
+    return prob_event, prob_joint, prob_constraint
 
 
 def _box_event(space, constraint, event: BoxEvent, n, weights, mode):
@@ -176,7 +164,7 @@ def _box_event(space, constraint, event: BoxEvent, n, weights, mode):
         return in_box if event.inside else not in_box
 
     # event digits: the S-units
-    return _packed_event(constraint, n, weights, mode,
+    return _packed_event(constraint, n, weights,
                          [n * m + 1 for m in geometry.unit_max],
                          [geometry.units], holds_for)
 
@@ -195,8 +183,8 @@ def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights, mo
         return denom > 0 and abs(
             Fraction(cj, n) - Fraction(cbig, denom)) > event.epsilon
 
-    return _packed_event(constraint, n, weights, mode, [n + 1] * 3 + [2],
-                         low_moves, holds_for)
+    return _packed_event(constraint, n, weights, [n + 1] * 3 + [2], low_moves,
+                         holds_for)
 
 
 def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
@@ -211,19 +199,21 @@ def conditional_event_prob(space: SampleSpace, constraint: ConstraintSpec,
     if n < 1:
         raise ValidationError("n must be >= 1")
     measure_id, weights = resolve_measure(space, measure, mode)
+    steps, unit = mode.steps(weights)
     if isinstance(event, FrequencyDeviationEvent):
         if len(event.reference) != space.size:
             raise ValidationError("reference masses must match the outcome count")
-        out = _freq_event(space, constraint, event, n, weights, mode)
+        out = _freq_event(space, constraint, event, n, steps, mode)
     elif isinstance(event, BoxEvent):
         if len(event.statistic) != space.size:
             raise ValidationError("auxiliary statistic must cover every outcome")
-        out = _box_event(space, constraint, event, n, weights, mode)
+        out = _box_event(space, constraint, event, n, steps, mode)
     elif isinstance(event, BigramDeviationEvent):
-        out = _bigram_event(space, constraint, event, n, weights, mode)
+        out = _bigram_event(space, constraint, event, n, steps, mode)
     else:
         raise ValidationError(f"unknown event type {type(event).__name__}")
-    *probs, prob_constraint = out
+    scale = unit ** n  # every event DP returns step sums
+    *probs, prob_constraint = (mass * scale for mass in out)
     return EventProbabilityResult(n, measure_id, *probs, _Reach(constraint, n).exact(
         n, constraint.center_units(n), prob_constraint, f"event DP under {measure_id}"))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .lattice import SampleSpace, as_fraction
+from .lattice import SampleSpace, as_exact, as_fraction
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class FrequencyDeviationEvent:
             raise ValidationError("epsilon must be positive")
         # float masses (the projection's) are taken at their exact binary
         # value, so DP readouts and the enumeration oracle compare identically
-        return cls(epsilon=eps, reference=tuple(
-            Fraction(r) if isinstance(r, float) else as_fraction(r)
-            for r in reference))
+        return cls(epsilon=eps, reference=tuple(as_exact(r) for r in reference))
 
     def holds(self, sequence, space: SampleSpace) -> bool:
         n = len(sequence)

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import gcd, lcm, prod
+from math import gcd, isfinite, lcm, prod
 from operator import add, mul, sub
 
 import numpy as np
@@ -48,6 +48,15 @@ def as_fraction(value) -> Fraction:
     raise ValidationError(
         f"expected an exact rational (Fraction, int, or string), got {type(value).__name__}"
     )
+
+
+def as_exact(value) -> Fraction:
+    """``as_fraction``, but a finite float reads as its binary rational."""
+    if not isinstance(value, float):
+        return as_fraction(value)
+    if not isfinite(value):
+        raise ValidationError(f"cannot read {value!r} as an exact rational")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,8 @@ def build_space(labels, prior_weights) -> SampleSpace:
         raise ValidationError("outcome labels must be strings or numbers")
     if len(set(labels)) != len(labels):
         raise ValidationError("outcome labels must be distinct")
+    if not isinstance(prior_weights, (list, tuple)):
+        raise ValidationError("prior weights must be a list")
     weights = [as_fraction(w) for w in prior_weights]
     if len(weights) != len(labels):
         raise ValidationError("labels and weights must have equal length")

@@ -34,6 +34,7 @@ from .lattice import (
     _shift_combine,
     _underflow,
     _WindowCache,
+    as_exact,
     first_feasible_sizes,
 )
 from .solver import MaxEntSolution
@@ -55,7 +56,7 @@ def _binomial_weight_vector(n: int, nu: int, w: float) -> np.ndarray:
         )
     m = np.arange(n, nu, -1, dtype=float)
     try:
-        start = float(math.comb(n, nu)) * math.exp(nu * math.log(w))
+        start = float(math.comb(n, nu)) * w ** nu
     except OverflowError:
         # the chain would run below 1/C(n, nu), out of the float range;
         # from the start value each partial product is a coefficient
@@ -102,7 +103,7 @@ class Arithmetic:
 
 FLOAT = Arithmetic("float", np.float64, float, lambda weights: (weights, 1.0),
                    _binomial_weight_vector)
-EXACT = Arithmetic("rational", object, Fraction, _exact_steps,
+EXACT = Arithmetic("rational", object, as_exact, _exact_steps,
                    _exact_weight_vector)
 # a config's ``mode`` name -> its arithmetic
 ARITHMETICS = {str(a): a for a in (FLOAT, EXACT)}
@@ -112,7 +113,7 @@ def resolve_measure(space: SampleSpace, measure, mode: Arithmetic):
     """Normalize a measure argument to (measure_id, per-outcome weights).
 
     Accepts 'q' (the prior), a MaxEntSolution or a ``(tag, weights)`` pair;
-    ``EXACT`` reads a float weight as the binary rational it holds.
+    ``EXACT`` reads a finite float weight as the binary rational it holds.
     """
     if measure == "q":
         measure_id, weights = "q", space.prior_fractions

@@ -569,7 +569,7 @@ class TestCli:
         rows = next(out.glob("*.csv")).read_text().splitlines()
         assert rows[1] == (
             "1000,0.025225018178360804,0.7976851146277163,0.9997500312890522,"
-            "0:freq_deviation,0.0,0.19476632846177055,0.19476632846177055,")
+            "0:freq_deviation,0.0,0.1947663284617655,0.1947663284617655,")
         for row in rows[2:]:
             n, _, _, _, _, cond_q, ptilde, slack, _ = row.split(",")
             n = int(n)

@@ -32,8 +32,9 @@ from maxent_lab.lattice import (
 from maxent_lab.sumdist import EXACT, FLOAT, resolve_measure
 
 # ---------------------------------------------------------------------------
-# Reference kernels: the straightforward versions, kept as they were written
-# before the packed keys, the cropped count DP and the reused products.
+# Reference kernels: the straightforward versions, as they were written
+# before the packed keys, the cropped count DP and the reused products; the
+# count DP's reference shifts whole planes of the same flagged table.
 # ---------------------------------------------------------------------------
 
 
@@ -53,37 +54,44 @@ def _sparse_step(table: dict, cells) -> dict:
     return new
 
 
-def _freq_layer(constraint, n, weights, bounds, mode):
-    """Count-layered DP: returns (total mass, mass on the target cell) of
-    sequences whose per-outcome counts respect ``bounds``, as floats or as
-    integer numerators over D**n when ``weights`` are the integer steps."""
+def _freq_layer(constraint, n, steps, bounds, mode):
+    """Count-layered DP with an out-of-band flag: returns (total mass, mass on
+    the target cell) of sequences with some count outside ``bounds``, and the
+    mass on the target cell of those with none, as step sums. Plane 0 holds
+    the prefixes with every count in band, plane 1 the others; every shift
+    covers the whole plane and the last outcome fills every row."""
     shape_t = _dense_shape(n, constraint.unit_max)
-    shape = (n + 1,) + shape_t
+    shape = (2, n + 1) + shape_t
     _check_budget(shape, f"frequency count DP at n={n}")
     table = np.zeros(shape, dtype=mode.dtype)
-    table[(0,) + (0,) * constraint.dim] = 1
-    for u, w, (lo, hi) in zip(constraint.units, weights, bounds):
-        if lo > hi:
-            return 0, 0
+    table[(0, 0) + (0,) * constraint.dim] = 1
+    for u, w, (lo, hi) in zip(constraint.units, steps, bounds):
         new = np.zeros_like(table)
-        for nu in range(lo, hi + 1):
-            coef = mode.coefficients(n, nu, w)
+        coefs = [mode.coefficients(n, nu, w) for nu in range(n + 1)]
+
+        def shift_add(plane, source, nu):
             # cells whose shift would leave the table carry zero mass anyway
             dst = tuple(slice(nu * uj, s) for uj, s in zip(u, shape_t))
             src = tuple(slice(0, s - nu * uj) for uj, s in zip(u, shape_t))
-            new[(slice(nu, None),) + dst] += \
-                table[(slice(0, n + 1 - nu),) + src] * coef.reshape(
+            new[plane][(slice(nu, None),) + dst] += \
+                source[(slice(0, n + 1 - nu),) + src] * coefs[nu].reshape(
                     (-1,) + (1,) * constraint.dim)
+
+        for nu in range(lo, hi + 1):
+            shift_add(0, table[0], nu)
+        merged = table[0] + table[1]  # every prefix
+        for nu in range(n + 1):
+            shift_add(1, table[1] if lo <= nu <= hi else merged, nu)
         table = new
-    final = table[n]
+    out, inside = table[1, n], table[0, n]
     center = constraint.center_units(n)
-    on_target = final.item(center) if center is not None else 0
-    return final.sum(keepdims=True).item(), on_target
+    if center is None:
+        return out.sum(keepdims=True).item(), 0, 0
+    return out.sum(keepdims=True).item(), out.item(center), inside.item(center)
 
 
-def _box_event(space, constraint, event: BoxEvent, n, weights, mode):
+def _box_event(space, constraint, event: BoxEvent, n, steps, mode):
     geometry = LatticeGeometry.from_values(event.statistic, allow_constant=True)
-    steps, unit = mode.steps(weights)
     cells = []
     for ut, us, w in zip(constraint.units, geometry.units, steps):
         cells.append((ut + us, w))
@@ -109,14 +117,12 @@ def _box_event(space, constraint, event: BoxEvent, n, weights, mode):
                 prob_joint += mass
         if at_center:
             prob_constraint += mass
-    scale = unit ** n
-    return prob_event * scale, prob_joint * scale, prob_constraint * scale
+    return prob_event, prob_joint, prob_constraint
 
 
-def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights, mode):
+def _bigram_event(space, constraint, event: BigramDeviationEvent, n, steps, mode):
     ij = space.index(event.j)
     ijp = space.index(event.jprime)
-    steps, unit = mode.steps(weights)
     # state: T-units, count_j, count_jprime, bigram count, last-symbol-is-jprime
     start = (0,) * constraint.dim + (0, 0, 0, 0)
     table = {start: 1}
@@ -156,8 +162,7 @@ def _bigram_event(space, constraint, event: BigramDeviationEvent, n, weights, mo
                 prob_joint += mass
         if at_center:
             prob_constraint += mass
-    scale = unit ** n
-    return prob_event * scale, prob_joint * scale, prob_constraint * scale
+    return prob_event, prob_joint, prob_constraint
 
 
 weights_st = st.builds(Fraction, st.integers(1, 9), st.integers(2, 12))
@@ -165,9 +170,10 @@ weights_st = st.builds(Fraction, st.integers(1, 9), st.integers(2, 12))
 
 @st.composite
 def problems(draw):
-    """(space, constraint, mode, weights): |X| <= 6, k <= 3, statistic values
-    that may be negative, and per-outcome weights drawn from a pool of at
-    most three values, so equal weights repeat and interleave."""
+    """(space, constraint, mode, steps): |X| <= 6, k <= 3, statistic values
+    that may be negative, and the step values of per-outcome weights drawn
+    from a pool of at most three values, so equal weights repeat and
+    interleave."""
     size = draw(st.integers(2, 6))
     k = draw(st.integers(1, 3))
     space = build_space(list(range(size)),
@@ -187,7 +193,8 @@ def problems(draw):
         pool = draw(st.lists(weights_st, min_size=1, max_size=3))
         measure = ("tilt", [pool[draw(st.integers(0, len(pool) - 1))]
                             for _ in range(size)])
-    return space, constraint, mode, resolve_measure(space, measure, mode)[1]
+    return (space, constraint, mode,
+            mode.steps(resolve_measure(space, measure, mode)[1])[0])
 
 
 def _exact(value):
@@ -203,9 +210,8 @@ def _same(got, want):
 @settings(max_examples=150, deadline=None)
 @given(problems(), st.integers(1, 7), st.data())
 def test_count_dp_matches_reference(problem, n, data):
-    space, constraint, mode, weights = problem
-    steps, _ = mode.steps(weights)
-    # some bounds have lo > hi, which empties the event
+    space, constraint, mode, steps = problem
+    # some bounds have lo > hi, which leaves no sequence in band
     bounds = data.draw(st.lists(
         st.tuples(st.integers(0, n + 1), st.integers(-1, n)),
         min_size=space.size, max_size=space.size))
@@ -221,7 +227,7 @@ bound_st = st.one_of(st.none(), st.builds(Fraction, st.integers(-9, 9),
 @settings(max_examples=150, deadline=None)
 @given(problems(), st.integers(1, 7), st.data())
 def test_box_event_matches_reference(problem, n, data):
-    space, constraint, mode, weights = problem
+    space, constraint, mode, steps = problem
     # coordinates may be constant or negative
     dim = data.draw(st.integers(1, 2))
     statistic = data.draw(st.lists(
@@ -231,21 +237,21 @@ def test_box_event_matches_reference(problem, n, data):
         statistic, data.draw(st.lists(bound_st, min_size=dim, max_size=dim)),
         data.draw(st.lists(bound_st, min_size=dim, max_size=dim)),
         inside=data.draw(st.booleans()))
-    args = (space, constraint, event, n, weights, mode)
+    args = (space, constraint, event, n, steps, mode)
     _same(conditional._box_event(*args), _box_event(*args))
 
 
 @settings(max_examples=150, deadline=None)
 @given(problems(), st.integers(1, 7), st.data())
 def test_bigram_event_matches_reference(problem, n, data):
-    space, constraint, mode, weights = problem
+    space, constraint, mode, steps = problem
     # j == j' is allowed
     j, jprime = data.draw(st.lists(st.integers(0, space.size - 1),
                                    min_size=2, max_size=2))
     event = BigramDeviationEvent.make(
         j, jprime, data.draw(st.builds(Fraction, st.integers(1, 3),
                                        st.integers(4, 12))))
-    args = (space, constraint, event, n, weights, mode)
+    args = (space, constraint, event, n, steps, mode)
     _same(conditional._bigram_event(*args), _bigram_event(*args))
 
 

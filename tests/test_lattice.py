@@ -53,6 +53,12 @@ class TestBuildSpace:
         with pytest.raises(ValidationError):
             build_space("ab", [0.5, 0.5])
 
+    @pytest.mark.parametrize("weights", ["13", {"a": 1, "b": 3}, iter([1, 3])])
+    def test_prior_must_be_a_list(self, weights):
+        # a string would be read character by character, as the prior (1, 3)
+        with pytest.raises(ValidationError, match="must be a list"):
+            build_space(["a", "b"], weights)
+
 
 class TestDeriveLattice:
     def test_dice_consecutive(self, dice_constraint):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxent_lab import (
     BoxEvent,
+    FrequencyDeviationEvent,
     SumTableProvider,
     build_space,
     central_series,
@@ -135,6 +136,16 @@ class TestGuards:
         for mode in (FLOAT, EXACT):
             with pytest.raises(LatticeBlowupError):
                 sum_distribution(pair, pair_constraint, 10 ** 5, mode=mode)
+
+    @pytest.mark.parametrize("weights", [[True, False], [float("nan"), 0.5],
+                                         [0.5, float("inf")]])
+    def test_exact_arithmetic_refuses_what_it_cannot_hold(self, coin, weights):
+        # a bool is no rational, and a NaN or an infinity no binary one; an
+        # event's reference masses are read the same way
+        with pytest.raises(ValidationError):
+            sumdist.resolve_measure(coin, ("t", weights), EXACT)
+        with pytest.raises(ValidationError):
+            FrequencyDeviationEvent.make(Fraction(1, 5), weights)
 
     def test_exact_arithmetic_reads_the_projection_exactly(
             self, dice, dice_constraint, dice_solution):

@@ -35,7 +35,10 @@ that root's ``src``, so the two sides share nothing but the inputs:
   are compared too;
 - ``COIN_999_TV_RATIONAL``, the same coin in rational mode with a
   ``TV(m,n)`` column at n = 600, whose prior masses underflow a float but
-  not a Fraction.
+  not a Fraction;
+- ``DIE5_FREQ``, the die at mean 5 in float mode with a frequency event at
+  n = 300 and 420, where P~(A) is about 1e-16: a DP that took the event
+  mass as a difference of two masses near 1 wrote 0.0 at n = 420.
 
 For every run the exit codes, the set of files written and the bytes of each
 CSV and ``summary.md`` must agree; ``manifest.json`` holds timings and is left
@@ -148,6 +151,12 @@ DIE5_GAPS = {
     "experiments": [{"kind": "game", "mode": "gaps", "n_max": 5,
                      "horizon": 3000, "j_max": 3000}],
 }
+DIE5_FREQ = {
+    "problem": DIE5,
+    "experiments": [{"kind": "concentrate", "n_list": [300, 420],
+                     "events": [{"type": "freq_deviation", "epsilon": "1/5",
+                                 "reference": "maxent"}]}],
+}
 
 # the coin with prior 1:999 at mean 1/2: the prior's mass of C_600 underflows
 # in the event DP, while the projection's central masses stay normal
@@ -186,6 +195,7 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     configs["wide-pad"] = WIDE_PAD
     configs["die5-corollary1-underflow"] = DIE5_COROLLARY1
     configs["die5-gaps-underflow"] = DIE5_GAPS
+    configs["die5-freq"] = DIE5_FREQ
     configs["coin-999-event-underflow"] = COIN_999_EVENT
     configs["coin-999-tv-rational"] = COIN_999_TV_RATIONAL
     runs = []
