@@ -11,7 +11,7 @@ import dataclasses
 import functools
 import sys
 
-from .config import load_config, validate_config
+from .config import blocking, load_config, validate_config
 from .errors import EnumerationInfeasibleError, LatticeBlowupError, MaxentLabError
 from .experiments import run_config
 from .fixtures import fixture_names, load_fixture
@@ -67,10 +67,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_run(config_source, output, mode) -> int:
     config = load_config(config_source)
-    diagnostics = validate_config(config)
-    blocking = [d for d in diagnostics if not d.message.startswith("note:")]
-    if blocking:
-        for d in blocking:
+    refusals = blocking(validate_config(config))
+    if refusals:
+        for d in refusals:
             print(f"validation: {d}", file=sys.stderr)
         return EXIT_VALIDATION
     if mode is not None:
@@ -88,8 +87,7 @@ def _cmd_validate(args) -> int:
         return EXIT_OK
     for d in diagnostics:
         print(str(d))
-    blocking = [d for d in diagnostics if not d.message.startswith("note:")]
-    return EXIT_VALIDATION if blocking else EXIT_OK
+    return EXIT_VALIDATION if blocking(diagnostics) else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -87,7 +87,8 @@ def _require(block: dict, key: str, where: str):
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse a config from a path, JSON text, or an already-loaded dict.
+    """Parse a config from a path (a string is read as one) or an
+    already-loaded dict.
 
     Raises ValidationError on structural problems; use ``validate_config`` for
     a non-raising diagnostic pass. An ``ExperimentConfig`` passes through.
@@ -99,7 +100,11 @@ def load_config(source) -> ExperimentConfig:
     else:
         path = Path(source)
         try:
-            raw = json.loads(path.read_text())
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read config {path}: {exc}") from exc
+        try:
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
     problem = _require(raw, "problem", "config")
@@ -267,6 +272,11 @@ def build_event(spec: dict, space, solution=None):
         return BigramDeviationEvent.make(*labels,
                                          _require(spec, "epsilon", "event"))
     raise ValidationError(f"unknown event type {etype!r}")
+
+
+def blocking(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
+    """The diagnostics that stop a run: all but the notes."""
+    return [d for d in diagnostics if not d.message.startswith("note:")]
 
 
 def validate_config(source) -> list[Diagnostic]:

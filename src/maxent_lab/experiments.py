@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -23,7 +23,6 @@ from .config import build_event, load_config
 from .errors import EnumerationInfeasibleError, ValidationError
 from .lattice import first_feasible_sizes
 from .predictors import (
-    IIDPredictor,
     conditioned_prior_predictor,
     maxent_predictor,
     mixture_predictor,
@@ -69,21 +68,11 @@ class RunManifest:
     version: str
     mode: str
     outputs: dict = field(default_factory=dict)
-    durations: dict = field(default_factory=dict)
+    durations_seconds: dict = field(default_factory=dict)
     seeds: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "version": self.version,
-                "mode": self.mode,
-                "outputs": self.outputs,
-                "durations_seconds": self.durations,
-                "seeds": self.seeds,
-            },
-            indent=2, sort_keys=True,
-        ) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(value) -> str:
@@ -187,14 +176,15 @@ def _run_corollary1(ctx, block, path):
 def _run_game_paths(ctx, block, path):
     space, constraint, solution = ctx["space"], ctx["constraint"], ctx["solution"]
     prior = rissanen_prior(block["j_max"])
+    last = block["n_list"][-1]
     # multiples of the first feasible size are feasible, so the mixture's
     # j_max sizes lie within j_max times it; the provider serves them and
-    # every size of the block
-    first = first_feasible_sizes(space, constraint, 1) \
+    # every size of the block, all skipped and with no mixture if none is
+    # feasible
+    first = first_feasible_sizes(space, constraint, 1, last) \
         if "mixture" in block["predictors"] else []
     provider = SumTableProvider(space, constraint,
-                                max([block["n_list"][-1],
-                                     *(prior.j_max * n for n in first)]),
+                                max([last, *(prior.j_max * n for n in first)]),
                                 measure="q")
     predictors = {}
     for tag in block["predictors"]:
@@ -202,7 +192,7 @@ def _run_game_paths(ctx, block, path):
             predictors[tag] = maxent_predictor(space, solution)
         elif tag == "conditioned":
             predictors[tag] = lambda n: conditioned_prior_predictor(provider, n)
-        else:
+        elif first:
             predictors[tag] = mixture_predictor(provider, prior)
     report = play_coding_game(space, constraint, solution, predictors,
                               block["n_list"])
@@ -264,14 +254,11 @@ def _run_recur(ctx, block, path):
 
 
 def _run_hypercomp(ctx, block, path):
-    space, solution = ctx["space"], ctx["solution"]
-    base = maxent_predictor(space, solution)
-    challenger = IIDPredictor(space, [float(w) for w in space.prior], "prior")
     rows = []
     seeds = {}
     for j, k_bits in enumerate(block["K"]):
         seed = block["seed"] + j
-        result = hypercompression_check(base, challenger, solution,
+        result = hypercompression_check(ctx["space"], ctx["solution"],
                                         n=block["n"], k_bits=float(k_bits),
                                         samples=block["samples"], seed=seed)
         seeds[str(k_bits)] = seed
@@ -323,7 +310,7 @@ def run_config(source, output_dir) -> RunManifest:
         ctx["summary"].append(f"\n### {tag}\n")
         started = time.perf_counter()
         runner(ctx, block, path)
-        manifest.durations[tag] = round(time.perf_counter() - started, 3)
+        manifest.durations_seconds[tag] = round(time.perf_counter() - started, 3)
         manifest.outputs[tag] = path.name
     summary_path = outdir / "summary.md"
     summary_path.write_text(

@@ -633,7 +633,7 @@ def feasible_sizes(space: SampleSpace, constraint: ConstraintSpec,
 
 
 def first_feasible_sizes(space: SampleSpace, constraint: ConstraintSpec, count: int,
-                         n_cap: int = 100_000) -> list[int]:
+                         n_cap: int) -> list[int]:
     """First ``count`` feasible sizes in increasing order (stops at n_cap), from
     the sweep cut to its ``_window`` at n_cap, which keeps every target cell."""
     return _on_target(constraint, _reach_sweep(constraint, n_cap), count, n_cap)

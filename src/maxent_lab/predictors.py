@@ -124,8 +124,8 @@ class MixturePredictor(Predictor):
     Once every posterior is zero, a symbol gets the uniform mass in ``mode``."""
 
     def __init__(self, space: SampleSpace, components, weights,
-                 mode: Arithmetic, tag: str):
-        super().__init__(space, tag)
+                 mode: Arithmetic):
+        super().__init__(space, "mixture")
         if len(components) != len(weights) or not components:
             raise ValidationError("need matching nonempty components and weights")
         self.components = list(components)
@@ -171,8 +171,7 @@ def mixture_predictor(provider: SumTableProvider,
         raise ValidationError("no feasible sizes for the mixture")
     weights = [provider.mode.value(prior.mass(j))
                for j in range(1, len(components) + 1)]
-    return MixturePredictor(provider.space, components, weights, provider.mode,
-                            "mixture")
+    return MixturePredictor(provider.space, components, weights, provider.mode)
 
 
 class RenewalComposedPredictor(Predictor):

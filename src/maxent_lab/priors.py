@@ -25,7 +25,7 @@ class IntegerPrior:
         return self.masses[j - 1]
 
 
-def rissanen_prior(j_max: int = 4096) -> IntegerPrior:
+def rissanen_prior(j_max: int) -> IntegerPrior:
     """Prior proportional to 1 / (j * (log2(j + 1))^2), truncated at j_max.
 
     Satisfies -log2 pi(j) = log2 j + O(log log j). Raw float weights are taken

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .lattice import ConstraintSpec, SampleSpace, _check_budget
-from .predictors import IIDPredictor
 from .solver import MaxEntSolution
 from .sumdist import sum_distribution
 
@@ -146,27 +145,24 @@ class HypercompressionResult:
     sigma: float
 
 
-def hypercompression_check(base: IIDPredictor, challenger: IIDPredictor,
-                           solution: MaxEntSolution, n: int, k_bits: float,
-                           samples: int, seed: int) -> HypercompressionResult:
-    """Frequency with which the challenger saves at least ``k_bits`` over the
-    base code on projection-sampled sequences of length n.
+def hypercompression_check(space: SampleSpace, solution: MaxEntSolution,
+                           n: int, k_bits: float, samples: int,
+                           seed: int) -> HypercompressionResult:
+    """Frequency with which the prior's i.i.d. code saves at least ``k_bits``
+    over the projection's on projection-sampled sequences of length n.
 
     Both codes are i.i.d., so each sample is scored from its symbol counts;
     the samples x |X| table of counts must fit the cell budget. For data
-    sampled from the base's own distribution this frequency obeys the 2^-K
-    bound up to binomial sampling slack.
+    sampled from the projection this frequency obeys the 2^-K bound up to
+    binomial sampling slack.
     """
     if k_bits <= 0 or samples < 1 or n < 1:
         raise ValidationError("need K > 0, samples >= 1, n >= 1")
-    if not (isinstance(base, IIDPredictor)
-            and isinstance(challenger, IIDPredictor)):
-        raise ValidationError("hypercompression needs two i.i.d. codes")
     pmf = solution.pmf / solution.pmf.sum()
     _check_budget((samples, len(pmf)), f"counts of {samples} samples; reduce samples")
     counts = _streams(seed, 1)[0].multinomial(n, pmf, size=samples)
-    exceed = _iid_codelengths(counts, base.pmf) >= \
-        _iid_codelengths(counts, challenger.pmf) + k_bits
+    exceed = _iid_codelengths(counts, solution.pmf) >= \
+        _iid_codelengths(counts, space.prior) + k_bits
     frequency = float(np.mean(exceed))
     bound = 2.0 ** (-k_bits)
     sigma = math.sqrt(bound * (1.0 - bound) / samples)

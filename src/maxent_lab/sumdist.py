@@ -302,7 +302,7 @@ def central_series(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
 
 
 def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
-                    measures=("q",), mode: Arithmetic = FLOAT) -> list[list]:
+                    measures=("q",)) -> list[list]:
     """``central_series`` of each of ``measures``, from tables cut to their
     ``lattice._window``, bit for bit. Its largest step, from the widest
     window at n_max // 2 (widths are concave in m and equal at n_max - m),
@@ -310,10 +310,10 @@ def _central_masses(space: SampleSpace, constraint: ConstraintSpec, n_max: int,
     sequences of its size reach has underflowed and raises. One streamed
     reachability sweep, to the last size with a zero on the lattice, decides
     the zeros of all the series, so each measure must charge every outcome."""
-    resolved = [resolve_measure(space, measure, mode) for measure in measures]
+    resolved = [resolve_measure(space, measure, FLOAT) for measure in measures]
     _grow(constraint, n_max, n_max // 2 + 1)
     series = [[sd.mass_at_target() for sd in
-               islice(_sweep(constraint, measure_id, weights, mode, n_max),
+               islice(_sweep(constraint, measure_id, weights, FLOAT, n_max),
                       n_max + 1)]
               for measure_id, weights in resolved]
     zeros = [n for n in range(n_max + 1)

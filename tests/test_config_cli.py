@@ -311,6 +311,19 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / f"{kind}.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"problem": "\xff"}')
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert f"cannot read config {path}" in capsys.readouterr().err
+        assert main(["validate", "-c", str(path)]) == 2
+        assert f"cannot read config {path}" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_mode_exit_2(self, tmp_path, capsys):
         path = tmp_path / "decimal.json"
         path.write_text(json.dumps(_with(mode="decimal")))

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxent_lab import (
     build_space,
+    central_series,
     corollary1_residuals,
     derive_lattice,
     lattice,
@@ -98,11 +99,15 @@ def test_central_masses_refuse_the_first_underflow(dice):
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_central_masses_keep_exact_zeros(mode):
-    # T in {0, 3, 5} at mean 1: no sequence of size 1, 2, 4 or 7 sums to n
+    # T in {0, 3, 5} at mean 1: no sequence of size 1, 2, 4 or 7 sums to n;
+    # the windowed series sweeps in FLOAT and has the zeros of either
+    # arithmetic's full sweep
     space = build_space(["a", "b", "c"], [1, 1, 1])
     constraint = derive_lattice([[0], [3], [5]], [1])
-    [masses] = _central_masses(space, constraint, 12, mode=mode)
+    masses = central_series(space, constraint, 12, mode=mode)
     assert [n for n, mass in enumerate(masses) if mass == 0] == [1, 2, 4, 7]
+    [windowed] = _central_masses(space, constraint, 12)
+    assert [mass == 0 for mass in windowed] == [mass == 0 for mass in masses]
 
 
 def test_corollary1_sweeps_reachability_once(monkeypatch):

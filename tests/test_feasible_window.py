@@ -41,15 +41,48 @@ def test_a_thin_cube3_target_validates_past_the_full_box_budget(
     # step to n = 27 holds 28**3 = 21952 cells, past a budget of 20000, while
     # the windows at horizon 42 keep at most 3 cells on the first coordinate
     monkeypatch.setattr(lattice, "CELL_BUDGET", 20_000)
-    raw = {"problem": {"outcomes": list(cube3.outcomes),
-                       "prior": ["1"] * 8,
-                       "T": [[label[j] for label in cube3.outcomes]
-                             for j in range(3)],
-                       "target": ["1/21", "1/2", "1/2"]},
-           "experiments": [{"kind": "corollary1", "n_list": [42]}]}
+    raw = _thin_cube3(cube3, [{"kind": "corollary1", "n_list": [42]}])
     assert _run(tmp_path, raw) == 0
     rows = (tmp_path / "out" / "00_corollary1_corollary1.csv").read_text()
     assert rows.splitlines()[1].startswith("42,")
+
+
+def _thin_cube3(cube3, experiments):
+    # cube3 at (1/21, 1/2, 1/2), first feasible at n = 42
+    return {"problem": {"outcomes": list(cube3.outcomes),
+                        "prior": ["1"] * 8,
+                        "T": [[label[j] for label in cube3.outcomes]
+                              for j in range(3)],
+                        "target": ["1/21", "1/2", "1/2"]},
+            "experiments": experiments}
+
+
+def test_a_thin_cube3_paths_game_reads_its_first_size_at_its_last(
+        tmp_path, monkeypatch, cube3):
+    # the mixture's first size is read from the windows at n = 42, not from
+    # full boxes, which outgrow a budget of 25000 at n = 29
+    monkeypatch.setattr(lattice, "CELL_BUDGET", 25_000)
+    raw = _thin_cube3(cube3, [{"kind": "game", "mode": "paths",
+                               "n_list": [42], "j_max": 1}])
+    assert _run(tmp_path, raw) == 0
+    rows = (tmp_path / "out" / "00_game_game.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == \
+        [["42", "maxent"], ["42", "conditioned"], ["42", "mixture"]]
+
+
+def test_a_paths_game_with_no_feasible_size_builds_no_mixture(
+        tmp_path, monkeypatch, cube3):
+    # no size up to 40 is feasible, so every size is skipped; the corollary1
+    # block at 42 lets the config validate
+    monkeypatch.setattr(lattice, "CELL_BUDGET", 25_000)
+    raw = _thin_cube3(cube3, [{"kind": "game", "mode": "paths",
+                               "n_list": [40], "j_max": 1},
+                              {"kind": "corollary1", "n_list": [42]}])
+    assert _run(tmp_path, raw) == 0
+    out = tmp_path / "out"
+    assert (out / "00_game_game.csv").read_text() == \
+        "n,predictor,codelength_bits,gap_vs_maxent_bits\n"
+    assert "Skipped infeasible sizes: [40]." in (out / "summary.md").read_text()
 
 
 def test_a_paths_game_glues_blocks_of_a_first_size_past_24(tmp_path):

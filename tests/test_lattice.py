@@ -157,7 +157,7 @@ class TestFeasibleSizes:
             assert dice_constraint.center_units(n) is not None
 
     def test_first_feasible_sizes(self, dice, dice_constraint):
-        assert first_feasible_sizes(dice, dice_constraint, 4) == [2, 4, 6, 8]
+        assert first_feasible_sizes(dice, dice_constraint, 4, 8) == [2, 4, 6, 8]
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())

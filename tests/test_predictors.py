@@ -262,7 +262,7 @@ class TestMixture:
         space = build_space([f"x{i}" for i in range(8)], [1] * 8)
         constraint = derive_lattice([[i] for i in range(8)], ["7/2"])
         prior = rissanen_prior(210)
-        sizes = first_feasible_sizes(space, constraint, prior.j_max)
+        sizes = first_feasible_sizes(space, constraint, prior.j_max, 420)
         mixture = mixture_predictor(
             SumTableProvider(space, constraint, sizes[-1]), prior)
         seq = representative_sequence(space, constraint, 400)
@@ -349,7 +349,7 @@ class TestRenewal:
             return MixturePredictor(
                 coin,
                 [challenger(), IIDPredictor(coin, [Fraction(1, 2)] * 2, "proj")],
-                [alpha, 1 - alpha], EXACT, tag="p_alpha")
+                [alpha, 1 - alpha], EXACT)
 
         composed = renewal_compose(coin, coin_constraint, p_alpha)
         proj = IIDPredictor(coin, [Fraction(1, 2)] * 2, "proj")

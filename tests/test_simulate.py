@@ -5,15 +5,10 @@ import numpy as np
 import pytest
 
 from maxent_lab import (
-    IIDPredictor,
-    SumTableProvider,
     hypercompression_check,
     hypercompression_exact_prob,
     lattice,
-    maxent_predictor,
-    mixture_predictor,
     recurrence_simulation,
-    rissanen_prior,
 )
 from maxent_lab.cli import main
 from maxent_lab.errors import LatticeBlowupError, ValidationError
@@ -71,20 +66,17 @@ class TestRecurrence:
 
 
 class TestHypercompression:
-    def test_identical_predictors_never_exceed(self, dice, dice_solution):
-        base = maxent_predictor(dice, dice_solution)
-        challenger = maxent_predictor(dice, dice_solution)
-        result = hypercompression_check(base, challenger, dice_solution,
-                                        n=50, k_bits=5.0, samples=2000, seed=3)
+    def test_identical_predictors_never_exceed(self, coin, coin_solution):
+        # the fair coin at mean 1/2 is its own projection, so the prior's
+        # code is the projection's
+        result = hypercompression_check(coin, coin_solution, n=50, k_bits=5.0,
+                                        samples=2000, seed=3)
         assert result.frequency == 0.0
 
     @pytest.mark.parametrize("k_bits", [1.0, 5.0, 10.0])
     def test_bound_respected(self, dice, dice_solution, k_bits):
-        base = maxent_predictor(dice, dice_solution)
-        challenger = IIDPredictor(dice, [1 / 6] * 6, "prior")
-        result = hypercompression_check(base, challenger, dice_solution,
-                                        n=100, k_bits=k_bits, samples=20000,
-                                        seed=7)
+        result = hypercompression_check(dice, dice_solution, n=100,
+                                        k_bits=k_bits, samples=20000, seed=7)
         assert result.frequency <= result.bound + 3.0 * result.sigma
 
     def test_exact_probability_cross_check(self, dice, dice_constraint,
@@ -92,30 +84,15 @@ class TestHypercompression:
         exact = hypercompression_exact_prob(dice, dice_constraint,
                                             dice_solution, n=100, k_bits=1.0)
         assert exact <= 0.5
-        base = maxent_predictor(dice, dice_solution)
-        challenger = IIDPredictor(dice, [1 / 6] * 6, "prior")
-        result = hypercompression_check(base, challenger, dice_solution,
-                                        n=100, k_bits=1.0, samples=100000,
-                                        seed=13)
+        result = hypercompression_check(dice, dice_solution, n=100,
+                                        k_bits=1.0, samples=100000, seed=13)
         sigma = math.sqrt(max(exact, 1e-12) * (1 - exact) / result.samples)
         assert abs(result.frequency - exact) <= 4 * sigma + 1e-6
 
-    def test_a_code_that_is_not_iid_is_refused(self, coin, coin_solution,
-                                               coin_constraint):
-        base = maxent_predictor(coin, coin_solution)
-        challenger = mixture_predictor(
-            SumTableProvider(coin, coin_constraint, 8), rissanen_prior(4))
-        for pair in ((base, challenger), (challenger, base)):
-            with pytest.raises(ValidationError, match="two i.i.d. codes"):
-                hypercompression_check(*pair, coin_solution, n=12, k_bits=2.0,
-                                       samples=400, seed=17)
-
     def test_deterministic_given_seed(self, dice, dice_solution):
-        base = maxent_predictor(dice, dice_solution)
-        challenger = IIDPredictor(dice, [1 / 6] * 6, "prior")
         kwargs = dict(n=40, k_bits=2.0, samples=5000, seed=101)
-        a = hypercompression_check(base, challenger, dice_solution, **kwargs)
-        b = hypercompression_check(base, challenger, dice_solution, **kwargs)
+        a = hypercompression_check(dice, dice_solution, **kwargs)
+        b = hypercompression_check(dice, dice_solution, **kwargs)
         assert a.frequency == b.frequency
 
     def test_zero_mass_symbol_costs_inf_only_where_it_occurs(self):
@@ -132,15 +109,11 @@ class TestBudget:
     def test_counts_past_the_budget_are_refused(self, dice, dice_solution,
                                                 monkeypatch):
         monkeypatch.setattr(lattice, "CELL_BUDGET", 60)
-        base = maxent_predictor(dice, dice_solution)
-        challenger = IIDPredictor(dice, [1 / 6] * 6, "prior")
         kwargs = dict(n=40, k_bits=2.0, seed=101)
-        hypercompression_check(base, challenger, dice_solution, samples=10,
-                               **kwargs)
+        hypercompression_check(dice, dice_solution, samples=10, **kwargs)
         with pytest.raises(LatticeBlowupError,
                            match="counts of 11 samples") as refused:
-            hypercompression_check(base, challenger, dice_solution,
-                                   samples=11, **kwargs)
+            hypercompression_check(dice, dice_solution, samples=11, **kwargs)
         assert "reduce samples" in str(refused.value)
         assert "reduce n" not in str(refused.value)
 

@@ -101,10 +101,11 @@ def test_kept_windows_give_the_full_sweep_past_the_full_box_budget(problem,
                                                                    horizon):
     # under a budget that fits the windows and the steps but, on most
     # problems drawn, not the full boxes, the provider's target masses and
-    # _central_masses are central_series's with the budget restored
+    # _central_masses are central_series's, in FLOAT, with the budget restored
     space, constraint, measure, mode = problem
     want = central_series(space, constraint, horizon, measure=measure,
                           mode=mode)
+    want_float = central_series(space, constraint, horizon, measure=measure)
     need = max(_kept(constraint, horizon, horizon),
                _step(constraint, horizon, horizon))
     with pytest.MonkeyPatch.context() as patch:
@@ -113,16 +114,15 @@ def test_kept_windows_give_the_full_sweep_past_the_full_box_budget(problem,
                                     measure=measure, mode=mode)
         got = [provider.table(n).mass_at_target() for n in range(horizon + 1)]
         assert list(map(_exact, got)) == list(map(_exact, want))
-        [streamed] = _central_masses(space, constraint, horizon, (measure,),
-                                     mode=mode)
-        assert list(map(_exact, streamed)) == list(map(_exact, want))
+        [streamed] = _central_masses(space, constraint, horizon, (measure,))
+        assert list(map(_exact, streamed)) == list(map(_exact, want_float))
 
 
 @settings(max_examples=60, deadline=None)
 @given(problems(), st.integers(1, 8))
 def test_central_masses_are_charged_for_their_largest_table(problem,
                                                            horizon):
-    space, constraint, measure, mode = problem
+    space, constraint, measure, _ = problem
     widths = [_window(constraint, horizon, m)[1] for m in range(horizon + 1)]
     # each width is the same at m and at horizon - m, and concave in m, so
     # the step from the window at horizon // 2 grows the largest box
@@ -133,8 +133,7 @@ def test_central_masses_are_charged_for_their_largest_table(problem,
                                                      column[2:]))
     largest = _step(constraint, horizon, horizon)
     assert largest == prod(map(add, widths[horizon // 2], constraint.unit_max))
-    want = central_series(space, constraint, horizon, measure=measure,
-                          mode=mode)
+    want = central_series(space, constraint, horizon, measure=measure)
     steps = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sumdist, "_dense_step",
@@ -143,12 +142,10 @@ def test_central_masses_are_charged_for_their_largest_table(problem,
         with pytest.raises(LatticeBlowupError,
                            match=f"sweep step to n={horizon // 2 + 1} needs "
                                  f"{largest} cells"):
-            _central_masses(space, constraint, horizon, (measure,),
-                            mode=mode)
+            _central_masses(space, constraint, horizon, (measure,))
         assert steps == []  # refused before the sweep starts
         patch.setattr(lattice, "CELL_BUDGET", largest)
-        [got] = _central_masses(space, constraint, horizon, (measure,),
-                                mode=mode)
+        [got] = _central_masses(space, constraint, horizon, (measure,))
         assert list(map(_exact, got)) == list(map(_exact, want))
 
 

@@ -22,6 +22,8 @@ that root's ``src``, so the two sides share nothing but the inputs:
   packed centred steps need two words;
 - ``THIN_CUBE3``, cube3 at a target whose first feasible size, 402, lies
   past the sizes whose full-box reachability tables fit the cell budget;
+- ``THIN_CUBE3_PATHS``, the same problem with a paths game at n = 402, whose
+  mixture reads its first feasible size from the windows at 402;
 - ``COIN_29_PATHS``, a paths game whose representative at n = 40600 is
   glued from blocks of the first feasible size, 29;
 - ``WIDE_PAD``, T = (x, x^2) on {0, 1, 2, 3}, whose inner axis has unit_max
@@ -112,6 +114,11 @@ THIN_CUBE3 = {
     "problem": {**CUBE3_WINDOW["problem"], "target": ["1/201", "1/2", "1/2"]},
     "experiments": [{"kind": "corollary1", "n_list": [402]}],
 }
+THIN_CUBE3_PATHS = {
+    "problem": THIN_CUBE3["problem"],
+    "experiments": [{"kind": "game", "mode": "paths", "n_list": [402],
+                     "j_max": 1, "predictors": ["maxent", "mixture"]}],
+}
 
 # the coin with prior 28:1 at mean 1/29: the windows of the walk to
 # n = 40600 = 1400 * 29 outgrow the cell budget, so the representative is
@@ -191,6 +198,7 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     configs["cube3-rational"] = CUBE3_RATIONAL
     configs["cube3-recur-words"] = CUBE3_RECUR_WORDS
     configs["thin-cube3"] = THIN_CUBE3
+    configs["thin-cube3-paths"] = THIN_CUBE3_PATHS
     configs["coin-29-paths"] = COIN_29_PATHS
     configs["wide-pad"] = WIDE_PAD
     configs["die5-corollary1-underflow"] = DIE5_COROLLARY1
