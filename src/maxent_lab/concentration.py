@@ -5,7 +5,9 @@ the target average, and d_n is the ratio of that probability to its normal
 approximation; c_n tends to index * prod(h_j) / sqrt((2 pi)^k det Sigma),
 with the index of the steps' lattice (``ConstraintSpec.index``), and d_n to 1.
 Event records check the concentration inequality (and its equality case for
-events inside the constraint set) with c_n taken from the same run.
+events inside the constraint set) with c_n taken from the same run; each
+event's masses come from one DP series per measure over the feasible sizes,
+cut on the prior's side to the cells that can reach the target.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import conditional_event_prob
+from .conditional import conditional_event_series
 from .errors import EnumerationInfeasibleError, LatticeBlowupError, ValidationError
 from .lattice import ConstraintSpec, SampleSpace, _sequences_on_target, first_feasible_sizes
 from .solver import MaxEntSolution
@@ -98,6 +100,15 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
     k = constraint.dim
     clt = LocalClt(constraint, solution)
     [centrals] = _central_masses(space, constraint, n_list[-1], (solution,))
+    feasible = [n for n in n_list if centrals[n] != 0]
+    # per event, one DP series under each measure serves every feasible
+    # size; the prior's side reads only the masses at the target
+    series = [dict(zip(feasible, zip(
+        conditional_event_series(space, constraint, event, feasible, "q",
+                                 mode, True),
+        conditional_event_series(space, constraint, event, feasible,
+                                 solution, FLOAT, False))))
+        for event in events] if feasible else []
     records = []
     for n in n_list:
         p_c = float(centrals[n])
@@ -108,11 +119,8 @@ def concentration_constants(space: SampleSpace, constraint: ConstraintSpec,
             continue
         c_n, d_n = clt.constants(n, p_c)
         checks = []
-        for event in events:
-            under_q = conditional_event_prob(space, constraint, event, n,
-                                             measure="q", mode=mode)
-            under_p = conditional_event_prob(space, constraint, event, n,
-                                             measure=solution, mode=FLOAT)
+        for at_size in series:
+            under_q, under_p = at_size[n]
             cond_q = under_q.conditional
             rhs = n ** (-k / 2.0) * c_n * float(cond_q)
             checks.append(EventCheck(

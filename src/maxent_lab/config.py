@@ -47,11 +47,14 @@ class ProblemConfig:
     prior: list
     t_matrix: list          # k rows of |X| fraction strings
     target: list
-    # the built problem and its solution, shared by validation and the run
+    # the built problem, its solution and (largest cap asked, first feasible
+    # sizes up to it), shared by validation and the run
     _built: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
     _solution: object = field(default=None, init=False, repr=False,
                               compare=False)
+    _first: tuple = field(default=(0, ()), init=False, repr=False,
+                          compare=False)
 
     def build(self):
         """(space, constraint), built once per config."""
@@ -67,6 +70,16 @@ class ProblemConfig:
         if self._solution is None:
             self._solution = solve_maxent(*self.build())
         return self._solution
+
+    def first_feasible(self, cap: int) -> list[int]:
+        """The first feasible size up to ``cap``, as a list of at most one,
+        swept once up to the largest cap asked: a size found below one cap
+        is the first below any larger cap."""
+        asked, first = self._first
+        if cap > asked and not first:
+            first = first_feasible_sizes(*self.build(), 1, n_cap=cap)
+            self._first = cap, first
+        return [n for n in first if n <= cap]
 
 
 @dataclass
@@ -328,7 +341,7 @@ def validate_config(source) -> list[Diagnostic]:
         b["horizon"] if b["kind"] == "game" and b["mode"] == "gaps"
         else b["n_list"][-1] for b in config.experiments
         if b["kind"] in ("concentrate", "condlimit", "corollary1", "game")])
-    first = first_feasible_sizes(space, constraint, 1, n_cap=cap) if cap else []
+    first = config.problem.first_feasible(cap)
     if cap and not first:
         diagnostics.append(Diagnostic(
             "problem.target",

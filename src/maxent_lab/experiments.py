@@ -21,7 +21,6 @@ from .concentration import concentration_constants
 from .conditional import conditional_marginal
 from .config import build_event, load_config
 from .errors import EnumerationInfeasibleError, ValidationError
-from .lattice import first_feasible_sizes
 from .predictors import (
     conditioned_prior_predictor,
     maxent_predictor,
@@ -181,7 +180,7 @@ def _run_game_paths(ctx, block, path):
     # j_max sizes lie within j_max times it; the provider serves them and
     # every size of the block, all skipped and with no mixture if none is
     # feasible
-    first = first_feasible_sizes(space, constraint, 1, last) \
+    first = ctx["problem"].first_feasible(last) \
         if "mixture" in block["predictors"] else []
     provider = SumTableProvider(space, constraint,
                                 max([last, *(prior.j_max * n for n in first)]),
@@ -299,7 +298,8 @@ def run_config(source, output_dir) -> RunManifest:
     solution = config.problem.solve()
     ctx = {
         "space": space, "constraint": constraint, "solution": solution,
-        "mode": config.mode, "summary": [], "manifest": manifest, "tag": "",
+        "problem": config.problem, "mode": config.mode, "summary": [],
+        "manifest": manifest, "tag": "",
     }
     for i, block in enumerate(config.experiments):
         kind = block["kind"]

@@ -216,7 +216,7 @@ def test_count_dp_matches_reference(problem, n, data):
         st.tuples(st.integers(0, n + 1), st.integers(-1, n)),
         min_size=space.size, max_size=space.size))
     for b in (bounds, [(0, n)] * space.size):
-        _same(conditional._freq_layer(constraint, n, steps, b, mode),
+        _same(conditional._freq_layer(constraint, n, steps, b, mode, False),
               _freq_layer(constraint, n, steps, b, mode))
 
 
@@ -238,7 +238,7 @@ def test_box_event_matches_reference(problem, n, data):
         data.draw(st.lists(bound_st, min_size=dim, max_size=dim)),
         inside=data.draw(st.booleans()))
     args = (space, constraint, event, n, steps, mode)
-    _same(conditional._box_event(*args), _box_event(*args))
+    _same(conditional._box_event(*args, [n], False)[0], _box_event(*args))
 
 
 @settings(max_examples=150, deadline=None)
@@ -252,7 +252,7 @@ def test_bigram_event_matches_reference(problem, n, data):
         j, jprime, data.draw(st.builds(Fraction, st.integers(1, 3),
                                        st.integers(4, 12))))
     args = (space, constraint, event, n, steps, mode)
-    _same(conditional._bigram_event(*args), _bigram_event(*args))
+    _same(conditional._bigram_event(*args, [n], False)[0], _bigram_event(*args))
 
 
 @settings(max_examples=150, deadline=None)

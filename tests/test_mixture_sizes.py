@@ -19,6 +19,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from maxent_lab import (
     SumTableProvider,
+    concentration,
+    config,
     experiments,
     first_feasible_sizes,
     mixture_gap_series,
@@ -123,6 +125,30 @@ def test_paths_game_asks_for_the_first_size_only(tmp_path, monkeypatch):
         counts.append(count)
         return first_feasible_sizes(space, constraint, count, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "first_feasible_sizes", spy)
+    # the run asks through the config, which keeps the answer
+    monkeypatch.setattr(config, "first_feasible_sizes", spy)
     experiments.run_config(_paths_game(), tmp_path / "out")
     assert counts == [1]
+
+
+def test_validation_hands_its_first_size_to_the_run(tmp_path, monkeypatch):
+    # the coin at 1/29 with a paths game at [29, 40600]: validation asks for
+    # the first feasible size up to 40 600 and the game asks again at its
+    # last size, which the config answers without a second sweep; the
+    # representative at 40 600 asks for four sizes below it
+    calls = []
+
+    def spy(space, constraint, count, n_cap):
+        calls.append((count, n_cap))
+        return first_feasible_sizes(space, constraint, count, n_cap)
+
+    monkeypatch.setattr(config, "first_feasible_sizes", spy)
+    monkeypatch.setattr(concentration, "first_feasible_sizes", spy)
+    path = tmp_path / "coin.json"
+    path.write_text(json.dumps({
+        "problem": {"outcomes": ["0", "1"], "prior": ["28", "1"],
+                    "T": [["0", "1"]], "target": ["1/29"]},
+        "experiments": [{"kind": "game", "mode": "paths", "n_list": [29, 40600],
+                         "j_max": 2, "predictors": ["maxent", "mixture"]}]}))
+    assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 0
+    assert calls == [(1, 40600), (4, 40599)]

@@ -28,6 +28,12 @@ that root's ``src``, so the two sides share nothing but the inputs:
   glued from blocks of the first feasible size, 29;
 - ``WIDE_PAD``, T = (x, x^2) on {0, 1, 2, 3}, whose inner axis has unit_max
   9, so every windowed k = 2 table is kept with 9 pad cells a row;
+- ``EVENTS_K2``, the ``WIDE_PAD`` problem with box, bigram and frequency
+  events, in float and in rational mode, whose prior-side DPs cut each of
+  the two T digits to its window;
+- ``DIE_EVENTS_LAST_INFEASIBLE``, the die at mean 9/2 with the three events
+  at sizes whose last is infeasible, so the event DPs stop at the last
+  feasible size;
 - all five shipped fixtures in float mode;
 - brandeis, two-constraint and brandeis-combined in rational mode;
 - three runs that exit 3 because a float mass underflows to 0.0 at a size
@@ -144,6 +150,38 @@ WIDE_PAD = {
                      "j_max": 4}],
 }
 
+# the WIDE_PAD problem with box, bigram and frequency events: the prior's
+# side of a k = 2 event DP keeps the states inside the window on each T
+# digit; 6 is infeasible
+K2_EVENTS = [{"type": "box", "statistic": [["0", "1", "0", "1"]],
+              "lower": ["2/5"], "upper": ["1/2"]},
+             {"type": "bigram_deviation", "j": "1", "jprime": "2",
+              "epsilon": "1/5"},
+             {"type": "freq_deviation", "epsilon": "1/5",
+              "reference": "maxent"}]
+EVENTS_K2 = {
+    "problem": WIDE_PAD["problem"],
+    "experiments": [{"kind": "concentrate", "n_list": [4, 6, 8, 12],
+                     "events": K2_EVENTS}],
+}
+EVENTS_K2_RATIONAL = {**EVENTS_K2, "mode": "rational"}
+
+# the die at mean 9/2, feasible at even sizes only: an event block whose
+# last size is infeasible, so its DPs run to the last feasible size
+DIE_EVENTS_LAST_INFEASIBLE = {
+    "problem": {"outcomes": [str(x) for x in range(1, 7)],
+                "prior": ["1/6"] * 6, "T": [[str(x) for x in range(1, 7)]],
+                "target": ["9/2"]},
+    "experiments": [{"kind": "concentrate", "n_list": [4, 5, 8, 11],
+                     "events": [
+                         {"type": "box", "statistic": [
+                             ["0", "1", "1", "0", "1", "0"]],
+                          "lower": ["1/3"], "upper": ["2/3"]},
+                         {"type": "bigram_deviation", "j": "4", "jprime": "1",
+                          "epsilon": "1/4"},
+                         {"type": "freq_deviation", "epsilon": "1/5",
+                          "reference": "maxent"}]}],
+}
 
 # the die at mean 5: P_q(C_n) underflows from n = 1741 on
 DIE5 = {"outcomes": [str(x) for x in range(1, 7)], "prior": ["1/6"] * 6,
@@ -201,6 +239,9 @@ def _runs(change_root: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
     configs["thin-cube3-paths"] = THIN_CUBE3_PATHS
     configs["coin-29-paths"] = COIN_29_PATHS
     configs["wide-pad"] = WIDE_PAD
+    configs["events-k2"] = EVENTS_K2
+    configs["events-k2-rational"] = EVENTS_K2_RATIONAL
+    configs["die-events-last-infeasible"] = DIE_EVENTS_LAST_INFEASIBLE
     configs["die5-corollary1-underflow"] = DIE5_COROLLARY1
     configs["die5-gaps-underflow"] = DIE5_GAPS
     configs["die5-freq"] = DIE5_FREQ
